@@ -102,17 +102,10 @@ func LearnAttributesDPWith(rng *rand.Rand, g *graph.Graph, epsilon float64, work
 	return learnAttributesDP(rng, g, epsilon, NodeConfigCountsWith(g, workers))
 }
 
-// LearnCorrelationsDPWith is LearnCorrelationsDP with an explicit worker
-// count for both the truncation µ(G, k) — graph.TruncateWith replays the
-// order-dependent deletions over just the heavy-incident edge subsequence,
-// bit-identical to the sequential operator — and the counting pass over the
-// truncated graph. The Laplace draws stay sequential on rng, so the released
-// estimate is bit-identical to LearnCorrelationsDP for every worker count.
+// LearnCorrelationsDPWith is LearnCorrelationsDP for callers that thread one
+// worker count through every fit stage. The count over µ(G, k) is a single
+// sequential canonical pass, so workers does not change the work or the
+// released estimate.
 func LearnCorrelationsDPWith(rng *rand.Rand, g *graph.Graph, epsilon float64, k, workers int) []float64 {
-	truncate := func(g *graph.Graph, k int) *graph.Graph {
-		return g.TruncateWith(k, workers)
-	}
-	return learnCorrelationsDP(rng, g, epsilon, k, truncate, func(truncated *graph.Graph) []float64 {
-		return EdgeConfigCountsWith(truncated, workers)
-	})
+	return LearnCorrelationsDP(rng, g, epsilon, k)
 }

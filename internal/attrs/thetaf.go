@@ -72,26 +72,23 @@ func clampNonNegative(noisy []float64) {
 // LearnCorrelationsDP (Algorithm 4) releases an ε-differentially private
 // estimate of ΘF using edge truncation: the input graph is projected onto the
 // set of k-bounded graphs with µ(G, k), the connection counts Q_F are computed
-// on the truncated graph, independent Laplace noise with scale 2k/ε is added
-// to each count (Proposition 1: the truncation-then-count pipeline has global
-// sensitivity 2k), and the noisy counts are clamped to be non-negative and
-// normalised into a distribution.
+// over the edges µ(G, k) keeps, independent Laplace noise with scale 2k/ε is
+// added to each count (Proposition 1: the truncation-then-count pipeline has
+// global sensitivity 2k), and the noisy counts are clamped to be non-negative
+// and normalised into a distribution. The counts come from one canonical pass
+// (graph.ForEachTruncatedEdge); the truncated graph is never built.
 func LearnCorrelationsDP(rng *rand.Rand, g *graph.Graph, epsilon float64, k int) []float64 {
-	return learnCorrelationsDP(rng, g, epsilon, k, (*graph.Graph).Truncate, EdgeConfigCounts)
-}
-
-// learnCorrelationsDP runs Algorithm 4 with pluggable truncation and counting
-// passes; the noise draws are sequential on rng, so the output depends only
-// on the counts and the rng state, not on how truncation or counting were
-// executed (LearnCorrelationsDPWith shards both, bit-identically).
-func learnCorrelationsDP(rng *rand.Rand, g *graph.Graph, epsilon float64, k int, truncate func(*graph.Graph, int) *graph.Graph, count func(*graph.Graph) []float64) []float64 {
 	if epsilon <= 0 {
 		panic(fmt.Sprintf("attrs: non-positive epsilon %v", epsilon))
 	}
 	if k < 1 {
 		panic(fmt.Sprintf("attrs: truncation parameter k=%d must be at least 1", k))
 	}
-	counts := count(truncate(g, k))
+	w := g.NumAttributes()
+	counts := make([]float64, NumEdgeConfigs(w))
+	g.ForEachTruncatedEdge(k, func(u, v int) {
+		counts[EdgeConfig(g.Attr(u), g.Attr(v), w)]++
+	})
 	sensitivity := 2 * float64(k)
 	noisy := dp.LaplaceVector(rng, counts, sensitivity, epsilon)
 	clampNonNegative(noisy)

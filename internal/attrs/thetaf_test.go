@@ -257,3 +257,23 @@ func TestTruncationSensitivityScalesWithK(t *testing.T) {
 		}
 	}
 }
+
+// TestLearnCorrelationsDPCountsTruncatedGraph pins Algorithm 4's counting
+// step: Q_F streamed over the edges µ(G, k) keeps must equal the counts of
+// the materialised truncated graph, so the release is bit-identical to
+// counting graph.Truncate(k). The skewed fixture cascades deletions at small k.
+func TestLearnCorrelationsDPCountsTruncatedGraph(t *testing.T) {
+	g := histFixture(t, true)
+	for _, k := range []int{1, 3, 12, g.MaxDegree()} {
+		counts := EdgeConfigCounts(g.Truncate(k))
+		noisy := dp.LaplaceVector(rand.New(rand.NewSource(5)), counts, 2*float64(k), 0.5)
+		clampNonNegative(noisy)
+		want := dp.NormalizeToDistribution(noisy)
+		got := LearnCorrelationsDP(rand.New(rand.NewSource(5)), g, 0.5, k)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("k=%d: Θ̃F[%d] = %v, counting the truncated graph gives %v", k, i, got[i], want[i])
+			}
+		}
+	}
+}

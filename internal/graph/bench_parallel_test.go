@@ -1,9 +1,10 @@
 package graph_test
 
-// Paired sequential-vs-parallel benchmarks for the sharded analytics (PR 3),
-// run on the shared 10k-node Chung–Lu fixture. The *Sequential variants pin
-// one worker; the *Parallel variants use the process default (GOMAXPROCS), so
-// the pairs measure the worker-pool speedup on the benchmarking host.
+// Paired sequential-vs-parallel benchmarks for the sharded analytics and the
+// max-common-neighbour scan, run on the shared 10k-node Chung–Lu fixture.
+// The *Sequential variants pin one worker; the *Parallel variants use the
+// process default (GOMAXPROCS), so the pairs measure the worker-pool speedup
+// on the benchmarking host.
 // scripts/bench.sh records the ratios in BENCH_pr3.json; on a single-core
 // container the ratio is ≈ 1 by construction (see the JSON's notes).
 
@@ -12,7 +13,7 @@ import (
 )
 
 func BenchmarkTrianglesSequential(b *testing.B) {
-	g, _, _ := benchFixture()
+	g, _ := benchFixture()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -21,7 +22,7 @@ func BenchmarkTrianglesSequential(b *testing.B) {
 }
 
 func BenchmarkTrianglesParallel(b *testing.B) {
-	g, _, _ := benchFixture()
+	g, _ := benchFixture()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -29,8 +30,26 @@ func BenchmarkTrianglesParallel(b *testing.B) {
 	}
 }
 
+func BenchmarkMaxCommonNeighborsSequential(b *testing.B) {
+	g, _ := benchFixture()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = g.MaxCommonNeighbors(1)
+	}
+}
+
+func BenchmarkMaxCommonNeighborsParallel(b *testing.B) {
+	g, _ := benchFixture()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = g.MaxCommonNeighbors(0)
+	}
+}
+
 func BenchmarkLocalClusteringAllSequential(b *testing.B) {
-	g, _, _ := benchFixture()
+	g, _ := benchFixture()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -39,7 +58,7 @@ func BenchmarkLocalClusteringAllSequential(b *testing.B) {
 }
 
 func BenchmarkLocalClusteringAllParallel(b *testing.B) {
-	g, _, _ := benchFixture()
+	g, _ := benchFixture()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -48,7 +67,7 @@ func BenchmarkLocalClusteringAllParallel(b *testing.B) {
 }
 
 func BenchmarkSummarizeSequential(b *testing.B) {
-	g, _, _ := benchFixture()
+	g, _ := benchFixture()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -57,7 +76,7 @@ func BenchmarkSummarizeSequential(b *testing.B) {
 }
 
 func BenchmarkSummarizeParallel(b *testing.B) {
-	g, _, _ := benchFixture()
+	g, _ := benchFixture()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -1,11 +1,11 @@
 package graph_test
 
-// Benchmarks for the CSR refactor, each paired with its pre-refactor
-// map-adjacency baseline (mapAdjGraph, in reference_test.go) so the speedup
-// is measured inside one binary on identical inputs. The shared fixture is a
-// 10k-node Chung–Lu graph with a heavy-tailed degree sequence, the workload
-// the paper's pipeline actually runs on. scripts/bench.sh records the results
-// in BENCH_pr2.json.
+// Benchmarks for the CSR core. The construction benchmarks are paired with
+// the pre-refactor map-adjacency baseline (mapAdjGraph, in reference_test.go)
+// so the speedup is measured inside one binary on identical inputs. The
+// shared fixture is a 10k-node Chung–Lu graph with a heavy-tailed degree
+// sequence, the workload the paper's pipeline actually runs on.
+// scripts/bench.sh records the results.
 
 import (
 	"math"
@@ -15,7 +15,6 @@ import (
 
 	"agmdp/internal/graph"
 	"agmdp/internal/structural"
-	"agmdp/internal/triangles"
 )
 
 const benchNodes = 10000
@@ -23,7 +22,6 @@ const benchNodes = 10000
 var (
 	benchOnce  sync.Once
 	benchCSR   *graph.Graph
-	benchMap   *mapAdjGraph
 	benchEdges []graph.Edge
 )
 
@@ -47,9 +45,9 @@ func benchDegrees(rng *rand.Rand, n, maxDeg int) []int {
 	return degs
 }
 
-// benchFixture lazily builds the shared 10k-node Chung–Lu graph in CSR form,
-// its edge list, and the equivalent map-adjacency graph.
-func benchFixture() (*graph.Graph, *mapAdjGraph, []graph.Edge) {
+// benchFixture lazily builds the shared 10k-node Chung–Lu graph in CSR form
+// and its edge list.
+func benchFixture() (*graph.Graph, []graph.Edge) {
 	benchOnce.Do(func() {
 		rng := rand.New(rand.NewSource(1))
 		degs := benchDegrees(rng, benchNodes, 300)
@@ -61,16 +59,12 @@ func benchFixture() (*graph.Graph, *mapAdjGraph, []graph.Edge) {
 		target /= 2
 		benchCSR = structural.GenerateCL(rng, benchNodes, sampler, target, nil)
 		benchEdges = benchCSR.Edges()
-		benchMap = newMapAdjGraph(benchNodes, 0)
-		for _, e := range benchEdges {
-			benchMap.addEdge(e.U, e.V)
-		}
 	})
-	return benchCSR, benchMap, benchEdges
+	return benchCSR, benchEdges
 }
 
 func BenchmarkBuildBuilderFinalize(b *testing.B) {
-	_, _, edges := benchFixture()
+	_, edges := benchFixture()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -85,7 +79,7 @@ func BenchmarkBuildBuilderFinalize(b *testing.B) {
 }
 
 func BenchmarkBuildFromEdges(b *testing.B) {
-	_, _, edges := benchFixture()
+	_, edges := benchFixture()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -96,7 +90,7 @@ func BenchmarkBuildFromEdges(b *testing.B) {
 }
 
 func BenchmarkBuildMapBaseline(b *testing.B) {
-	_, _, edges := benchFixture()
+	_, edges := benchFixture()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -111,7 +105,7 @@ func BenchmarkBuildMapBaseline(b *testing.B) {
 }
 
 func BenchmarkTrianglesCSR(b *testing.B) {
-	g, _, _ := benchFixture()
+	g, _ := benchFixture()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -119,35 +113,8 @@ func BenchmarkTrianglesCSR(b *testing.B) {
 	}
 }
 
-func BenchmarkTrianglesMapBaseline(b *testing.B) {
-	_, m, _ := benchFixture()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = m.triangles()
-	}
-}
-
-func BenchmarkMaxCommonNeighborsCSR(b *testing.B) {
-	g, _, _ := benchFixture()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = triangles.MaxCommonNeighbors(g)
-	}
-}
-
-func BenchmarkMaxCommonNeighborsMapBaseline(b *testing.B) {
-	_, m, _ := benchFixture()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = m.maxCommonNeighbors()
-	}
-}
-
 func BenchmarkHasEdgeCSR(b *testing.B) {
-	g, _, edges := benchFixture()
+	g, edges := benchFixture()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e := edges[i%len(edges)]

@@ -23,10 +23,11 @@
 // mutating methods on Graph — every "derived" graph operation (Truncate,
 // InducedSubgraph, WithAttributes, ...) returns a new Graph, and any Graph may
 // therefore be shared freely across goroutines without synchronisation.
-// Because rows are sorted, edge membership is a binary search and all
-// neighbourhood intersections (triangle and wedge counting, clustering,
-// common-neighbour queries) run as cache-friendly sorted merges instead of
-// hash probes.
+// Because rows are sorted, edge membership is a binary search and pairwise
+// neighbourhood intersections (clustering, common-neighbour queries) run as
+// cache-friendly sorted merges instead of hash probes. The triangle count and
+// the maximum common-neighbour count run on a private degree-ranked view of
+// the rows (see ranked.go).
 //
 // The package also provides the structural measurements the paper relies on:
 // degree sequences, triangle and wedge counts, local and global clustering

@@ -43,72 +43,19 @@ func (g *Graph) AverageDegree() float64 {
 	return 2 * float64(g.m) / float64(len(g.attrs))
 }
 
-// Triangles returns n∆, the number of distinct triangles in the graph, using
-// the compact-forward algorithm: nodes are ranked by (degree, ID), each edge
-// is oriented from lower to higher rank, and each triangle is found exactly
-// once as a sorted-merge intersection of two forward neighbour lists. Because
-// forward degrees are bounded by O(√m), the intersections cost O(m^{3/2})
-// total even on heavy-tailed graphs where hub rows would otherwise dominate.
+// Triangles returns n∆, the number of distinct triangles in the graph. Nodes
+// are ranked by (degree descending, ID ascending) and each triangle is found
+// exactly once, at its lightest corner u: u's heavier neighbours are marked,
+// and the heavier prefix of each marked neighbour's row is probed for marks.
+// A node's heavier neighbours number O(√m), so the probes cost O(m^{3/2})
+// total even on heavy-tailed graphs where hub rows would otherwise dominate,
+// and no sorted merge is needed.
 //
 // On graphs above the sharding threshold the counting pass runs on the shared
-// worker pool (see TrianglesWith); the count is bit-identical to the
-// sequential algorithm for every worker count.
+// worker pool (see TrianglesWith); the count is the same for every worker
+// count.
 func (g *Graph) Triangles() int64 {
 	return g.TrianglesWith(0)
-}
-
-// forwardCSR builds the compact-forward orientation of the graph: row u keeps
-// only the neighbours of higher (degree, ID) rank. Filtering a sorted row
-// preserves its ID order, so merge intersections still work on forward rows.
-func (g *Graph) forwardCSR() (foffsets []int64, fneighbors []int32) {
-	n := len(g.attrs)
-
-	// Rank nodes by (degree, ID) with a counting sort over degrees; iterating
-	// node IDs in ascending order breaks degree ties by ID for free.
-	maxDeg := 0
-	for i := 0; i < n; i++ {
-		if d := int(g.offsets[i+1] - g.offsets[i]); d > maxDeg {
-			maxDeg = d
-		}
-	}
-	next := make([]int32, maxDeg+1)
-	for i := 0; i < n; i++ {
-		next[g.offsets[i+1]-g.offsets[i]]++
-	}
-	cum := int32(0)
-	for d := 0; d <= maxDeg; d++ {
-		c := next[d]
-		next[d] = cum
-		cum += c
-	}
-	rank := make([]int32, n)
-	for i := 0; i < n; i++ {
-		d := g.offsets[i+1] - g.offsets[i]
-		rank[i] = next[d]
-		next[d]++
-	}
-
-	foffsets = make([]int64, n+1)
-	for u := 0; u < n; u++ {
-		cnt := int64(0)
-		for _, v := range g.row(u) {
-			if rank[v] > rank[u] {
-				cnt++
-			}
-		}
-		foffsets[u+1] = foffsets[u] + cnt
-	}
-	fneighbors = make([]int32, foffsets[n])
-	for u := 0; u < n; u++ {
-		k := foffsets[u]
-		for _, v := range g.row(u) {
-			if rank[v] > rank[u] {
-				fneighbors[k] = v
-				k++
-			}
-		}
-	}
-	return foffsets, fneighbors
 }
 
 // TrianglesAt returns the number of triangles that include node i, i.e. the

@@ -27,47 +27,6 @@ const (
 // implementation for every worker count — which is why the parallel paths can
 // be the default everywhere without weakening any determinism contract.
 
-// TrianglesWith is Triangles with an explicit worker count: workers > 1
-// shards the compact-forward counting pass by forward-degree-weighted node
-// ranges; workers ≤ 0 selects the process default (parallel.Resolve). The
-// result is bit-identical to the sequential count.
-func (g *Graph) TrianglesWith(workers int) int64 {
-	n := len(g.attrs)
-	if n == 0 || g.m == 0 {
-		return 0
-	}
-	foffsets, fneighbors := g.forwardCSR()
-	workers = parallel.Resolve(workers)
-	if workers <= 1 || g.m < minShardEdges {
-		return countForwardTriangles(foffsets, fneighbors, 0, n)
-	}
-	// The per-node cost of the counting pass is driven by the forward row
-	// lengths, so the forward offsets are the right weights to balance on.
-	shards := parallel.SplitWeighted(foffsets, workers)
-	partial := make([]int64, len(shards))
-	parallel.Do(len(shards), func(s int) {
-		r := shards[s]
-		partial[s] = countForwardTriangles(foffsets, fneighbors, r.Lo, r.Hi)
-	})
-	var total int64
-	for _, p := range partial {
-		total += p
-	}
-	return total
-}
-
-// countForwardTriangles intersects forward rows for source nodes in [lo, hi).
-func countForwardTriangles(foffsets []int64, fneighbors []int32, lo, hi int) int64 {
-	var total int64
-	for u := lo; u < hi; u++ {
-		fu := fneighbors[foffsets[u]:foffsets[u+1]]
-		for _, v := range fu {
-			total += int64(intersectCount(fu, fneighbors[foffsets[v]:foffsets[v+1]]))
-		}
-	}
-	return total
-}
-
 // LocalClusteringAllWith is LocalClusteringAll with an explicit worker count
 // (≤ 0 selects the process default). Workers accumulate triangle credits into
 // one shared counter array with atomic adds: integer addition is exact and

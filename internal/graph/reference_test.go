@@ -115,7 +115,8 @@ func (g *mapAdjGraph) triangles() int64 {
 	return total / 3
 }
 
-// maxCommonNeighbors is the old per-node map-churn two-hop enumeration.
+// maxCommonNeighbors is the old per-node map-churn two-hop enumeration, the
+// reference the degree-ranked scan is checked against.
 func (g *mapAdjGraph) maxCommonNeighbors() int {
 	maxCN := 0
 	counts := make(map[int]int)
@@ -198,6 +199,9 @@ func TestBuilderMatchesMapAdjacencyReferenceProperty(t *testing.T) {
 			return false
 		}
 		if g.Triangles() != ref.triangles() {
+			return false
+		}
+		if g.MaxCommonNeighbors(0) != ref.maxCommonNeighbors() {
 			return false
 		}
 		u, v := rng.Intn(n), rng.Intn(n)

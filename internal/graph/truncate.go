@@ -7,29 +7,47 @@ package graph
 // degree greater than k. The result is a k-bounded graph: every node has
 // degree at most k.
 //
-// The receiver is immutable and unchanged; a new graph is returned. Instead of
-// materialising a mutable copy, the pass simulates the sequential deletions on
-// a degree array and packs the surviving edges (already in canonical order in
-// the CSR rows) straight into a new CSR graph. Attribute vectors are
+// The receiver is immutable and unchanged; a new graph is returned. The
+// surviving edges come from ForEachTruncatedEdge, already in canonical order,
+// and are packed straight into a new CSR graph. Attribute vectors are
 // preserved. Truncate panics if k < 0.
 func (g *Graph) Truncate(k int) *Graph {
-	if k < 0 {
-		panic("graph: negative truncation parameter")
-	}
-	degs := g.Degrees()
 	kept := make([]Edge, 0, g.m)
-	g.ForEachEdge(func(u, v int) bool {
-		if degs[u] > k || degs[v] > k {
-			degs[u]--
-			degs[v]--
-			return true
-		}
+	g.ForEachTruncatedEdge(k, func(u, v int) {
 		kept = append(kept, Edge{U: u, V: v})
-		return true
 	})
 	out := fromCanonicalEdges(len(g.attrs), g.w, kept)
 	copy(out.attrs, g.attrs)
 	return out
+}
+
+// ForEachTruncatedEdge calls fn(u, v), u < v, once for every edge that
+// µ(G, k) keeps, in canonical order, without building the truncated graph:
+// one canonical pass simulates the sequential deletions on a running-degree
+// array. It panics if k < 0.
+func (g *Graph) ForEachTruncatedEdge(k int, fn func(u, v int)) {
+	if k < 0 {
+		panic("graph: negative truncation parameter")
+	}
+	deg := make([]int64, len(g.attrs))
+	for i := range deg {
+		deg[i] = g.offsets[i+1] - g.offsets[i]
+	}
+	bound := int64(k)
+	for u := range g.attrs {
+		for _, v32 := range g.row(u) {
+			v := int(v32)
+			if v <= u {
+				continue
+			}
+			if deg[u] > bound || deg[v] > bound {
+				deg[u]--
+				deg[v]--
+				continue
+			}
+			fn(u, v)
+		}
+	}
 }
 
 // IsDegreeBounded reports whether every node has degree at most k.
@@ -42,9 +60,11 @@ func (g *Graph) IsDegreeBounded(k int) bool {
 	return true
 }
 
-// TruncationLoss returns the number of edges removed by Truncate(k) without
-// materialising the truncated graph twice. It is a convenience for tuning the
+// TruncationLoss returns the number of edges removed by Truncate(k), without
+// materialising the truncated graph. It is a convenience for tuning the
 // truncation parameter in non-private analyses and tests.
 func (g *Graph) TruncationLoss(k int) int {
-	return g.NumEdges() - g.Truncate(k).NumEdges()
+	kept := 0
+	g.ForEachTruncatedEdge(k, func(int, int) { kept++ })
+	return g.m - kept
 }

@@ -49,13 +49,15 @@ type FitSpec struct {
 	// (concurrently with registering the model) and caches it in the model
 	// store, so the first default-shaped sample skips the refinement rounds.
 	WarmAcceptance bool
-	// OnDone, when non-nil, is invoked exactly once when the job reaches a
+	// OnDone, when non-nil, is invoked exactly once as the job reaches a
 	// terminal status, with the registered model's content-addressed ID —
 	// empty when the fit was cancelled or failed before any model landed in
-	// the model store. The tenancy layer uses it to refund a pre-charged
-	// privacy budget when a fit released nothing (empty ID) and to record
-	// the submitting tenant as the model's owner otherwise; a fit cancelled
-	// only after registration still reports its ID, because its model — and
+	// the model store. With an ID it runs before the terminal status is
+	// visible; with an empty ID, after the terminal record is committed.
+	// The tenancy layer uses it to refund a pre-charged privacy budget when
+	// a fit released nothing (empty ID) and to record the submitting tenant
+	// as the model's owner otherwise; a fit cancelled only after
+	// registration still reports its ID, because its model — and
 	// therefore its privacy spend — is real.
 	OnDone func(modelID string)
 }
@@ -145,9 +147,19 @@ func (m *Manager) runFit(ctx context.Context, j *job) {
 }
 
 // finishFit moves a fit job to its terminal state and fires the OnDone
-// callback (after the terminal record is committed, so a refund triggered by
-// the callback can never race a restart that still shows the job running).
+// callback. A fit that registered a model fires it first, so the tenancy
+// layer has granted the model before any client can see the job finish and
+// ask for the model. A fit that released nothing fires it after the terminal
+// record is committed, so the refund it triggers can never race a restart
+// that still shows the job running.
 func (m *Manager) finishFit(j *job, ctx context.Context, result *FitResult, failed bool, onDone func(string)) {
+	var modelID string
+	if result != nil {
+		modelID = result.ModelID
+	}
+	if onDone != nil && modelID != "" {
+		onDone(modelID)
+	}
 	m.finish(j, func(info *Info) {
 		switch {
 		case ctx.Err() != nil:
@@ -155,9 +167,9 @@ func (m *Manager) finishFit(j *job, ctx context.Context, result *FitResult, fail
 			// Cancellation that lands after the model was already
 			// registered must not orphan it: keep the result in the
 			// cancelled record so the model ID stays discoverable.
-			if result != nil && result.ModelID != "" {
+			if modelID != "" {
 				info.Fit = result
-				info.ModelID = result.ModelID
+				info.ModelID = modelID
 			}
 		case failed:
 			info.Status = StatusFailed
@@ -167,15 +179,11 @@ func (m *Manager) finishFit(j *job, ctx context.Context, result *FitResult, fail
 			info.Status = StatusDone
 			info.Completed = 1
 			info.Fit = result
-			info.ModelID = result.ModelID
+			info.ModelID = modelID
 		}
 	})
-	if onDone != nil {
-		var modelID string
-		if result != nil {
-			modelID = result.ModelID
-		}
-		onDone(modelID)
+	if onDone != nil && modelID == "" {
+		onDone("")
 	}
 }
 

@@ -98,8 +98,9 @@ func TestFitJobCancelWhileQueued(t *testing.T) {
 	}
 }
 
-// recvModelID receives the OnDone callback's value with a timeout (OnDone
-// fires after the terminal record commits, which can trail Wait slightly).
+// recvModelID receives the OnDone callback's value with a timeout (a fit
+// that released nothing fires OnDone after the terminal record commits,
+// which can trail Wait slightly).
 func recvModelID(t *testing.T, donec <-chan string) string {
 	t.Helper()
 	select {
@@ -215,6 +216,78 @@ func TestFitJobOnDoneProducedTrue(t *testing.T) {
 	}
 	if mid := recvModelID(t, donec); mid == "" || mid != info.ModelID {
 		t.Errorf("OnDone model ID = %q, want the registered %q", mid, info.ModelID)
+	}
+}
+
+// TestFitJobOnDoneOrdering pins when OnDone runs relative to the terminal
+// status. A fit that registered a model must call OnDone while Get still
+// reports the job unfinished, so the tenancy layer grants the model before a
+// client polling for "done" can request it. A fit that released nothing must
+// call OnDone only once the terminal record is committed, so its refund never
+// races a restart that would still show the job running.
+func TestFitJobOnDoneOrdering(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		spec      FitSpec
+		bounded   bool // occupy the only fit slot and cancel while queued
+		wantModel bool
+	}{
+		{name: "registered", spec: FitSpec{Epsilon: 1, Seed: 3}, wantModel: true},
+		{name: "failed", spec: FitSpec{Epsilon: 1, Seed: 3, ModelKind: "tcl"}},
+		{name: "cancelled-queued", spec: FitSpec{Epsilon: 1, Seed: 3}, bounded: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var m *Manager
+			if tc.bounded {
+				m = newBoundedFitManager(t)
+				m.fitSem <- struct{}{}
+				defer func() { <-m.fitSem }()
+			} else {
+				m, _ = newFitManager(t, "")
+			}
+			type seen struct {
+				modelID string
+				status  Status
+			}
+			idc := make(chan string, 1)
+			seenc := make(chan seen, 1)
+			spec := tc.spec
+			spec.Graph = fixtureGraph(t)
+			spec.OnDone = func(modelID string) {
+				info, _, _ := m.Get(<-idc)
+				seenc <- seen{modelID, info.Status}
+			}
+			id, err := m.SubmitFit(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			idc <- id
+			if tc.bounded && !m.Cancel(id) {
+				t.Fatal("cancel of queued fit refused")
+			}
+			info := wait(t, m, id)
+			var got seen
+			select {
+			case got = <-seenc:
+			case <-time.After(10 * time.Second):
+				t.Fatal("OnDone never fired")
+			}
+			if tc.wantModel {
+				if got.modelID == "" || got.modelID != info.ModelID {
+					t.Fatalf("OnDone model ID = %q, job carries %q", got.modelID, info.ModelID)
+				}
+				if got.status.Finished() {
+					t.Errorf("OnDone saw status %v before the grant; want it unfinished", got.status)
+				}
+				return
+			}
+			if got.modelID != "" {
+				t.Fatalf("OnDone model ID = %q for a fit that released nothing", got.modelID)
+			}
+			if !got.status.Finished() {
+				t.Errorf("OnDone saw status %v; a refund must follow the terminal record", got.status)
+			}
+		})
 	}
 }
 

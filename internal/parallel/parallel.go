@@ -1,8 +1,8 @@
 // Package parallel is the shared execution layer of the library: one
 // process-wide worker pool, node-range sharding helpers, and a deterministic
 // fan-out primitive that every concurrent code path (graph analytics, the
-// two-hop sensitivity scan, the structural generators and the sampling
-// engine's intra-job streams) runs on.
+// sensitivity scan, the structural generators and the sampling engine's
+// intra-job streams) runs on.
 //
 // # Pool
 //

@@ -1,10 +1,10 @@
 package parallel
 
 // MinShardEdges is the shared edge-count threshold below which the library's
-// sharded code paths (graph analytics, the two-hop sensitivity scan, the
-// structural generators' proposal and rewiring streams) fall back to their
-// sequential implementations: under it, fan-out and merge overhead exceeds
-// the work itself. One constant, one retuning point.
+// sharded code paths (graph analytics, the sensitivity scan, the structural
+// generators' proposal and rewiring streams) fall back to their sequential
+// implementations: under it, fan-out and merge overhead exceeds the work
+// itself. One constant, one retuning point.
 const MinShardEdges = 4096
 
 // Range is a half-open shard [Lo, Hi) of a node (or item) index space.

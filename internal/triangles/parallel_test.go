@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"agmdp/internal/graph"
+	"agmdp/internal/parallel"
 )
 
 // fixtureGraph builds a random graph above the sharding threshold with an
@@ -22,7 +23,7 @@ func fixtureGraph(t testing.TB, seed int64, n int, hub bool) *graph.Graph {
 		}
 	}
 	g := graph.FromEdges(n, 0, edges)
-	if g.NumEdges() < minShardEdges {
+	if g.NumEdges() < parallel.MinShardEdges {
 		t.Fatalf("fixture below sharding threshold: %d edges", g.NumEdges())
 	}
 	return g
@@ -54,21 +55,5 @@ func TestMaxCommonNeighborsWithSmallGraphExact(t *testing.T) {
 	}
 	if got := MaxCommonNeighborsWith(graph.New(0, 0), 4); got != 0 {
 		t.Fatalf("empty graph MaxCN = %d", got)
-	}
-}
-
-func BenchmarkMaxCommonNeighborsSequential(b *testing.B) {
-	g := fixtureGraph(b, 9, 4000, true)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MaxCommonNeighborsWith(g, 1)
-	}
-}
-
-func BenchmarkMaxCommonNeighborsParallel(b *testing.B) {
-	g := fixtureGraph(b, 9, 4000, true)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MaxCommonNeighborsWith(g, 0)
 	}
 }

@@ -13,7 +13,6 @@ import (
 
 	"agmdp/internal/dp"
 	"agmdp/internal/graph"
-	"agmdp/internal/parallel"
 )
 
 // Count returns the exact number of triangles in g. It is a thin wrapper over
@@ -23,89 +22,25 @@ func Count(g *graph.Graph) int64 {
 	return g.Triangles()
 }
 
-// minShardEdges is the edge count below which MaxCommonNeighbors always runs
-// sequentially: the per-worker counter arrays and fan-out cost more than the
-// two-hop scan itself on small graphs.
-const minShardEdges = parallel.MinShardEdges
-
 // MaxCommonNeighbors returns the maximum, over all node pairs (u, v) with
 // u ≠ v, of the number of common neighbours |Γ(u) ∩ Γ(v)|. This is the local
 // sensitivity of triangle counting under edge adjacency: toggling the edge
 // {u, v} changes the triangle count by exactly |Γ(u) ∩ Γ(v)|.
 //
-// Only pairs at distance two or less can have a common neighbour, so the
-// implementation enumerates two-hop pairs through each node's CSR rows,
-// scatter-counting wedge endpoints into a dense counter that is reset via a
-// touched list, costing O(Σ_w d_w²) time and O(n) memory with no hashing. On
-// graphs above the sharding threshold the scan runs on the shared worker pool
-// (MaxCommonNeighborsWith) and returns the identical maximum.
+// It is a thin wrapper over graph.MaxCommonNeighbors, which counts each pair
+// at its lighter endpoint on a degree-ranked view and stops once no remaining
+// node's degree can beat the best count found. On graphs above the sharding
+// threshold the scan runs on the shared worker pool (MaxCommonNeighborsWith)
+// and returns the identical maximum.
 func MaxCommonNeighbors(g *graph.Graph) int {
-	return MaxCommonNeighborsWith(g, 0)
+	return g.MaxCommonNeighbors(0)
 }
 
 // MaxCommonNeighborsWith is MaxCommonNeighbors with an explicit worker count
-// (≤ 0 selects the process default, parallel.Resolve). The source-node range
-// is split by two-hop cost — Σ_{w ∈ Γ(u)} d_w per source u, the exact inner-
-// loop trip count — so a hub's quadratic neighbourhood cannot capsize one
-// shard. Each worker scatter-counts into its own dense counter array and the
-// shard maxima reduce with max, which is order-insensitive, so the result is
-// identical to the sequential scan for every worker count.
+// (≤ 0 selects the process default, parallel.Resolve). The result is the same
+// for every worker count.
 func MaxCommonNeighborsWith(g *graph.Graph, workers int) int {
-	n := g.NumNodes()
-	workers = parallel.Resolve(workers)
-	if workers <= 1 || g.NumEdges() < minShardEdges {
-		return maxCommonNeighborsRange(g, 0, n, make([]int32, n))
-	}
-	// Inclusive prefix sums of the per-source two-hop cost; one O(m) pass.
-	cost := make([]int64, n+1)
-	for u := 0; u < n; u++ {
-		var c int64
-		for _, w := range g.NeighborsView(u) {
-			c += int64(g.Degree(int(w)))
-		}
-		cost[u+1] = cost[u] + c
-	}
-	shards := parallel.SplitWeighted(cost, workers)
-	partial := make([]int, len(shards))
-	parallel.Do(len(shards), func(s int) {
-		r := shards[s]
-		partial[s] = maxCommonNeighborsRange(g, r.Lo, r.Hi, make([]int32, n))
-	})
-	maxCN := 0
-	for _, p := range partial {
-		if p > maxCN {
-			maxCN = p
-		}
-	}
-	return maxCN
-}
-
-// maxCommonNeighborsRange runs the dense-counter two-hop scan for source
-// nodes in [lo, hi). counts must be a zeroed slice of length NumNodes; it is
-// returned zeroed again (reset via the touched list after every source).
-func maxCommonNeighborsRange(g *graph.Graph, lo, hi int, counts []int32) int {
-	maxCN := 0
-	touched := make([]int32, 0, 256)
-	for u := lo; u < hi; u++ {
-		for _, w := range g.NeighborsView(u) {
-			for _, v := range g.NeighborsView(int(w)) {
-				if int(v) > u { // count each unordered pair once
-					if counts[v] == 0 {
-						touched = append(touched, v)
-					}
-					counts[v]++
-				}
-			}
-		}
-		for _, v := range touched {
-			if c := int(counts[v]); c > maxCN {
-				maxCN = c
-			}
-			counts[v] = 0
-		}
-		touched = touched[:0]
-	}
-	return maxCN
+	return g.MaxCommonNeighbors(workers)
 }
 
 // LocalSensitivity returns LS(G), the local sensitivity of the triangle count
@@ -159,23 +94,26 @@ type LadderOptions struct {
 // selected with probability proportional to |rung t| · exp(−ε·t/2) and a value
 // is then drawn uniformly inside the rung. Negative candidates are clamped to
 // zero after sampling (post-processing).
+//
+// The mechanism's two exact measurements — f(G) and the maximum common-
+// neighbour count behind LS_t(G) — are computed together from one
+// degree-ranked view of g (graph.TrianglesAndMaxCommonNeighbors).
 func LadderCount(rng *rand.Rand, g *graph.Graph, epsilon float64, opts LadderOptions) int64 {
 	return LadderCountWith(rng, g, epsilon, opts, 0)
 }
 
 // LadderCountWith is LadderCount with an explicit worker count (≤ 0 selects
 // the process default) for the two exact measurements the mechanism centres
-// on — the triangle count and the maximum common-neighbour count. Both are
-// bit-identical for every worker count and the mechanism's random draws stay
-// sequential on rng, so the released estimate depends only on (graph,
-// epsilon, opts, rng state).
+// on. Both are the same for every worker count and the mechanism's random
+// draws stay sequential on rng, so the released estimate depends only on
+// (graph, epsilon, opts, rng state).
 func LadderCountWith(rng *rand.Rand, g *graph.Graph, epsilon float64, opts LadderOptions, workers int) int64 {
 	if epsilon <= 0 {
 		panic(fmt.Sprintf("triangles: non-positive epsilon %v", epsilon))
 	}
 	n := g.NumNodes()
-	trueCount := float64(g.TrianglesWith(workers))
-	maxCN := MaxCommonNeighborsWith(g, workers)
+	tri, maxCN := g.TrianglesAndMaxCommonNeighbors(workers)
+	trueCount := float64(tri)
 
 	maxRungs := opts.MaxRungs
 	if maxRungs <= 0 {

@@ -10,7 +10,7 @@
 # "speedups" section reports every before/after ratio whose benchmark pair is
 # present in the run:
 #
-#   PR 2 pairs — CSR core vs the map-adjacency baseline
+#   PR 2 pairs — CSR construction vs the map-adjacency baseline
 #   PR 3 pairs — parallel (shared worker pool) vs sequential analytics and
 #                TriCycLe rewiring
 #   PR 4 pairs — binary CSR snapshot codec vs the line-oriented text format
@@ -43,7 +43,7 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 out="${1:-BENCH_pr10.json}"
-pkgs="${BENCH_PKGS:-./internal/graph/ ./internal/structural/ ./internal/triangles/ ./internal/obs/ ./internal/graphstore/ ./internal/tenant/ ./internal/analytics/}"
+pkgs="${BENCH_PKGS:-./internal/graph/ ./internal/structural/ ./internal/obs/ ./internal/graphstore/ ./internal/tenant/ ./internal/analytics/}"
 benchtime="1s"
 if [ "${BENCH_SHORT:-0}" != "0" ]; then
   benchtime="100ms"
@@ -92,10 +92,7 @@ def speedup(base, new):
     return round(b["ns_per_op"] / n["ns_per_op"], 2)
 
 pairs = {
-    # PR 2: CSR core vs map-adjacency baseline.
-    "triangles_csr_vs_map": ("BenchmarkTrianglesMapBaseline", "BenchmarkTrianglesCSR"),
-    "max_common_neighbors_csr_vs_map": (
-        "BenchmarkMaxCommonNeighborsMapBaseline", "BenchmarkMaxCommonNeighborsCSR"),
+    # PR 2: CSR construction vs map-adjacency baseline.
     "build_from_edges_vs_map": ("BenchmarkBuildMapBaseline", "BenchmarkBuildFromEdges"),
     "build_builder_vs_map": ("BenchmarkBuildMapBaseline", "BenchmarkBuildBuilderFinalize"),
     # PR 3: shared worker pool vs sequential.
