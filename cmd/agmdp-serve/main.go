@@ -136,7 +136,6 @@ func run(args []string, stdout io.Writer, ready func(addr string, stop func())) 
 		tenantDir     = fs.String("tenant-dir", "", "ε-ledger directory, persisted as append-only JSONL (empty = in-memory ledger)")
 		logFormat     = fs.String("log-format", "text", "structured log format: text or json")
 		pprofFlag     = fs.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ (operator-facing listeners only)")
-		chunkRows     = fs.Int("stream-chunk-rows", 0, "rows per frame for chunked graph streaming (0 = default 32768)")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -247,17 +246,16 @@ func run(args []string, stdout io.Writer, ready func(addr string, stop func())) 
 	}
 
 	srv, err := server.New(server.Config{
-		Registry:        reg,
-		Engine:          eng,
-		Graphs:          graphs,
-		Jobs:            jobMgr,
-		Analytics:       metrics,
-		MaxJobSamples:   *maxJobSamples,
-		FitParallelism:  *parallelism,
-		Logger:          logger,
-		Pprof:           *pprofFlag,
-		StreamChunkRows: *chunkRows,
-		Tenants:         tenants,
+		Registry:       reg,
+		Engine:         eng,
+		Graphs:         graphs,
+		Jobs:           jobMgr,
+		Analytics:      metrics,
+		MaxJobSamples:  *maxJobSamples,
+		FitParallelism: *parallelism,
+		Logger:         logger,
+		Pprof:          *pprofFlag,
+		Tenants:        tenants,
 	})
 	if err != nil {
 		return err

@@ -85,7 +85,7 @@ func run() error {
 	}
 	sensitive := datasets.Generate(dp.NewRand(1), profile.Scaled(0.5))
 	var snapshot bytes.Buffer
-	if err := sensitive.WriteBinary(&snapshot); err != nil {
+	if err := graph.WriteBinaryTo(&snapshot, sensitive); err != nil {
 		return err
 	}
 	resp, err := http.Post(base+"/v1/graphs", "application/octet-stream", &snapshot)

@@ -40,7 +40,7 @@ func TestSampleSourceMatchesSample(t *testing.T) {
 				t.Fatalf("%s seed %d: materialized source differs from Sample", model.Name(), seed)
 			}
 			var mono bytes.Buffer
-			if err := want.WriteBinary(&mono); err != nil {
+			if err := graph.WriteBinaryTo(&mono, want); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(mono.Bytes(), encodeSource(t, src)) {
@@ -71,7 +71,7 @@ func TestSampleSourceWithTableMatchesSampleWithTable(t *testing.T) {
 		t.Fatal("materialized table source differs from SampleWithTable")
 	}
 	var mono bytes.Buffer
-	if err := want.WriteBinary(&mono); err != nil {
+	if err := graph.WriteBinaryTo(&mono, want); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(mono.Bytes(), encodeSource(t, src)) {

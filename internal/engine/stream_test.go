@@ -36,7 +36,7 @@ func TestSampleSourceSeededMatchesSampleSeeded(t *testing.T) {
 		t.Fatalf("resolved seeds differ: %d vs %d", seed1, seed2)
 	}
 	var mono bytes.Buffer
-	if err := g.WriteBinary(&mono); err != nil {
+	if err := graph.WriteBinaryTo(&mono, g); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(mono.Bytes(), encodeSource(t, src)) {
@@ -70,7 +70,7 @@ func TestSampleSourceSeededCachedPathMatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	var mono bytes.Buffer
-	if err := g.WriteBinary(&mono); err != nil {
+	if err := graph.WriteBinaryTo(&mono, g); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(mono.Bytes(), encodeSource(t, src)) {

@@ -51,7 +51,7 @@ func ioBenchFixture(tb testing.TB) (*graph.Graph, []byte, []byte) {
 		}
 		ioBenchText = text.Bytes()
 		var bin bytes.Buffer
-		if err := ioBenchGraph.WriteBinary(&bin); err != nil {
+		if err := graph.WriteBinaryTo(&bin, ioBenchGraph); err != nil {
 			panic(err)
 		}
 		ioBenchBinary = bin.Bytes()
@@ -80,7 +80,7 @@ func BenchmarkWriteGraphBinary(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := g.WriteBinary(io.Discard); err != nil {
+		if err := graph.WriteBinaryTo(io.Discard, g); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,7 +1,7 @@
 package graph
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -29,19 +29,20 @@ import (
 //	neighbors 2m × int32      concatenated rows, strictly increasing per row
 //	attrs     n × uint64      attribute bitmasks (present iff flags bit 0)
 //
-// The encoding is canonical: a given graph has exactly one valid encoding,
-// and ReadBinary rejects anything non-canonical (unknown flags, a nonzero
-// reserved word, an attrs array on a width-0 graph, attribute bits above w).
-// Canonical bytes make the format safe to content-address — equal graphs
-// hash equal — which is what the graph store relies on.
+// The encoding is canonical: a given graph has exactly one valid encoding
+// (the one WriteBinaryTo writes), and DecodeBinary rejects anything
+// non-canonical (unknown flags, a nonzero reserved word, an attrs array on a
+// width-0 graph, attribute bits above w). Canonical bytes make the format
+// safe to content-address — equal graphs hash equal — which is what the
+// graph store relies on.
 //
-// ReadBinary fully validates the structural invariants the rest of the
+// DecodeBinary fully validates the structural invariants the rest of the
 // package assumes (monotone offsets, sorted in-range rows, no self loops,
 // symmetric adjacency), so a decoded graph is indistinguishable from one
 // built by a Builder, and corrupt or adversarial input fails with an error
-// rather than corrupting later analytics. Array reads are chunked, so a
-// header that declares a huge graph fails with an I/O error after at most
-// one chunk of over-allocation instead of exhausting memory up front.
+// rather than corrupting later analytics. ReadBinary buffers only the bytes
+// that actually arrive, so a header that declares a huge graph fails with an
+// I/O error instead of exhausting memory up front.
 
 const (
 	binaryMagic   = "AGMDPCSR"
@@ -53,78 +54,11 @@ const (
 	// binaryHeaderSize is the fixed header length in bytes.
 	binaryHeaderSize = 8 + 4 + 4 + 4 + 4 + 8 + 8
 
-	// binaryChunkEntries bounds how many array entries are staged per
-	// read/write call: large enough to amortise call overhead, small enough
-	// that a lying header cannot force a huge allocation.
+	// binaryChunkEntries bounds how many array entries the encoder stages
+	// per write call: large enough to amortise call overhead, small enough
+	// to keep the staging buffer a fixed 64 KiB.
 	binaryChunkEntries = 8192
 )
-
-// BinarySize returns the exact encoded length of the graph's binary
-// snapshot in bytes.
-func (g *Graph) BinarySize() int64 {
-	size := int64(binaryHeaderSize)
-	size += int64(len(g.offsets)) * 8
-	size += int64(len(g.neighbors)) * 4
-	if g.w > 0 {
-		size += int64(len(g.attrs)) * 8
-	}
-	return size
-}
-
-// WriteBinary writes the graph as a binary CSR snapshot. The output is
-// canonical: equal graphs produce byte-identical snapshots.
-func (g *Graph) WriteBinary(w io.Writer) error {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	var hdr [binaryHeaderSize]byte
-	copy(hdr[0:8], binaryMagic)
-	binary.LittleEndian.PutUint32(hdr[8:12], binaryVersion)
-	var flags uint32
-	if g.w > 0 {
-		flags |= flagAttrs
-	}
-	binary.LittleEndian.PutUint32(hdr[12:16], flags)
-	binary.LittleEndian.PutUint32(hdr[16:20], uint32(g.w))
-	// hdr[20:24] is the reserved word, zero.
-	binary.LittleEndian.PutUint64(hdr[24:32], uint64(len(g.attrs)))
-	binary.LittleEndian.PutUint64(hdr[32:40], uint64(g.m))
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return fmt.Errorf("graph: writing binary header: %w", err)
-	}
-	var buf [8 * binaryChunkEntries]byte
-	for start := 0; start < len(g.offsets); start += binaryChunkEntries {
-		chunk := g.offsets[start:min(start+binaryChunkEntries, len(g.offsets))]
-		for i, v := range chunk {
-			binary.LittleEndian.PutUint64(buf[8*i:], uint64(v))
-		}
-		if _, err := bw.Write(buf[:8*len(chunk)]); err != nil {
-			return fmt.Errorf("graph: writing binary offsets: %w", err)
-		}
-	}
-	for start := 0; start < len(g.neighbors); start += binaryChunkEntries {
-		chunk := g.neighbors[start:min(start+binaryChunkEntries, len(g.neighbors))]
-		for i, v := range chunk {
-			binary.LittleEndian.PutUint32(buf[4*i:], uint32(v))
-		}
-		if _, err := bw.Write(buf[:4*len(chunk)]); err != nil {
-			return fmt.Errorf("graph: writing binary neighbors: %w", err)
-		}
-	}
-	if flags&flagAttrs != 0 {
-		for start := 0; start < len(g.attrs); start += binaryChunkEntries {
-			chunk := g.attrs[start:min(start+binaryChunkEntries, len(g.attrs))]
-			for i, v := range chunk {
-				binary.LittleEndian.PutUint64(buf[8*i:], uint64(v))
-			}
-			if _, err := bw.Write(buf[:8*len(chunk)]); err != nil {
-				return fmt.Errorf("graph: writing binary attrs: %w", err)
-			}
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("graph: writing binary snapshot: %w", err)
-	}
-	return nil
-}
 
 // binaryHeader is the decoded fixed header of a binary CSR snapshot.
 type binaryHeader struct {
@@ -142,6 +76,18 @@ func (h binaryHeader) size() int64 {
 		size += int64(h.n) * 8
 	}
 	return size
+}
+
+// section names the array a snapshot cut short after got bytes ended in.
+func (h binaryHeader) section(got int64) string {
+	offsetsEnd := int64(binaryHeaderSize) + int64(h.n+1)*8
+	switch {
+	case got < offsetsEnd:
+		return "offsets"
+	case got < offsetsEnd+int64(2*h.m)*4:
+		return "neighbors"
+	}
+	return "attrs"
 }
 
 // parseBinaryHeader validates and decodes the fixed snapshot header,
@@ -174,7 +120,9 @@ func parseBinaryHeader(hdr []byte) (binaryHeader, error) {
 		return binaryHeader{}, fmt.Errorf("graph: binary snapshot node count %d exceeds the int32 ID space", n64)
 	}
 	n := int(n64)
-	if m64 > uint64(maxEdges(n)) {
+	// The second bound keeps size() within an int64: near maxEdges(MaxInt32)
+	// the neighbors array alone would overflow it.
+	if m64 > uint64(maxEdges(n)) || m64 > (math.MaxInt64-binaryHeaderSize-16*(n64+1))/8 {
 		return binaryHeader{}, fmt.Errorf("graph: binary snapshot edge count %d impossible for %d nodes", m64, n)
 	}
 	return binaryHeader{n: n, m: int(m64), w: int(w), flags: flags}, nil
@@ -209,51 +157,37 @@ func StatBinary(prefix []byte) (SnapshotStat, error) {
 // StatBinary needs.
 const BinaryHeaderSize = binaryHeaderSize
 
-// ReadBinary parses a binary CSR snapshot written by WriteBinary, fully
-// validating the graph invariants (canonical header, monotone offsets,
-// strictly increasing in-range rows, no self loops, symmetric adjacency)
-// before constructing the graph. Trailing bytes after the snapshot are left
-// unread.
+// ReadBinary parses one binary CSR snapshot from r with DecodeBinary's full
+// validation. It reads the header, then exactly the snapshot length the header
+// declares into a buffer that grows only as bytes arrive, so a lying header
+// cannot force a large allocation; bytes after the snapshot are left unread.
+// Input that ends early fails with an error naming the section it ended in.
 func ReadBinary(r io.Reader) (*Graph, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
 	var hdr [binaryHeaderSize]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, fmt.Errorf("graph: reading binary header: %w", err)
 	}
 	h, err := parseBinaryHeader(hdr[:])
 	if err != nil {
 		return nil, err
 	}
-	n, m, w, flags := h.n, h.m, h.w, h.flags
-
-	offsets, err := readInt64s(br, n+1)
-	if err != nil {
-		return nil, fmt.Errorf("graph: reading binary offsets: %w", err)
-	}
-	neighbors, err := readInt32s(br, 2*m)
-	if err != nil {
-		return nil, fmt.Errorf("graph: reading binary neighbors: %w", err)
-	}
-	attrs := make([]AttrVector, n)
-	if flags&flagAttrs != 0 {
-		if err := readAttrs(br, attrs, w); err != nil {
-			return nil, fmt.Errorf("graph: reading binary attrs: %w", err)
+	buf := bytes.NewBuffer(hdr[:])
+	if _, err := io.CopyN(buf, r, h.size()-binaryHeaderSize); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
 		}
+		return nil, fmt.Errorf("graph: reading binary %s: %w", h.section(int64(buf.Len())), err)
 	}
-	if err := validateCSR(n, offsets, neighbors); err != nil {
-		return nil, fmt.Errorf("graph: invalid binary snapshot: %w", err)
-	}
-	return &Graph{w: w, m: m, offsets: offsets, neighbors: neighbors, attrs: attrs}, nil
+	return DecodeBinary(buf.Bytes())
 }
 
-// DecodeBinary parses a binary CSR snapshot held fully in memory, with the
-// same complete validation as ReadBinary. It is the lazy-decode entry point
-// for stores that keep canonical snapshot bytes (heap-resident or mmap'd)
-// and materialise the graph on first use: decoding straight off the slice
-// skips the reader plumbing and the chunk staging buffers of the stream
-// path. Unlike ReadBinary, the slice must be exactly one snapshot — trailing
-// bytes fail decoding, because a content-addressed snapshot with trailing
-// junk is by definition corrupt.
+// DecodeBinary parses a binary CSR snapshot held fully in memory and
+// validates it completely. It is the one array decoder: ReadBinary buffers a
+// stream's snapshot and hands it here, and stores that keep canonical
+// snapshot bytes (heap-resident or mmap'd) call it directly to materialise
+// the graph on first use. Unlike ReadBinary, the slice must be exactly one
+// snapshot — trailing bytes fail decoding, because a content-addressed
+// snapshot with trailing junk is by definition corrupt.
 //
 // The decoded graph shares no memory with data: callers may unmap or reuse
 // the input once DecodeBinary returns.
@@ -312,60 +246,6 @@ func maxEdges(n int) int64 {
 		return 0
 	}
 	return int64(n) * int64(n-1) / 2
-}
-
-// readInt64s reads count little-endian int64 values in bounded chunks, so a
-// corrupt header cannot force a single huge allocation.
-func readInt64s(r io.Reader, count int) ([]int64, error) {
-	out := make([]int64, 0, min(count, binaryChunkEntries))
-	var buf [8 * binaryChunkEntries]byte
-	for len(out) < count {
-		batch := min(count-len(out), binaryChunkEntries)
-		if _, err := io.ReadFull(r, buf[:8*batch]); err != nil {
-			return nil, err
-		}
-		for i := 0; i < batch; i++ {
-			out = append(out, int64(binary.LittleEndian.Uint64(buf[8*i:])))
-		}
-	}
-	return out, nil
-}
-
-// readInt32s reads count little-endian int32 values in bounded chunks.
-func readInt32s(r io.Reader, count int) ([]int32, error) {
-	out := make([]int32, 0, min(count, binaryChunkEntries))
-	var buf [4 * binaryChunkEntries]byte
-	for len(out) < count {
-		batch := min(count-len(out), binaryChunkEntries)
-		if _, err := io.ReadFull(r, buf[:4*batch]); err != nil {
-			return nil, err
-		}
-		for i := 0; i < batch; i++ {
-			out = append(out, int32(binary.LittleEndian.Uint32(buf[4*i:])))
-		}
-	}
-	return out, nil
-}
-
-// readAttrs fills attrs with little-endian attribute bitmasks, rejecting
-// vectors with bits above width w (they would make the encoding
-// non-canonical).
-func readAttrs(r io.Reader, attrs []AttrVector, w int) error {
-	var buf [8 * binaryChunkEntries]byte
-	for start := 0; start < len(attrs); start += binaryChunkEntries {
-		batch := min(len(attrs)-start, binaryChunkEntries)
-		if _, err := io.ReadFull(r, buf[:8*batch]); err != nil {
-			return err
-		}
-		for i := 0; i < batch; i++ {
-			a := AttrVector(binary.LittleEndian.Uint64(buf[8*i:]))
-			if a != a.maskWidth(w) {
-				return fmt.Errorf("node %d attribute vector %#x has bits above width %d", start+i, uint64(a), w)
-			}
-			attrs[start+i] = a
-		}
-	}
-	return nil
 }
 
 // validateCSR checks the structural invariants every Graph consumer assumes:
@@ -455,7 +335,7 @@ func SaveBinary(g *Graph, path string) error {
 		return fmt.Errorf("graph: %w", err)
 	}
 	defer f.Close()
-	if err := g.WriteBinary(f); err != nil {
+	if err := WriteBinaryTo(f, g); err != nil {
 		return err
 	}
 	return f.Close()

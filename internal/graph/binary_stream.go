@@ -1,17 +1,16 @@
 package graph
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
 )
 
-// streamEncoder stages little-endian values in a bounded buffer in front of a
-// bufio.Writer, so per-entry encoding costs an array store instead of a
-// bufio call. Errors are sticky.
+// streamEncoder stages little-endian values in a fixed buffer and hands it to
+// the writer only when it fills, so encoding an entry costs an array store
+// instead of a Write call. Errors are sticky.
 type streamEncoder struct {
-	bw  *bufio.Writer
+	w   io.Writer
 	buf [8 * binaryChunkEntries]byte
 	n   int
 	err error
@@ -19,7 +18,7 @@ type streamEncoder struct {
 
 func (e *streamEncoder) flush() {
 	if e.err == nil && e.n > 0 {
-		_, e.err = e.bw.Write(e.buf[:e.n])
+		_, e.err = e.w.Write(e.buf[:e.n])
 	}
 	e.n = 0
 }
@@ -32,33 +31,27 @@ func (e *streamEncoder) u64(v uint64) {
 	e.n += 8
 }
 
-func (e *streamEncoder) u32(v uint32) {
-	if e.n+4 > len(e.buf) {
-		e.flush()
+// u32s encodes vs, one buffer-sized batch at a time.
+func (e *streamEncoder) u32s(vs []int32) {
+	for len(vs) > 0 {
+		if e.n+4 > len(e.buf) {
+			e.flush()
+		}
+		k := min(len(vs), (len(e.buf)-e.n)/4)
+		out := e.buf[e.n : e.n+4*k]
+		for _, v := range vs[:k] {
+			binary.LittleEndian.PutUint32(out, uint32(v))
+			out = out[4:]
+		}
+		e.n += 4 * k
+		vs = vs[k:]
 	}
-	binary.LittleEndian.PutUint32(e.buf[e.n:], v)
-	e.n += 4
 }
 
-// putBinaryHeader encodes the fixed monolithic snapshot header.
-func putBinaryHeader(hdr []byte, n, m, w int) {
-	copy(hdr[0:8], binaryMagic)
-	binary.LittleEndian.PutUint32(hdr[8:12], binaryVersion)
-	var flags uint32
-	if w > 0 {
-		flags |= flagAttrs
-	}
-	binary.LittleEndian.PutUint32(hdr[12:16], flags)
-	binary.LittleEndian.PutUint32(hdr[16:20], uint32(w))
-	// hdr[20:24] is the reserved word, zero.
-	binary.LittleEndian.PutUint64(hdr[24:32], uint64(n))
-	binary.LittleEndian.PutUint64(hdr[32:40], uint64(m))
-}
-
-// WriteBinaryTo writes the source's graph as a monolithic binary CSR snapshot
-// (the exact bytes Graph.WriteBinary emits for the materialised graph — the
-// format is canonical, so the two paths are byte-identical). Unlike
-// WriteBinary it never needs the concatenated CSR arrays: it makes three row
+// WriteBinaryTo writes the source's graph as a binary CSR snapshot; it is
+// the format's one encoder. The encoding is canonical, so a Graph and a
+// Builder (or attribute overlay) holding the same graph produce the same
+// bytes. It never needs the concatenated CSR arrays: it makes three row
 // passes over the source (offsets, neighbour rows, attrs) holding only one
 // row plus a bounded staging buffer, which is what lets a sampled graph
 // stream from the generator's builder straight to the socket in O(row)
@@ -66,13 +59,19 @@ func putBinaryHeader(hdr []byte, n, m, w int) {
 func WriteBinaryTo(w io.Writer, src RowSource) error {
 	n, m, aw := src.NumNodes(), src.NumEdges(), src.NumAttributes()
 	checkDims(n, aw)
-	bw := bufio.NewWriterSize(w, 1<<16)
-	var hdr [binaryHeaderSize]byte
-	putBinaryHeader(hdr[:], n, m, aw)
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return fmt.Errorf("graph: writing binary header: %w", err)
+	enc := &streamEncoder{w: w}
+	hdr := enc.buf[:binaryHeaderSize]
+	copy(hdr[0:8], binaryMagic)
+	binary.LittleEndian.PutUint32(hdr[8:12], binaryVersion)
+	if aw > 0 {
+		binary.LittleEndian.PutUint32(hdr[12:16], flagAttrs)
 	}
-	enc := &streamEncoder{bw: bw}
+	binary.LittleEndian.PutUint32(hdr[16:20], uint32(aw))
+	// hdr[20:24] is the reserved word, zero.
+	binary.LittleEndian.PutUint64(hdr[24:32], uint64(n))
+	binary.LittleEndian.PutUint64(hdr[32:40], uint64(m))
+	enc.n = binaryHeaderSize
+
 	var off int64
 	enc.u64(0)
 	for u := 0; u < n; u++ {
@@ -82,13 +81,16 @@ func WriteBinaryTo(w io.Writer, src RowSource) error {
 	if off != int64(2*m) {
 		return fmt.Errorf("graph: row source degrees sum to %d, want %d (= 2m)", off, 2*m)
 	}
-	row := make([]int32, 0, binaryChunkEntries)
+	// Rows are gathered into one batch before encoding: most are short, and
+	// per-row encoder calls would cost more than the entries themselves.
+	rows := make([]int32, 0, binaryChunkEntries)
 	for u := 0; u < n; u++ {
-		row = src.AppendRow(row[:0], u)
-		for _, v := range row {
-			enc.u32(uint32(v))
+		if rows = src.AppendRow(rows, u); len(rows) >= binaryChunkEntries {
+			enc.u32s(rows)
+			rows = rows[:0]
 		}
 	}
+	enc.u32s(rows)
 	if aw > 0 {
 		for u := 0; u < n; u++ {
 			enc.u64(uint64(src.RowAttr(u)))
@@ -97,9 +99,6 @@ func WriteBinaryTo(w io.Writer, src RowSource) error {
 	enc.flush()
 	if enc.err != nil {
 		return fmt.Errorf("graph: writing binary snapshot: %w", enc.err)
-	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("graph: writing binary snapshot: %w", err)
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package graph_test
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"math/rand"
 	"path/filepath"
 	"strings"
@@ -28,12 +29,12 @@ func randomGraph(rng *rand.Rand, n, w int, density float64) *graph.Graph {
 	return b.Finalize()
 }
 
-// encodeBinary encodes g into a byte slice, failing the test on error.
-func encodeBinary(t testing.TB, g *graph.Graph) []byte {
+// encodeBinary encodes src into a byte slice, failing the test on error.
+func encodeBinary(t testing.TB, src graph.RowSource) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := g.WriteBinary(&buf); err != nil {
-		t.Fatalf("WriteBinary: %v", err)
+	if err := graph.WriteBinaryTo(&buf, src); err != nil {
+		t.Fatalf("WriteBinaryTo: %v", err)
 	}
 	return buf.Bytes()
 }
@@ -48,8 +49,8 @@ func TestBinaryRoundTripProperty(t *testing.T) {
 		w := rng.Intn(graph.MaxAttributes + 1)
 		g := randomGraph(rng, n, w, rng.Float64()*0.3)
 		data := encodeBinary(t, g)
-		if got, want := int64(len(data)), g.BinarySize(); got != want {
-			t.Fatalf("trial %d: encoded %d bytes, BinarySize says %d", trial, got, want)
+		if got, want := int64(len(data)), graph.SourceBinarySize(g); got != want {
+			t.Fatalf("trial %d: encoded %d bytes, SourceBinarySize says %d", trial, got, want)
 		}
 		back, err := graph.ReadBinary(bytes.NewReader(data))
 		if err != nil {
@@ -158,7 +159,7 @@ func TestStatBinary(t *testing.T) {
 		if stat.Nodes != g.NumNodes() || stat.Edges != g.NumEdges() || stat.Attributes != g.NumAttributes() {
 			t.Fatalf("trial %d: StatBinary = %+v, want n=%d m=%d w=%d", trial, stat, g.NumNodes(), g.NumEdges(), g.NumAttributes())
 		}
-		if stat.Size != int64(len(data)) || stat.Size != g.BinarySize() {
+		if stat.Size != int64(len(data)) || stat.Size != graph.SourceBinarySize(g) {
 			t.Fatalf("trial %d: StatBinary.Size = %d, want %d", trial, stat.Size, len(data))
 		}
 	}
@@ -321,6 +322,28 @@ func TestReadBinaryRejectsCorruptInput(t *testing.T) {
 	}
 }
 
+// TestBinaryRejectsOverflowingSize feeds a header whose arrays would be
+// longer than an int64 can count, chosen so the length wraps to the 48 bytes
+// actually supplied. Every decoder must reject it from the header rather than
+// allocate arrays for 2³¹ nodes.
+func TestBinaryRejectsOverflowingSize(t *testing.T) {
+	const n = math.MaxInt32
+	m := uint64(1)<<61 - 1<<32 + 2 // 40 + 8(n+1) + 8m + 8n ≡ 48 (mod 2⁶⁴)
+	data := putU64(putU64(encodeBinary(t, graph.New(0, 1)), 24, n), 32, m)
+	if len(data) != 48 {
+		t.Fatalf("fixture is %d bytes, want 48", len(data))
+	}
+	if _, err := graph.StatBinary(data); err == nil || !strings.Contains(err.Error(), "impossible") {
+		t.Fatalf("StatBinary: got %v, want an impossible edge count", err)
+	}
+	if _, err := graph.DecodeBinary(data); err == nil {
+		t.Fatal("DecodeBinary accepted an overflowing header")
+	}
+	if _, err := graph.ReadBinary(bytes.NewReader(data)); err == nil {
+		t.Fatal("ReadBinary accepted an overflowing header")
+	}
+}
+
 // TestReadBinaryRejectsBrokenCSR hand-builds encodings whose arrays violate
 // the CSR invariants that byte flips on a valid encoding cannot easily reach:
 // unsorted rows, self loops, and asymmetric adjacency.
@@ -416,7 +439,7 @@ func FuzzReadBinary(f *testing.F) {
 	}
 	for _, g := range seeds {
 		var buf bytes.Buffer
-		if err := g.WriteBinary(&buf); err != nil {
+		if err := graph.WriteBinaryTo(&buf, g); err != nil {
 			f.Fatal(err)
 		}
 		f.Add(buf.Bytes())
@@ -434,7 +457,7 @@ func FuzzReadBinary(f *testing.F) {
 			return
 		}
 		var out bytes.Buffer
-		if err := g.WriteBinary(&out); err != nil {
+		if err := graph.WriteBinaryTo(&out, g); err != nil {
 			t.Fatalf("re-encoding an accepted graph failed: %v", err)
 		}
 		if out.Len() > len(data) || !bytes.Equal(out.Bytes(), data[:out.Len()]) {

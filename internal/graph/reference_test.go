@@ -10,6 +10,7 @@ package graph_test
 
 import (
 	"bytes"
+	"encoding/hex"
 	"math/rand"
 	"sort"
 	"strings"
@@ -280,5 +281,51 @@ func TestGraphIOGoldenRoundTrip(t *testing.T) {
 	}
 	if !back.Equal(g) {
 		t.Fatal("golden round trip lost information")
+	}
+}
+
+// goldenBinary is the exact AGMDPCSR snapshot of goldenGraph, written out by
+// hand section by section (all little-endian). Every stored .csr file and
+// its content address depend on this layout, and no second encoder
+// cross-checks WriteBinaryTo, so the bytes themselves are pinned.
+var goldenBinary = hexBytes(
+	"41474d4450435352",                    // magic "AGMDPCSR"
+	"01000000 01000000 02000000 00000000", // version 1, flags 1 (attrs present), width 2, reserved
+	"0500000000000000 0500000000000000",   // n = 5, m = 5
+	// offsets, n+1 int64: 0 2 4 7 9 10
+	"0000000000000000 0200000000000000 0400000000000000",
+	"0700000000000000 0900000000000000 0a00000000000000",
+	// neighbors, 2m int32: rows 0:[1 2] 1:[0 2] 2:[0 1 3] 3:[2 4] 4:[3]
+	"01000000 02000000 00000000 02000000 00000000",
+	"01000000 03000000 02000000 04000000 03000000",
+	// attrs, n uint64: 3 0 0 1 0
+	"0300000000000000 0000000000000000 0000000000000000",
+	"0100000000000000 0000000000000000",
+)
+
+// hexBytes decodes space-separated hex fragments into one byte slice.
+func hexBytes(parts ...string) []byte {
+	b, err := hex.DecodeString(strings.ReplaceAll(strings.Join(parts, ""), " ", ""))
+	if err != nil {
+		panic(err)
+	}
+	return b
+}
+
+func TestGraphBinaryGolden(t *testing.T) {
+	g := goldenGraph()
+	var buf bytes.Buffer
+	if err := graph.WriteBinaryTo(&buf, g); err != nil {
+		t.Fatalf("WriteBinaryTo: %v", err)
+	}
+	if !bytes.Equal(buf.Bytes(), goldenBinary) {
+		t.Fatalf("WriteBinaryTo output drifted from the golden snapshot:\ngot  %x\nwant %x", buf.Bytes(), goldenBinary)
+	}
+	back, err := graph.DecodeBinary(goldenBinary)
+	if err != nil {
+		t.Fatalf("DecodeBinary: %v", err)
+	}
+	if !back.Equal(g) {
+		t.Fatal("golden snapshot decodes to a different graph")
 	}
 }

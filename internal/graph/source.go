@@ -108,7 +108,7 @@ func Materialize(src RowSource) *Graph {
 	return g
 }
 
-// SourceBinarySize returns the exact monolithic binary snapshot length of the
+// SourceBinarySize returns the exact binary snapshot length of the
 // source's graph in bytes — what WriteBinaryTo will produce — so servers can
 // set Content-Length before streaming the first row.
 func SourceBinarySize(src RowSource) int64 {

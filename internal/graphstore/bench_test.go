@@ -85,7 +85,7 @@ func BenchmarkGraphDownloadReencode(b *testing.B) {
 		if !ok {
 			b.Fatal("Get failed")
 		}
-		if err := g.WriteBinary(io.Discard); err != nil {
+		if err := graph.WriteBinaryTo(io.Discard, g); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -6,7 +6,7 @@
 // is uploaded once and fitted many times by ID, and sampled synthetic graphs
 // can be stored back and downloaded later in any wire format. Graphs are
 // identified by the content address of their canonical binary CSR snapshot
-// (graph.WriteBinary produces exactly one encoding per graph), so storing
+// (graph.WriteBinaryTo produces exactly one encoding per graph), so storing
 // the same graph twice yields the same ID and a single resident entry.
 //
 // Steady-state residency is O(header) per stored graph: with a store
@@ -183,7 +183,7 @@ func IDFromBytes(data []byte) string {
 // one budget account.
 func GraphID(g *graph.Graph) (string, error) {
 	h := sha256.New()
-	if err := g.WriteBinary(h); err != nil {
+	if err := graph.WriteBinaryTo(h, g); err != nil {
 		return "", fmt.Errorf("graphstore: hashing graph: %w", err)
 	}
 	return hex.EncodeToString(h.Sum(nil)[:16]), nil
@@ -294,8 +294,8 @@ func openSnapshot(path string) (*snap, graph.SnapshotStat, string, error) {
 // Get does not re-decode.
 func (s *Store) Put(g *graph.Graph) (string, error) {
 	var buf bytes.Buffer
-	buf.Grow(int(g.BinarySize()))
-	if err := g.WriteBinary(&buf); err != nil {
+	buf.Grow(int(graph.SourceBinarySize(g)))
+	if err := graph.WriteBinaryTo(&buf, g); err != nil {
 		return "", fmt.Errorf("graphstore: encoding graph: %w", err)
 	}
 	data := buf.Bytes()
@@ -331,16 +331,15 @@ func (s *Store) Put(g *graph.Graph) (string, error) {
 
 // PutSource stores the graph a streaming row source describes and returns
 // its content-addressed ID — the same ID Put assigns to the materialised
-// graph, because the monolithic encoding is canonical and WriteBinaryTo is
-// byte-identical to WriteBinary. A *graph.Graph source delegates to Put (which
-// also admits the decoded graph). Any other source — typically a sampler's
-// builder — is encoded incrementally: with persistence enabled the snapshot
-// streams straight to a temp file while being hashed, so store-back of a
-// sampled graph never materialises the packed CSR arrays or a whole-snapshot
-// encode buffer; the first Get decodes lazily from the file like any other
-// cold entry. Without a directory the snapshot must live on the heap anyway,
-// so the source is encoded into a single buffer that becomes the entry's
-// backing store.
+// graph, because the encoding is canonical. A *graph.Graph source delegates
+// to Put (which also admits the decoded graph). Any other source — typically
+// a sampler's builder — is encoded incrementally: with persistence enabled
+// the snapshot streams straight to a temp file while being hashed, so
+// store-back of a sampled graph never materialises the packed CSR arrays or
+// a whole-snapshot encode buffer; the first Get decodes lazily from the file
+// like any other cold entry. Without a directory the snapshot must live on
+// the heap anyway, so the source is encoded into a single buffer that
+// becomes the entry's backing store.
 func (s *Store) PutSource(src graph.RowSource) (string, error) {
 	if g, ok := src.(*graph.Graph); ok {
 		return s.Put(g)
@@ -602,22 +601,6 @@ func (s *Store) WriteSnapshot(id string, w io.Writer) error {
 		return ErrNotFound
 	}
 	return e.snap.writeTo(w)
-}
-
-// WriteSnapshotChunked streams a stored graph to w in the framed chunked wire
-// format (graph.WriteBinaryChunked) with zero CSR decode: the monolithic
-// snapshot bytes are re-framed by raw range copies (graph.TranscodeChunked),
-// straight from the memory map where available, via positioned file reads
-// otherwise. Like WriteSnapshot, the snapshot stays valid for the duration of
-// the write even if the entry is concurrently evicted.
-func (s *Store) WriteSnapshotChunked(id string, w io.Writer, chunkRows int) error {
-	s.mu.RLock()
-	e, ok := s.entries[id]
-	s.mu.RUnlock()
-	if !ok {
-		return ErrNotFound
-	}
-	return e.snap.transcodeChunked(w, chunkRows)
 }
 
 // Stat returns the listing metadata of one stored graph.

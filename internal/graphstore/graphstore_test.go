@@ -180,7 +180,7 @@ func TestCorruptFilesAreSkippedWithWarnings(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := testGraph(6).WriteBinary(&buf); err != nil {
+	if err := graph.WriteBinaryTo(&buf, testGraph(6)); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(filepath.Join(dir, strings.Repeat("cd", 16)+".csr"), buf.Bytes(), 0o644); err != nil {

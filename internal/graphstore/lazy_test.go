@@ -194,7 +194,7 @@ func TestWriteSnapshotZeroDecode(t *testing.T) {
 		t.Fatal(err)
 	}
 	var want bytes.Buffer
-	if err := g.WriteBinary(&want); err != nil {
+	if err := graph.WriteBinaryTo(&want, g); err != nil {
 		t.Fatal(err)
 	}
 
@@ -269,7 +269,7 @@ func TestEvictDuringReads(t *testing.T) {
 func TestFileBackedSnapshotFallback(t *testing.T) {
 	g := testGraph(95)
 	var buf bytes.Buffer
-	if err := g.WriteBinary(&buf); err != nil {
+	if err := graph.WriteBinaryTo(&buf, g); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "snap.csr")

@@ -2,9 +2,7 @@ package graphstore
 
 import (
 	"bufio"
-	"bytes"
 	"errors"
-	"fmt"
 	"io"
 	"os"
 	"sync"
@@ -82,7 +80,7 @@ func (sn *snap) close() {
 }
 
 // decode materializes the CSR graph from the snapshot: a direct slice decode
-// over the mapped or heap bytes, or a chunked streaming read for file-backed
+// over the mapped or heap bytes, or over a whole-file read for file-backed
 // snapshots. The result shares no memory with the snapshot.
 func (sn *snap) decode() (*graph.Graph, error) {
 	data, err := sn.acquire()
@@ -93,19 +91,11 @@ func (sn *snap) decode() (*graph.Graph, error) {
 		defer sn.release()
 		return graph.DecodeBinary(data)
 	}
-	f, err := os.Open(sn.path)
+	data, err = os.ReadFile(sn.path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	g, err := graph.ReadBinary(bufio.NewReaderSize(f, 1<<16))
-	if err != nil {
-		return nil, err
-	}
-	if g.BinarySize() != sn.size {
-		return nil, fmt.Errorf("snapshot decoded to %d bytes, expected %d", g.BinarySize(), sn.size)
-	}
-	return g, nil
+	return graph.DecodeBinary(data)
 }
 
 // writeTo streams the snapshot bytes to w without decoding: one Write from
@@ -127,26 +117,6 @@ func (sn *snap) writeTo(w io.Writer) error {
 	defer f.Close()
 	_, err = io.Copy(w, bufio.NewReaderSize(f, 1<<16))
 	return err
-}
-
-// transcodeChunked streams the snapshot to w re-framed in the chunked wire
-// format, without decoding CSR arrays: ranged reads over the mapped or heap
-// bytes, or positioned file reads for file-backed snapshots.
-func (sn *snap) transcodeChunked(w io.Writer, chunkRows int) error {
-	data, err := sn.acquire()
-	if err != nil {
-		return err
-	}
-	if data != nil {
-		defer sn.release()
-		return graph.TranscodeChunked(w, bytes.NewReader(data), int64(len(data)), chunkRows)
-	}
-	f, err := os.Open(sn.path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return graph.TranscodeChunked(w, f, sn.size, chunkRows)
 }
 
 // readAll returns a fresh heap copy of the snapshot bytes.

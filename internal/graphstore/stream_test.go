@@ -1,7 +1,6 @@
 package graphstore
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
 
@@ -69,7 +68,7 @@ func TestPutSourceMatchesPut(t *testing.T) {
 				t.Fatal("PutSource snapshot does not decode to the source graph")
 			}
 			info, ok := s.Stat(id)
-			if !ok || info.Nodes != g.NumNodes() || info.Edges != g.NumEdges() || int64(info.SizeBytes) != g.BinarySize() {
+			if !ok || info.Nodes != g.NumNodes() || info.Edges != g.NumEdges() || int64(info.SizeBytes) != graph.SourceBinarySize(g) {
 				t.Fatalf("Stat = %+v", info)
 			}
 			// A duplicate streamed write deduplicates like Put does.
@@ -78,71 +77,4 @@ func TestPutSourceMatchesPut(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestWriteSnapshotChunkedRoundTrip checks chunked serving from every
-// snapshot flavour: heap-resident, and cold persistent (mapped or
-// file-backed). The chunked stream must decode to the stored graph without
-// the store ever decoding the snapshot itself.
-func TestWriteSnapshotChunkedRoundTrip(t *testing.T) {
-	g := testGraph(4)
-
-	t.Run("heap", func(t *testing.T) {
-		s, err := Open(Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		id, err := s.Put(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := s.WriteSnapshotChunked(id, &buf, 7); err != nil {
-			t.Fatalf("WriteSnapshotChunked: %v", err)
-		}
-		back, err := graph.ReadBinaryChunked(&buf)
-		if err != nil || !g.Equal(back) {
-			t.Fatalf("chunked stream does not round-trip: %v", err)
-		}
-	})
-
-	t.Run("persistent-cold", func(t *testing.T) {
-		dir := t.TempDir()
-		seed, err := Open(Options{Dir: dir})
-		if err != nil {
-			t.Fatal(err)
-		}
-		id, err := seed.Put(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		seed.Close()
-		s, err := Open(Options{Dir: dir})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer s.Close()
-		var buf bytes.Buffer
-		if err := s.WriteSnapshotChunked(id, &buf, 7); err != nil {
-			t.Fatalf("WriteSnapshotChunked: %v", err)
-		}
-		back, err := graph.ReadBinaryChunked(&buf)
-		if err != nil || !g.Equal(back) {
-			t.Fatalf("cold chunked stream does not round-trip: %v", err)
-		}
-		if n := s.DecodedLen(); n != 0 {
-			t.Fatalf("chunked serving decoded %d graphs; want zero decode", n)
-		}
-	})
-
-	t.Run("missing", func(t *testing.T) {
-		s, err := Open(Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := s.WriteSnapshotChunked("no-such-id", &buf, 7); err != ErrNotFound {
-			t.Fatalf("missing ID: err = %v, want ErrNotFound", err)
-		}
-	})
 }

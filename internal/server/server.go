@@ -19,7 +19,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"strings"
@@ -99,11 +98,6 @@ type Config struct {
 	// profiling handlers expose stack traces and timings — enable them on
 	// operator-facing listeners only.
 	Pprof bool
-	// StreamChunkRows is the row-range frame size (rows per frame) used by the
-	// chunked wire format on downloads and streamed samples; ≤ 0 selects
-	// graph.DefaultChunkRows. Chunk size is a serving knob, not part of a
-	// graph's identity: any value decodes to the same graph.
-	StreamChunkRows int
 	// Tenants enables multi-tenant serving: API-key authentication, per-
 	// tenant token-bucket rate limits, ε-budget admission of DP fits against
 	// the registry's persistent ledger, per-tenant resource scoping (each
@@ -293,34 +287,6 @@ func abortOnStreamError(what string, err error) {
 		slog.Error("server: streaming response failed", "what", what, "error", err)
 		panic(http.ErrAbortHandler)
 	}
-}
-
-// contentTypeChunked names the framed chunked CSR wire format
-// (graph.WriteBinaryChunked) in Content-Type negotiation, both on uploads and
-// on downloads/streamed samples.
-const contentTypeChunked = "application/x-agmdp-csr-chunked"
-
-// flushWriter pushes every Write through to the client immediately when the
-// ResponseWriter supports flushing. The chunked encoder issues exactly one
-// Write per frame, so wrapping it in a flushWriter gives frame-granular
-// delivery: the client sees row ranges as they are encoded, and the server
-// never buffers more than one frame.
-type flushWriter struct {
-	w io.Writer
-	f http.Flusher
-}
-
-func newFlushWriter(w http.ResponseWriter) flushWriter {
-	f, _ := w.(http.Flusher)
-	return flushWriter{w: w, f: f}
-}
-
-func (fw flushWriter) Write(p []byte) (int, error) {
-	n, err := fw.w.Write(p)
-	if err == nil && fw.f != nil {
-		fw.f.Flush()
-	}
-	return n, err
 }
 
 // writeError writes a JSON error body.
@@ -749,9 +715,7 @@ func (s *Server) handleFit(w http.ResponseWriter, r *http.Request) {
 // agmdp graph text format; "binary" streams the binary CSR snapshot
 // (deterministic and byte-identical for equal seeds — it is encoded straight
 // from the sampler's row source, never materialising the packed CSR arrays);
-// "chunked" streams the framed chunked CSR wire format with one flush per
-// row-range frame, so a client can decode rows while the tail is still being
-// generated; "summary" returns statistics only. The format may equivalently
+// "summary" returns statistics only. The format may equivalently
 // be passed as a ?format= query parameter (the body field wins when both are
 // set). Store stores the sampled graph into the graph store and returns its
 // ID with the summary instead of inlining the graph (JSON formats only).
@@ -792,12 +756,12 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 		req.Format = r.URL.Query().Get("format")
 	}
 	switch req.Format {
-	case "", "json", "text", "binary", "chunked", "summary":
+	case "", "json", "text", "binary", "summary":
 	default:
-		writeError(w, http.StatusBadRequest, "unknown format %q (want json, text, binary, chunked or summary)", req.Format)
+		writeError(w, http.StatusBadRequest, "unknown format %q (want json, text, binary or summary)", req.Format)
 		return
 	}
-	if req.Store && (req.Format == "text" || req.Format == "binary" || req.Format == "chunked") {
+	if req.Store && (req.Format == "text" || req.Format == "binary") {
 		writeError(w, http.StatusBadRequest, "store returns a JSON summary; it cannot be combined with format %q", req.Format)
 		return
 	}
@@ -858,28 +822,19 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 		CacheKey: req.ID,
 	}
 
-	// The binary formats encode straight from the sampler's row source (the
+	// The binary format encodes straight from the sampler's row source (the
 	// generator's builder): the packed offsets/neighbors arrays are never
-	// materialised, the encoders hold one row range at a time, and — for the
-	// chunked format — each frame is flushed to the client as it is encoded.
-	// Memory beyond the builder itself stays O(frame) from sampler to socket.
-	// The bytes are identical to encoding the materialised graph, because the
-	// monolithic format is canonical and the chunked frames carry the same
-	// row data.
-	if req.Format == "binary" || req.Format == "chunked" {
+	// materialised and the encoder holds one row at a time, so memory beyond
+	// the builder itself stays O(row) from sampler to socket. The encoding is
+	// canonical, so the bytes equal those of the materialised graph.
+	if req.Format == "binary" {
 		src, _, err := s.cfg.Engine.SampleSourceSeeded(ctx, ereq)
 		if !s.checkSampleError(w, err) {
 			return
 		}
-		if req.Format == "binary" {
-			w.Header().Set("Content-Type", "application/octet-stream")
-			w.Header().Set("Content-Length", fmt.Sprint(graph.SourceBinarySize(src)))
-			abortOnStreamError("sampled graph snapshot", graph.WriteBinaryTo(w, src))
-			return
-		}
-		w.Header().Set("Content-Type", contentTypeChunked)
-		abortOnStreamError("sampled graph chunked stream",
-			graph.WriteBinaryChunked(newFlushWriter(w), src, s.cfg.StreamChunkRows))
+		w.Header().Set("Content-Type", "application/octet-stream")
+		w.Header().Set("Content-Length", fmt.Sprint(graph.SourceBinarySize(src)))
+		abortOnStreamError("sampled graph snapshot", graph.WriteBinaryTo(w, src))
 		return
 	}
 

@@ -3,9 +3,11 @@ package server
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -16,9 +18,8 @@ import (
 )
 
 // newStreamTestServer builds a Server directly (not just its httptest
-// wrapper) so tests can drive the handler with custom ResponseWriters and
-// pin the chunk-rows serving knob.
-func newStreamTestServer(t *testing.T, chunkRows int) (*Server, *graphstore.Store) {
+// wrapper) so tests can drive the handler with custom ResponseWriters.
+func newStreamTestServer(t *testing.T) (*Server, *graphstore.Store) {
 	t.Helper()
 	reg, err := registry.Open(registry.Options{})
 	if err != nil {
@@ -31,11 +32,10 @@ func newStreamTestServer(t *testing.T, chunkRows int) (*Server, *graphstore.Stor
 		t.Fatal(err)
 	}
 	srv, err := New(Config{
-		Registry:        reg,
-		Engine:          eng,
-		Graphs:          store,
-		SampleTimeout:   30 * time.Second,
-		StreamChunkRows: chunkRows,
+		Registry:      reg,
+		Engine:        eng,
+		Graphs:        store,
+		SampleTimeout: 30 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -44,11 +44,11 @@ func newStreamTestServer(t *testing.T, chunkRows int) (*Server, *graphstore.Stor
 	return srv, store
 }
 
-func TestSampleChunkedMatchesBinary(t *testing.T) {
+func TestSampleFormatViaQuery(t *testing.T) {
 	ts, _ := newV1TestServer(t)
 	id := fitDataset(t, ts, 1.0)
 
-	// Reference: the monolithic binary stream of the seeded sample.
+	// Reference: the binary stream of the seeded sample.
 	resp := postJSON(t, ts.URL+"/v1/sample", map[string]any{"id": id, "seed": 9, "iterations": 1, "format": "binary"})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("sample binary: status %d", resp.StatusCode)
@@ -57,28 +57,6 @@ func TestSampleChunkedMatchesBinary(t *testing.T) {
 	resp.Body.Close()
 	if err != nil {
 		t.Fatal(err)
-	}
-
-	// The chunked stream of the same seed must decode to a graph whose
-	// canonical encoding is byte-identical to the monolithic download.
-	resp = postJSON(t, ts.URL+"/v1/sample", map[string]any{"id": id, "seed": 9, "iterations": 1, "format": "chunked"})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("sample chunked: status %d", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != contentTypeChunked {
-		t.Fatalf("chunked Content-Type = %s", ct)
-	}
-	g, err := graph.ReadBinaryChunked(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatalf("ReadBinaryChunked: %v", err)
-	}
-	var reenc bytes.Buffer
-	if err := g.WriteBinary(&reenc); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(mono, reenc.Bytes()) {
-		t.Fatal("chunked sample decodes to different bytes than the binary sample")
 	}
 
 	// The format can also ride the query string (POST /v1/sample?format=...).
@@ -93,91 +71,6 @@ func TestSampleChunkedMatchesBinary(t *testing.T) {
 	}
 	if !bytes.Equal(mono, viaQuery) {
 		t.Fatal("?format=binary differs from body-specified format")
-	}
-}
-
-func TestChunkedUploadAndDownloadRoundTrip(t *testing.T) {
-	ts, _ := newV1TestServer(t)
-	g := testUploadGraph(6)
-
-	// Uploading the chunked framing must land on the same content address as
-	// the monolithic upload: chunk size is a wire knob, not graph identity.
-	binID := uploadBinary(t, ts, g)
-	var framed bytes.Buffer
-	if err := graph.WriteBinaryChunked(&framed, g, 5); err != nil {
-		t.Fatal(err)
-	}
-	resp := postBody(t, ts.URL+"/v1/graphs", contentTypeChunked, framed.Bytes())
-	if resp.StatusCode != http.StatusCreated {
-		b, _ := io.ReadAll(resp.Body)
-		t.Fatalf("chunked upload: status %d: %s", resp.StatusCode, b)
-	}
-	var gr graphResponse
-	decode(t, resp, &gr)
-	if gr.ID != binID {
-		t.Fatalf("chunked upload ID %s != binary upload ID %s", gr.ID, binID)
-	}
-
-	// Chunked download round-trips.
-	dresp, err := http.Get(ts.URL + "/v1/graphs/" + gr.ID + "?format=chunked")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ct := dresp.Header.Get("Content-Type"); ct != contentTypeChunked {
-		t.Fatalf("chunked download Content-Type = %s", ct)
-	}
-	back, err := graph.ReadBinaryChunked(dresp.Body)
-	dresp.Body.Close()
-	if err != nil || !g.Equal(back) {
-		t.Fatalf("chunked download does not round-trip: %v", err)
-	}
-
-	// A corrupt chunked upload is rejected cleanly.
-	corrupt := append([]byte(nil), framed.Bytes()...)
-	corrupt[len(corrupt)-1] ^= 0xff
-	cresp := postBody(t, ts.URL+"/v1/graphs", contentTypeChunked, corrupt)
-	io.Copy(io.Discard, cresp.Body)
-	cresp.Body.Close()
-	if cresp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("corrupt chunked upload: status %d, want 400", cresp.StatusCode)
-	}
-}
-
-// TestChunkedDownloadHonorsStreamChunkRows pins the Config.StreamChunkRows →
-// wire plumbing: with 1 row per frame, a graph of n nodes serves n row frames
-// (plus the checksum trailer ChunkReader consumes internally).
-func TestChunkedDownloadHonorsStreamChunkRows(t *testing.T) {
-	srv, store := newStreamTestServer(t, 1)
-	g := testUploadGraph(7)
-	id, err := store.Put(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := httptest.NewRecorder()
-	srv.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/v1/graphs/"+id+"?format=chunked", nil))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status %d", rec.Code)
-	}
-	cr, err := graph.NewChunkReader(rec.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	frames := 0
-	for {
-		chunk, err := cr.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatalf("frame %d: %v", frames, err)
-		}
-		if chunk.Rows != 1 {
-			t.Fatalf("frame %d spans %d rows, want 1", frames, chunk.Rows)
-		}
-		frames++
-	}
-	if frames != g.NumNodes() {
-		t.Fatalf("served %d single-row frames for %d nodes", frames, g.NumNodes())
 	}
 }
 
@@ -201,34 +94,56 @@ func (w *failAfterWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// TestChunkedStreamAbortsOnClientDisconnect drives the chunked download with
-// a sink that fails mid-stream and asserts the handler takes the
-// abortOnStreamError path: panic(http.ErrAbortHandler), net/http's signal for
-// "drop the connection, the body is truncated".
-func TestChunkedStreamAbortsOnClientDisconnect(t *testing.T) {
-	srv, store := newStreamTestServer(t, 1)
-	id, err := store.Put(testUploadGraph(8))
-	if err != nil {
-		t.Fatal(err)
-	}
+// serveToDeadClient serves req through the mux with a sink that fails after
+// 64 bytes and asserts the handler takes the abortOnStreamError path:
+// panic(http.ErrAbortHandler), net/http's signal for "drop the connection,
+// the body is truncated".
+func serveToDeadClient(t *testing.T, srv *Server, req *http.Request) {
+	t.Helper()
+	w := &failAfterWriter{hdr: make(http.Header), limit: 64}
 	defer func() {
 		if r := recover(); r != http.ErrAbortHandler {
 			t.Fatalf("recovered %v, want http.ErrAbortHandler", r)
 		}
+		if ct := w.hdr.Get("Content-Type"); ct != "application/octet-stream" {
+			t.Fatalf("aborted a %q response, want the binary stream", ct)
+		}
 	}()
 	// The mux is used without the instrumentation middleware here: the
-	// middleware (like net/http itself) swallows ErrAbortHandler, and this
-	// test pins that the handler raises it at all.
-	w := &failAfterWriter{hdr: make(http.Header), limit: 64}
-	srv.mux.ServeHTTP(w, httptest.NewRequest("GET", "/v1/graphs/"+id+"?format=chunked", nil))
+	// middleware (like net/http itself) swallows ErrAbortHandler, and these
+	// tests pin that the handler raises it at all.
+	srv.mux.ServeHTTP(w, req)
 	t.Fatal("streaming to a dead client did not abort the handler")
 }
 
-// TestChunkedDisconnectLeavesServerHealthy closes a real connection
+// TestBinaryStreamAbortsOnClientDisconnect drives the stored-graph binary
+// download into a sink that fails mid-stream.
+func TestBinaryStreamAbortsOnClientDisconnect(t *testing.T) {
+	srv, store := newStreamTestServer(t)
+	id, err := store.Put(testUploadGraph(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	serveToDeadClient(t, srv, httptest.NewRequest("GET", "/v1/graphs/"+id+"?format=binary", nil))
+}
+
+// TestSampleBinaryStreamAbortsOnClientDisconnect drives the streamed binary
+// sample, encoded straight from the sampler's builder, into a sink that fails
+// mid-stream.
+func TestSampleBinaryStreamAbortsOnClientDisconnect(t *testing.T) {
+	srv, _ := newStreamTestServer(t)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	id := fitDataset(t, ts, 1.0)
+	body := fmt.Sprintf(`{"id":%q,"seed":9,"iterations":1,"format":"binary"}`, id)
+	serveToDeadClient(t, srv, httptest.NewRequest("POST", "/v1/sample", strings.NewReader(body)))
+}
+
+// TestBinaryDisconnectLeavesServerHealthy closes a real connection
 // mid-stream and verifies the server shrugs it off: the next request on a
 // fresh connection completes and decodes cleanly.
-func TestChunkedDisconnectLeavesServerHealthy(t *testing.T) {
-	srv, store := newStreamTestServer(t, 1)
+func TestBinaryDisconnectLeavesServerHealthy(t *testing.T) {
+	srv, store := newStreamTestServer(t)
 	g := testUploadGraph(9)
 	id, err := store.Put(g)
 	if err != nil {
@@ -237,21 +152,21 @@ func TestChunkedDisconnectLeavesServerHealthy(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	resp, err := http.Get(ts.URL + "/v1/graphs/" + id + "?format=chunked")
+	resp, err := http.Get(ts.URL + "/v1/graphs/" + id + "?format=binary")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Read one frame's worth and walk away mid-body.
+	// Read the header's worth and walk away mid-body.
 	if _, err := io.ReadFull(resp.Body, make([]byte, 64)); err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 
-	resp, err = http.Get(ts.URL + "/v1/graphs/" + id + "?format=chunked")
+	resp, err = http.Get(ts.URL + "/v1/graphs/" + id + "?format=binary")
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := graph.ReadBinaryChunked(resp.Body)
+	back, err := graph.ReadBinary(resp.Body)
 	resp.Body.Close()
 	if err != nil || !g.Equal(back) {
 		t.Fatalf("retry after disconnect does not round-trip: %v", err)

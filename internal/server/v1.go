@@ -79,18 +79,9 @@ func (s *Server) handleCreateGraph(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, "parsing binary snapshot: %v", err)
 			return
 		}
-	case contentTypeChunked:
-		body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-		var err error
-		g, err = graph.ReadBinaryChunked(body)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "parsing chunked snapshot: %v", err)
-			return
-		}
 	default:
 		writeError(w, http.StatusUnsupportedMediaType,
-			"unsupported Content-Type %q (want application/json, text/plain, application/octet-stream or %s)",
-			mediaType, contentTypeChunked)
+			"unsupported Content-Type %q (want application/json, text/plain or application/octet-stream)", mediaType)
 		return
 	}
 	if err := s.checkGraphLimits(g); err != nil {
@@ -124,12 +115,11 @@ func (s *Server) handleListGraphs(w http.ResponseWriter, r *http.Request) {
 
 // handleGetGraph stats a stored graph, or downloads it when ?format= names a
 // wire format: "json" inlines the graphPayload, "text" streams the agmdp
-// text form, "binary" the canonical CSR snapshot, "chunked" the framed
-// chunked wire format with one flush per row-range frame. The stat, binary
-// and chunked paths never materialize the decoded graph — metadata comes
-// from the store's header index and the snapshot streams straight from its
-// bytes (memory map or positioned file reads) with zero CSR decode — so
-// downloading an idle graph keeps its residency at O(header).
+// text form, "binary" the canonical CSR snapshot. The stat and binary paths
+// never materialize the decoded graph — metadata comes from the store's
+// header index and the snapshot streams straight from its bytes (memory map
+// or file reads) with zero CSR decode — so downloading an idle graph keeps
+// its residency at O(header).
 func (s *Server) handleGetGraph(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	// Stored graphs are the sensitive inputs the DP fit protects: another
@@ -141,9 +131,9 @@ func (s *Server) handleGetGraph(w http.ResponseWriter, r *http.Request) {
 	}
 	format := r.URL.Query().Get("format")
 	switch format {
-	case "", "json", "text", "binary", "chunked":
+	case "", "json", "text", "binary":
 	default:
-		writeError(w, http.StatusBadRequest, "unknown format %q (want json, text, binary or chunked)", format)
+		writeError(w, http.StatusBadRequest, "unknown format %q (want json, text or binary)", format)
 		return
 	}
 	info, ok := s.cfg.Graphs.Stat(id)
@@ -164,14 +154,6 @@ func (s *Server) handleGetGraph(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		abortOnStreamError("stored graph snapshot", err)
-	case "chunked":
-		w.Header().Set("Content-Type", contentTypeChunked)
-		err := s.cfg.Graphs.WriteSnapshotChunked(id, newFlushWriter(w), s.cfg.StreamChunkRows)
-		if err == graphstore.ErrNotFound {
-			writeError(w, http.StatusNotFound, "no graph %q", id)
-			return
-		}
-		abortOnStreamError("stored graph chunked stream", err)
 	default:
 		// json and text re-shape the graph, so these formats do decode (via
 		// the store's byte-budget cache).

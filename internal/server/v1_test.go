@@ -107,7 +107,7 @@ func doDelete(t *testing.T, url string) *http.Response {
 func uploadBinary(t *testing.T, ts *httptest.Server, g *graph.Graph) string {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := g.WriteBinary(&buf); err != nil {
+	if err := graph.WriteBinaryTo(&buf, g); err != nil {
 		t.Fatal(err)
 	}
 	resp := postBody(t, ts.URL+"/v1/graphs", "application/octet-stream", buf.Bytes())
@@ -543,10 +543,12 @@ func TestV1HandlerErrors(t *testing.T) {
 		{"upload malformed binary", "POST", "/v1/graphs", "application/octet-stream", []byte("XXXXXXXXgarbage"), http.StatusBadRequest},
 		{"upload unsupported media type", "POST", "/v1/graphs", "application/xml", []byte("<g/>"), http.StatusUnsupportedMediaType},
 		{"upload unparseable media type", "POST", "/v1/graphs", "zzz;;;", []byte("{}"), http.StatusUnsupportedMediaType},
+		{"upload chunked media type", "POST", "/v1/graphs", "application/x-agmdp-csr-chunked", []byte("frames"), http.StatusUnsupportedMediaType},
 		{"upload oversized graph", "POST", "/v1/graphs", "application/json", bigPayload, http.StatusBadRequest},
 		{"upload overwide graph", "POST", "/v1/graphs", "application/json", widePayload, http.StatusBadRequest},
 		{"get unknown graph", "GET", "/v1/graphs/deadbeef", "", nil, http.StatusNotFound},
 		{"get graph bad format", "GET", "/v1/graphs/" + graphID + "?format=yaml", "", nil, http.StatusBadRequest},
+		{"get graph chunked format", "GET", "/v1/graphs/" + graphID + "?format=chunked", "", nil, http.StatusBadRequest},
 		{"delete unknown graph", "DELETE", "/v1/graphs/deadbeef", "", nil, http.StatusNotFound},
 		{"fit unknown graph id", "POST", "/v1/fit", "application/json",
 			[]byte(`{"graph_id":"deadbeef"}`), http.StatusNotFound},
@@ -556,6 +558,8 @@ func TestV1HandlerErrors(t *testing.T) {
 			[]byte(`{"id":"` + modelID + `","store":true,"format":"text"}`), http.StatusBadRequest},
 		{"sample store with binary format", "POST", "/v1/sample", "application/json",
 			[]byte(`{"id":"` + modelID + `","store":true,"format":"binary"}`), http.StatusBadRequest},
+		{"sample chunked format", "POST", "/v1/sample", "application/json",
+			[]byte(`{"id":"` + modelID + `","format":"chunked"}`), http.StatusBadRequest},
 		{"job malformed body", "POST", "/v1/jobs", "application/json", []byte("{not json"), http.StatusBadRequest},
 		{"job unknown model", "POST", "/v1/jobs", "application/json",
 			[]byte(`{"model_id":"deadbeef","count":1}`), http.StatusNotFound},

@@ -13,9 +13,12 @@ package tenant
 // (for fits that were cancelled or failed before producing a model) append
 // negative-ε lines; losing a refund to a crash errs in the conservative
 // direction. On load, lines that fail to parse are skipped and reported via
-// Warnings rather than failing the open.
+// Warnings rather than failing the open. A final line without its newline is
+// a charge that was never admitted (the crash hit before the sync returned):
+// it is skipped too, and cut from the file before the next append.
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -58,7 +61,8 @@ type Ledger struct {
 
 // OpenLedger opens (or creates) the ledger under dir; an empty dir keeps the
 // ledger in memory only. Existing entries are replayed into the in-memory
-// totals; unparseable lines are skipped and reported via Warnings.
+// totals; unparseable lines and a torn final line are skipped and reported
+// via Warnings.
 func OpenLedger(dir string) (*Ledger, error) {
 	l := &Ledger{spent: make(map[ledgerKey]float64), clock: time.Now}
 	if dir == "" {
@@ -68,25 +72,54 @@ func OpenLedger(dir string) (*Ledger, error) {
 		return nil, fmt.Errorf("tenant: creating ledger directory: %w", err)
 	}
 	path := filepath.Join(dir, ledgerFile)
-	if data, err := os.ReadFile(path); err == nil {
-		l.replay(path, data)
-	} else if !os.IsNotExist(err) {
-		return nil, fmt.Errorf("tenant: reading ledger: %w", err)
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, data, torn, err := openLog(path)
 	if err != nil {
-		return nil, fmt.Errorf("tenant: opening ledger for append: %w", err)
+		return nil, fmt.Errorf("tenant: opening ledger: %w", err)
+	}
+	l.replay(path, data)
+	if torn != "" {
+		l.warnings = append(l.warnings, torn)
 	}
 	l.f = f
 	l.persistent = true
 	return l, nil
 }
 
-// replay accumulates the persisted entries into the in-memory totals. A
-// torn final line (crash mid-append before the sync completed — in which case
-// the charge was never admitted) or any other unparseable line is skipped
-// with a warning; totals are clamped at zero so a stray refund line can never
-// manufacture budget.
+// openLog opens the append-only JSONL log at path for appending, creating it
+// if needed, and returns its complete lines. A record is acknowledged only
+// once its line and newline are synced, so a final line without a newline is
+// a torn append that was never admitted, even if it parses: it is left out
+// of the returned lines and reported in torn, and the file is cut back to the
+// last newline (and synced) so the next append starts a line of its own
+// instead of being glued onto the torn one.
+func openLog(path string) (f *os.File, complete []byte, torn string, err error) {
+	data, err := os.ReadFile(path)
+	if err != nil && !os.IsNotExist(err) {
+		return nil, nil, "", err
+	}
+	f, err = os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return nil, nil, "", err
+	}
+	end := bytes.LastIndexByte(data, '\n') + 1
+	if end < len(data) {
+		torn = fmt.Sprintf("%s:%d: torn final line (no newline) dropped: it was never acknowledged",
+			path, bytes.Count(data[:end], []byte{'\n'})+1)
+		if err := f.Truncate(int64(end)); err != nil {
+			f.Close()
+			return nil, nil, "", err
+		}
+		if err := f.Sync(); err != nil {
+			f.Close()
+			return nil, nil, "", err
+		}
+	}
+	return f, data[:end], torn, nil
+}
+
+// replay accumulates the persisted entries into the in-memory totals.
+// Unparseable lines are skipped with a warning; totals are clamped at zero so
+// a stray refund line can never manufacture budget.
 func (l *Ledger) replay(path string, data []byte) {
 	for i, line := range strings.Split(string(data), "\n") {
 		line = strings.TrimSpace(line)

@@ -186,6 +186,51 @@ func TestLedgerCorruptLinesSkipped(t *testing.T) {
 	}
 }
 
+// TestLedgerTornTailDropped: a crash mid-append leaves a final line without
+// its newline, a charge that was never acknowledged. Replay must not count
+// it even when it parses, and the next charge must land on a line of its own
+// so a later restart still counts it.
+func TestLedgerTornTailDropped(t *testing.T) {
+	const good = `{"tenant":"t1","graph":"g1","epsilon":1,"at":"2026-01-02T03:04:05Z"}` + "\n"
+	for name, tail := range map[string]string{
+		"half line":   `{"tenant":"t1","graph":"g1","eps`,
+		"whole entry": `{"tenant":"t1","graph":"g1","epsilon":5,"at":"2026-01-02T03:04:06Z"}`,
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, ledgerFile), []byte(good+tail), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			l, err := OpenLedger(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if w := l.Warnings(); len(w) != 1 || !strings.Contains(w[0], ledgerFile+":2:") {
+				t.Errorf("warnings = %v, want one for line 2", w)
+			}
+			if _, err := l.Charge("t1", "g1", 2, 100); err != nil {
+				t.Fatal(err)
+			}
+			if got := l.Spent("t1", "g1"); got != 3 {
+				t.Errorf("Spent = %v, want 3 (the torn tail was never admitted)", got)
+			}
+			l.Close()
+
+			re, err := OpenLedger(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer re.Close()
+			if got := re.Spent("t1", "g1"); got != 3 {
+				t.Errorf("Spent after restart = %v, want 3: an admitted charge was forgotten", got)
+			}
+			if w := re.Warnings(); len(w) != 0 {
+				t.Errorf("warnings after restart = %v, want none", w)
+			}
+		})
+	}
+}
+
 // TestRefundClampsAtZero: refunding more than was spent leaves zero, never a
 // negative balance that would mint budget.
 func TestRefundClampsAtZero(t *testing.T) {

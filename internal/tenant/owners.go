@@ -12,7 +12,9 @@ package tenant
 // (Dir/owners.jsonl): grants and revokes each append one synced line, and
 // the file is replayed on startup so a restarted service still knows who may
 // touch what. Unparseable lines are skipped and reported via Warnings —
-// a lost grant fails closed (the tenant loses access), never open.
+// a lost grant fails closed (the tenant loses access), never open. A torn
+// final line is dropped and cut from the file before the next append, so a
+// later revoke is never glued onto it and lost.
 
 import (
 	"encoding/json"
@@ -60,7 +62,7 @@ type Owners struct {
 
 // OpenOwners opens (or creates) the ownership log under dir; an empty dir
 // keeps ownership in memory only. Existing entries are replayed; unparseable
-// lines are skipped and reported via Warnings.
+// lines and a torn final line are skipped and reported via Warnings.
 func OpenOwners(dir string) (*Owners, error) {
 	o := &Owners{owners: make(map[resourceKey]map[string]bool), clock: time.Now}
 	if dir == "" {
@@ -70,22 +72,21 @@ func OpenOwners(dir string) (*Owners, error) {
 		return nil, fmt.Errorf("tenant: creating owners directory: %w", err)
 	}
 	path := filepath.Join(dir, ownersFile)
-	if data, err := os.ReadFile(path); err == nil {
-		o.replay(path, data)
-	} else if !os.IsNotExist(err) {
-		return nil, fmt.Errorf("tenant: reading owners log: %w", err)
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, data, torn, err := openLog(path)
 	if err != nil {
-		return nil, fmt.Errorf("tenant: opening owners log for append: %w", err)
+		return nil, fmt.Errorf("tenant: opening owners log: %w", err)
+	}
+	o.replay(path, data)
+	if torn != "" {
+		o.warnings = append(o.warnings, torn)
 	}
 	o.f = f
 	o.persistent = true
 	return o, nil
 }
 
-// replay accumulates the persisted grant/revoke entries. A torn final line
-// (crash mid-append) or any other unparseable line is skipped with a warning.
+// replay accumulates the persisted grant/revoke entries. Unparseable lines
+// are skipped with a warning.
 func (o *Owners) replay(path string, data []byte) {
 	for i, line := range strings.Split(string(data), "\n") {
 		line = strings.TrimSpace(line)

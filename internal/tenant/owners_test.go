@@ -144,6 +144,53 @@ func TestOwnersCorruptLinesSkipped(t *testing.T) {
 	}
 }
 
+// TestOwnersTornTailKeepsRevoke: after a crash leaves a torn final line, a
+// revoke must land on a line of its own, or the next restart skips it and
+// resurrects the handle.
+func TestOwnersTornTailKeepsRevoke(t *testing.T) {
+	dir := t.TempDir()
+	o, err := OpenOwners(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := o.Grant(ResourceGraph, "g1", "alpha"); err != nil {
+		t.Fatal(err)
+	}
+	o.Close()
+	f, err := os.OpenFile(filepath.Join(dir, ownersFile), os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"kind":"graph","id":"g2","ten`); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	re, err := OpenOwners(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ws := re.Warnings(); len(ws) != 1 {
+		t.Errorf("warnings = %v, want 1 (torn line)", ws)
+	}
+	if last, err := re.Revoke(ResourceGraph, "g1", "alpha"); err != nil || !last {
+		t.Fatalf("revoke = (%v, %v), want (true, nil)", last, err)
+	}
+	re.Close()
+
+	again, err := OpenOwners(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer again.Close()
+	if again.Owns(ResourceGraph, "g1", "alpha") {
+		t.Error("revoked handle resurrected after restart")
+	}
+	if ws := again.Warnings(); len(ws) != 0 {
+		t.Errorf("warnings after restart = %v, want none", ws)
+	}
+}
+
 func TestOwnersClosedRefusesGrants(t *testing.T) {
 	o, err := OpenOwners(t.TempDir())
 	if err != nil {

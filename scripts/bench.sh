@@ -22,11 +22,10 @@
 #                (snapshot-decoding) Get, and zero-decode snapshot downloads
 #                vs the decode+re-encode baseline
 #   PR 8 pairs — the streaming synthesis pipeline: serving a sampled graph
-#                straight from the sampler's builder (monolithic and chunked
-#                wire formats) vs materialising the CSR arrays first, plus the
-#                chunked codec vs the monolithic snapshot codec; the serve
-#                pairs additionally record allocated-bytes reductions
-#                (alloc_reductions), the O(shard)-memory claim
+#                straight from the sampler's builder vs materialising the CSR
+#                arrays first; the serve pair additionally records its
+#                allocated-bytes reduction (alloc_reductions), the
+#                O(shard)-memory claim
 #   PR 9 pairs — the ε-ledger admission hot path: the in-memory charge vs
 #                the durable (JSONL append + fsync) charge — the ratio is
 #                the price of crash-safe privacy accounting per admitted fit
@@ -125,15 +124,9 @@ pairs = {
         "BenchmarkGraphDownloadReencode", "BenchmarkGraphDownloadZeroDecode"),
     # PR 8: the streaming synthesis pipeline's serving stage — encode the
     # sampled graph straight from the sampler's builder vs pack the CSR
-    # arrays first — and the chunked wire codec vs the monolithic snapshot.
+    # arrays first.
     "serve_sampled_streamed_vs_materialized": (
         "BenchmarkServeSampledMaterialized", "BenchmarkServeSampledStreamed"),
-    "serve_sampled_chunked_vs_materialized": (
-        "BenchmarkServeSampledMaterialized", "BenchmarkServeSampledStreamedChunked"),
-    "write_chunked_vs_monolithic": (
-        "BenchmarkWriteGraphBinary", "BenchmarkWriteBinaryChunked"),
-    "read_chunked_vs_monolithic": (
-        "BenchmarkReadGraphBinary", "BenchmarkReadBinaryChunked"),
     # PR 9: the ε-ledger admission hot path — the in-memory charge vs the
     # durable JSONL append + fsync charge (the speedup is what skipping
     # durability buys; the persisted number is the real admission cost).
@@ -164,8 +157,6 @@ def alloc_reduction(base, new):
 alloc_pairs = {
     "serve_sampled_streamed_vs_materialized": (
         "BenchmarkServeSampledMaterialized", "BenchmarkServeSampledStreamed"),
-    "serve_sampled_chunked_vs_materialized": (
-        "BenchmarkServeSampledMaterialized", "BenchmarkServeSampledStreamedChunked"),
 }
 alloc_reductions = {}
 for key, (base, new) in alloc_pairs.items():
