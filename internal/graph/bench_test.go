@@ -153,3 +153,23 @@ func BenchmarkGenerateCLParallel(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkConnectedComponentsManySmall labels a sparse-sample shape: 30k
+// two-node components interleaved with 30k singletons (90k nodes), so every
+// pair is discovered after all the singletons before it. Ordering the
+// components by size must stay O(c log c) here, not O(c²).
+func BenchmarkConnectedComponentsManySmall(b *testing.B) {
+	const pairs = 30000
+	edges := make([]graph.Edge, 0, pairs)
+	for k := 0; k < pairs; k++ {
+		edges = append(edges, graph.Edge{U: 3*k + 1, V: 3*k + 2})
+	}
+	g := graph.FromEdges(3*pairs, 0, edges)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if comps := g.ConnectedComponents(); len(comps) != 2*pairs {
+			b.Fatalf("got %d components, want %d", len(comps), 2*pairs)
+		}
+	}
+}

@@ -270,22 +270,6 @@ func (b *Builder) Triangles() int64 {
 	return total / 3
 }
 
-// ConnectedComponents returns the node sets of the connected components in
-// descending order of size; singleton nodes form their own components.
-func (b *Builder) ConnectedComponents() [][]int {
-	return connectedComponents(len(b.rows), func(u int) []int32 { return b.rows[u] })
-}
-
-// LargestComponent returns the node IDs of the largest connected component
-// (empty for an empty builder).
-func (b *Builder) LargestComponent() []int {
-	comps := b.ConnectedComponents()
-	if len(comps) == 0 {
-		return nil
-	}
-	return comps[0]
-}
-
 // OrphanedNodes returns all nodes outside the largest connected component,
 // matching Graph.OrphanedNodes; it is used by the TriCycLe post-processing
 // pass while the synthetic graph is still under construction.

@@ -1,8 +1,12 @@
 package graph
 
+import "sort"
+
 // connectedComponents is the shared BFS used by both Graph and Builder; row
 // must return node u's neighbour list (sortedness is not required here).
-// Components are returned in descending order of size.
+// Components are returned in descending order of size; components of equal
+// size keep discovery order, which puts the one with the smaller minimum
+// node ID first.
 func connectedComponents(n int, row func(u int) []int32) [][]int {
 	comp := make([]int, n)
 	for i := range comp {
@@ -33,15 +37,9 @@ func connectedComponents(n int, row func(u int) []int32) [][]int {
 		}
 		components = append(components, members)
 	}
-	// Sort components by descending size with a simple insertion-style pass to
-	// keep the common case (one giant component plus tiny ones) cheap.
-	for i := 1; i < len(components); i++ {
-		j := i
-		for j > 0 && len(components[j]) > len(components[j-1]) {
-			components[j], components[j-1] = components[j-1], components[j]
-			j--
-		}
-	}
+	sort.SliceStable(components, func(i, j int) bool {
+		return len(components[i]) > len(components[j])
+	})
 	return components
 }
 
@@ -65,8 +63,9 @@ func orphanedNodes(n int, row func(u int) []int32) []int {
 }
 
 // ConnectedComponents returns the node sets of the connected components of the
-// graph. Components are returned in descending order of size; singleton nodes
-// form their own components.
+// graph. Components are returned in descending order of size, ties in
+// ascending order of their smallest node ID; singleton nodes form their own
+// components.
 func (g *Graph) ConnectedComponents() [][]int {
 	return connectedComponents(len(g.attrs), g.row)
 }
@@ -91,10 +90,12 @@ func (g *Graph) IsConnected() bool {
 }
 
 // OrphanedNodes returns all nodes that are not part of the largest connected
-// component. This is the notion of "orphaned" used by the TriCycLe
-// post-processing step (Algorithm 2 of the paper): the input graph is assumed
-// connected, so any node outside the main component of a synthetic graph is an
-// orphan, including isolated nodes and nodes in small satellite components.
+// component, in ascending order. This is the notion of "orphaned" used by the
+// TriCycLe post-processing step (Algorithm 2 of the paper): the input graph is
+// assumed connected, so any node outside the main component of a synthetic
+// graph is an orphan, including isolated nodes and nodes in small satellite
+// components. When several components share the largest size, the main one
+// is the component holding the smallest node ID among them.
 func (g *Graph) OrphanedNodes() []int {
 	return orphanedNodes(len(g.attrs), g.row)
 }

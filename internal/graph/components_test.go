@@ -2,6 +2,8 @@ package graph
 
 import (
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -24,6 +26,10 @@ func twoComponents() *Graph {
 	return twoComponentsB().Finalize()
 }
 
+// TestConnectedComponentsSizesAndOrder pins the component order: descending
+// size, and among equal sizes discovery order, so the component with the
+// smaller minimum node ID comes first. OrphanedNodes relies on it to pick
+// the main component when the largest size is tied.
 func TestConnectedComponentsSizesAndOrder(t *testing.T) {
 	g := twoComponents()
 	comps := g.ConnectedComponents()
@@ -33,6 +39,36 @@ func TestConnectedComponentsSizesAndOrder(t *testing.T) {
 	sizes := []int{len(comps[0]), len(comps[1]), len(comps[2])}
 	if sizes[0] != 4 || sizes[1] != 3 || sizes[2] != 1 {
 		t.Fatalf("component sizes = %v, want [4 3 1] (descending)", sizes)
+	}
+
+	// Ties. Discovery order: {0}, {1,5}, {2,3,4}, {6,9}, {7}, {8,10,11}.
+	g = FromEdges(12, 0, []Edge{
+		{U: 1, V: 5},
+		{U: 2, V: 3}, {U: 3, V: 4}, {U: 2, V: 4},
+		{U: 6, V: 9},
+		{U: 8, V: 10}, {U: 10, V: 11},
+	})
+	want := [][]int{{2, 3, 4}, {8, 10, 11}, {1, 5}, {6, 9}, {0}, {7}}
+	if got := g.ConnectedComponents(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("ConnectedComponents = %v, want %v", got, want)
+	}
+	if got, want := g.OrphanedNodes(), []int{0, 1, 5, 6, 7, 8, 9, 10, 11}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("OrphanedNodes = %v, want %v", got, want)
+	}
+	if got, want := g.Builder().OrphanedNodes(), g.OrphanedNodes(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Builder.OrphanedNodes = %v, want %v", got, want)
+	}
+
+	// The same rule on random sparse graphs, where many sizes tie.
+	for seed := int64(0); seed < 50; seed++ {
+		comps := randomGraph(rand.New(rand.NewSource(seed)), 200, 0.006, 0).ConnectedComponents()
+		for i := 1; i < len(comps); i++ {
+			a, b := comps[i-1], comps[i]
+			if len(a) < len(b) || len(a) == len(b) && slices.Min(a) > slices.Min(b) {
+				t.Fatalf("seed %d: component %d (size %d, min %d) precedes component %d (size %d, min %d)",
+					seed, i-1, len(a), slices.Min(a), i, len(b), slices.Min(b))
+			}
+		}
 	}
 }
 

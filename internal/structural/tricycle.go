@@ -10,16 +10,18 @@ import (
 )
 
 // Phase timings for TriCycLe generation, on the process-wide default
-// registry. The two histograms split one Generate call into its seed phase
-// (Chung–Lu plus orphan post-processing) and its rewiring phase, giving the
-// sampling pipeline generate-vs-rewire visibility. Only the wall clock is
-// read — no RNG draws are added or reordered, so generated graphs are
-// byte-identical with and without a scraper attached.
+// registry. Of the four steps of one Generate call, the seed histogram times
+// the first two: the Chung–Lu seed graph and the orphan repair applied to
+// it. The rewire histogram times the third, triangle rewiring. The final
+// orphan repair after rewiring is in neither; it counts only toward the
+// caller's total. Only the wall clock is read — no RNG draws are added or
+// reordered, so generated graphs are byte-identical with and without a
+// scraper attached.
 var (
 	tricycleSeedDur = obs.Default().Histogram("agmdp_structural_seed_duration_seconds",
-		"Wall-clock duration of the Chung-Lu seed phase of TriCycLe generation.")
+		"Wall-clock duration of TriCycLe's Chung-Lu seed graph plus the orphan repair applied to it.")
 	tricycleRewireDur = obs.Default().Histogram("agmdp_structural_rewire_duration_seconds",
-		"Wall-clock duration of the triangle-rewiring phase of TriCycLe generation.")
+		"Wall-clock duration of TriCycLe's triangle rewiring, excluding the orphan repair that follows it.")
 )
 
 // TriCycLe is the structural model introduced by the paper (Algorithm 1). It

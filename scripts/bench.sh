@@ -4,7 +4,7 @@
 #
 #   scripts/bench.sh [output.json]
 #
-# The default output is BENCH_pr6.json in the repository root; the PR number
+# The default output is BENCH_pr10.json in the repository root; the PR number
 # is parsed from the file name. Each entry holds the benchmark name,
 # iteration count, ns/op and (when reported) B/op and allocs/op; the
 # "speedups" section reports every before/after ratio whose benchmark pair is
