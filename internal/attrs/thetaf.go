@@ -69,13 +69,25 @@ func clampNonNegative(noisy []float64) {
 	}
 }
 
+// ThetaFSensitivity returns the global L1 sensitivity of Q_F counted over
+// µ(G, k): max(2k, 3). µ keeps an edge unless it falls among the first
+// d(a) − k edges, in canonical order, at an endpoint a, so no deletion
+// cascades. One edge toggle therefore changes µ(G, k) by at most three edges:
+// itself and the edge it displaces at each endpoint. One node's attribute
+// change moves the counts of its at most k kept edges, by 2 each. At k = 1 the
+// toggle bound exceeds 2k: with G = {0–3, 1–2}, attributes (1, 0, 0, 1) and
+// G′ = G + {1–3}, Q_F goes from [1 0 1] to [0 1 0].
+func ThetaFSensitivity(k int) float64 {
+	return float64(max(2*k, 3))
+}
+
 // LearnCorrelationsDP (Algorithm 4) releases an ε-differentially private
 // estimate of ΘF using edge truncation: the input graph is projected onto the
 // set of k-bounded graphs with µ(G, k), the connection counts Q_F are computed
-// over the edges µ(G, k) keeps, independent Laplace noise with scale 2k/ε is
-// added to each count (Proposition 1: the truncation-then-count pipeline has
-// global sensitivity 2k), and the noisy counts are clamped to be non-negative
-// and normalised into a distribution. The counts come from one canonical pass
+// over the edges µ(G, k) keeps, independent Laplace noise with scale
+// ThetaFSensitivity(k)/ε is added to each count (Proposition 1 gives 2k, which
+// holds for k ≥ 2), and the noisy counts are clamped to be non-negative and
+// normalised into a distribution. The counts come from one canonical pass
 // (graph.ForEachTruncatedEdge); the truncated graph is never built.
 func LearnCorrelationsDP(rng *rand.Rand, g *graph.Graph, epsilon float64, k int) []float64 {
 	if epsilon <= 0 {
@@ -89,8 +101,7 @@ func LearnCorrelationsDP(rng *rand.Rand, g *graph.Graph, epsilon float64, k int)
 	g.ForEachTruncatedEdge(k, func(u, v int) {
 		counts[EdgeConfig(g.Attr(u), g.Attr(v), w)]++
 	})
-	sensitivity := 2 * float64(k)
-	noisy := dp.LaplaceVector(rng, counts, sensitivity, epsilon)
+	noisy := dp.LaplaceVector(rng, counts, ThetaFSensitivity(k), epsilon)
 	clampNonNegative(noisy)
 	return dp.NormalizeToDistribution(noisy)
 }

@@ -266,13 +266,100 @@ func TestLearnCorrelationsDPCountsTruncatedGraph(t *testing.T) {
 	g := histFixture(t, true)
 	for _, k := range []int{1, 3, 12, g.MaxDegree()} {
 		counts := EdgeConfigCounts(g.Truncate(k))
-		noisy := dp.LaplaceVector(rand.New(rand.NewSource(5)), counts, 2*float64(k), 0.5)
+		noisy := dp.LaplaceVector(rand.New(rand.NewSource(5)), counts, ThetaFSensitivity(k), 0.5)
 		clampNonNegative(noisy)
 		want := dp.NormalizeToDistribution(noisy)
 		got := LearnCorrelationsDP(rand.New(rand.NewSource(5)), g, 0.5, k)
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("k=%d: Θ̃F[%d] = %v, counting the truncated graph gives %v", k, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// l1 returns Σ |a[i] − b[i]|.
+func l1(a, b []float64) float64 {
+	total := 0.0
+	for i := range a {
+		total += math.Abs(a[i] - b[i])
+	}
+	return total
+}
+
+// TestThetaFSensitivityCoversEdgeToggleAtKOne pins the k = 1 neighbour pair
+// on which one edge toggle moves Q_F over µ(G, k) by 3, more than 2k: adding
+// 1–3 to {0–3, 1–2} makes µ drop both old edges and keep the new one.
+func TestThetaFSensitivityCoversEdgeToggleAtKOne(t *testing.T) {
+	build := func(edges ...graph.Edge) *graph.Graph {
+		b := graph.NewBuilder(4, 1)
+		for i, a := range []graph.AttrVector{1, 0, 0, 1} {
+			b.SetAttr(i, a)
+		}
+		for _, e := range edges {
+			b.AddEdge(e.U, e.V)
+		}
+		return b.Finalize()
+	}
+	g := build(graph.Edge{U: 0, V: 3}, graph.Edge{U: 1, V: 2})
+	h := build(graph.Edge{U: 0, V: 3}, graph.Edge{U: 1, V: 2}, graph.Edge{U: 1, V: 3})
+	before, after := EdgeConfigCounts(g.Truncate(1)), EdgeConfigCounts(h.Truncate(1))
+	if d := l1(before, after); d > ThetaFSensitivity(1) {
+		t.Fatalf("Q_F over µ(G, 1) moved by %v (%v → %v), above ThetaFSensitivity(1) = %v",
+			d, before, after, ThetaFSensitivity(1))
+	}
+}
+
+// TestThetaFSensitivityExhaustive checks ThetaFSensitivity(k), k = 1..4,
+// against every neighbour pair on two to five nodes with one attribute: every
+// graph, every attribute assignment, and every single-edge toggle and
+// single-node attribute flip of it.
+func TestThetaFSensitivityExhaustive(t *testing.T) {
+	for n := 2; n <= 5; n++ {
+		var pairs []graph.Edge
+		for u := 0; u < n; u++ {
+			for v := u + 1; v < n; v++ {
+				pairs = append(pairs, graph.Edge{U: u, V: v})
+			}
+		}
+		for k := 1; k <= 4; k++ {
+			bound := ThetaFSensitivity(k)
+			// kept[mask] lists the edges µ(G, k) keeps, G = the pairs in mask.
+			kept := make([][]graph.Edge, 1<<len(pairs))
+			for mask := range kept {
+				var edges []graph.Edge
+				for p, e := range pairs {
+					if mask&(1<<p) != 0 {
+						edges = append(edges, e)
+					}
+				}
+				graph.FromEdges(n, 1, edges).ForEachTruncatedEdge(k, func(u, v int) {
+					kept[mask] = append(kept[mask], graph.Edge{U: u, V: v})
+				})
+			}
+			counts := func(mask, attrs int) []float64 {
+				q := make([]float64, NumEdgeConfigs(1))
+				for _, e := range kept[mask] {
+					q[EdgeConfig(graph.AttrVector(attrs>>e.U&1), graph.AttrVector(attrs>>e.V&1), 1)]++
+				}
+				return q
+			}
+			for mask := range kept {
+				for attrs := 0; attrs < 1<<n; attrs++ {
+					q := counts(mask, attrs)
+					for p := range pairs {
+						if d := l1(q, counts(mask^1<<p, attrs)); d > bound {
+							t.Fatalf("n=%d k=%d graph %b attrs %b: toggling %v moves Q_F by %v > %v",
+								n, k, mask, attrs, pairs[p], d, bound)
+						}
+					}
+					for i := 0; i < n; i++ {
+						if d := l1(q, counts(mask, attrs^1<<i)); d > bound {
+							t.Fatalf("n=%d k=%d graph %b attrs %b: flipping node %d moves Q_F by %v > %v",
+								n, k, mask, attrs, i, d, bound)
+						}
+					}
+				}
 			}
 		}
 	}

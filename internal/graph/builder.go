@@ -52,37 +52,6 @@ func (g *Graph) Builder() *Builder {
 	return b
 }
 
-// FromEdgesBuilder returns a Builder pre-populated from an edge list, using
-// the same canonicalise-sort-dedup pass as FromEdges but landing in mutable
-// per-row form. It is the bulk path for generators that seed from an edge
-// list and keep mutating — one pack, no intermediate CSR graph. Like
-// FromEdges it drops duplicates and self loops and panics on out-of-range
-// endpoints.
-func FromEdgesBuilder(n, w int, edges []Edge) *Builder {
-	checkDims(n, w)
-	clean := canonicalEdges(n, edges)
-	b := NewBuilder(n, w)
-	b.m = len(clean)
-	deg := make([]int32, n)
-	for _, e := range clean {
-		deg[e.U]++
-		deg[e.V]++
-	}
-	for i, d := range deg {
-		if d > 0 {
-			b.rows[i] = make([]int32, 0, d)
-		}
-	}
-	// A single pass over the canonical order leaves every row sorted: row u
-	// first receives its smaller neighbours (from edges (a, u), a ascending)
-	// and then its larger neighbours (from edges (u, v), v ascending).
-	for _, e := range clean {
-		b.rows[e.U] = append(b.rows[e.U], int32(e.V))
-		b.rows[e.V] = append(b.rows[e.V], int32(e.U))
-	}
-	return b
-}
-
 // NumNodes returns the number of nodes n.
 func (b *Builder) NumNodes() int { return len(b.rows) }
 
@@ -256,19 +225,10 @@ func (b *Builder) CommonNeighbors(i, j int) int {
 	return intersectCount(b.rows[i], b.rows[j])
 }
 
-// Triangles returns n∆, the number of distinct triangles, by intersecting the
-// sorted rows along each edge (each triangle is seen once per edge).
-func (b *Builder) Triangles() int64 {
-	var total int64
-	for u := range b.rows {
-		for _, v := range b.rows[u] {
-			if int(v) > u {
-				total += int64(intersectCount(b.rows[u], b.rows[v]))
-			}
-		}
-	}
-	return total / 3
-}
+// Triangles returns n∆, the number of distinct triangles, counted by
+// Graph.Triangles on a frozen copy, so builders and graphs share the one
+// degree-ranked kernel.
+func (b *Builder) Triangles() int64 { return b.Finalize().Triangles() }
 
 // OrphanedNodes returns all nodes outside the largest connected component,
 // matching Graph.OrphanedNodes; it is used by the TriCycLe post-processing

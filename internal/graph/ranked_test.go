@@ -132,6 +132,9 @@ func TestMeasurementsMatchBruteForce(t *testing.T) {
 	for name, g := range measurementShapes() {
 		t.Run(name, func(t *testing.T) {
 			wantTri, wantCN := mapTriangles(g), bruteMaxCommonNeighbors(g)
+			if got := g.Builder().Triangles(); got != wantTri {
+				t.Errorf("Builder().Triangles = %d, want %d", got, wantTri)
+			}
 			for _, w := range measurementWorkers {
 				if got := g.TrianglesWith(w); got != wantTri {
 					t.Errorf("workers %d: TrianglesWith = %d, want %d", w, got, wantTri)

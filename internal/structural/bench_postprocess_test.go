@@ -9,7 +9,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"agmdp/internal/datasets"
 	"agmdp/internal/graph"
 )
 
@@ -17,11 +16,7 @@ import (
 // sequence of a dataset stand-in.
 func postProcessFixture(b *testing.B, name string, scale float64) (*graph.Builder, *NodeSampler, []int) {
 	b.Helper()
-	p, err := datasets.ByName(name)
-	if err != nil {
-		b.Fatal(err)
-	}
-	degrees := datasets.Generate(rand.New(rand.NewSource(1)), p.Scaled(scale)).Degrees()
+	degrees := datasetDegrees(b, name, scale)
 	degreeOne := 0
 	for _, d := range degrees {
 		if d == 1 {

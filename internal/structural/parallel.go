@@ -26,8 +26,8 @@ const minParallelEdges = parallel.MinShardEdges
 // The construction keeps the merge deterministic despite concurrent
 // execution: worker i draws from its own rand.Rand seeded by the i-th value
 // taken from the parent rng up front and collects its accepted edges into a
-// private list. The concatenated lists are packed into CSR form in a single
-// FromEdges pass, which drops cross-worker duplicates. A sequential top-up
+// private list. The lists are packed into builder rows in worker order with
+// Builder.AddEdge, which drops cross-worker duplicates. A sequential top-up
 // pass (with its own pre-drawn seed) then fills any shortfall those
 // duplicates caused.
 //
@@ -44,9 +44,10 @@ func GenerateCLParallel(rng *rand.Rand, n int, sampler *NodeSampler, targetEdges
 }
 
 // generateCLParallelBuilder is the still-mutable variant of GenerateCLParallel
-// used by generators that keep rewiring the seed graph (TriCycLe). The merged
-// worker edge lists are packed into builder rows once (FromEdgesBuilder), and
-// the top-up pass mutates those rows in place — no intermediate graph copies.
+// used by generators that keep rewiring the seed graph (TriCycLe). The worker
+// edge lists are added to one builder with Builder.AddEdge, as the sequential
+// generator adds its edges, and the top-up pass mutates those rows in place —
+// no intermediate edge list or graph copy.
 func generateCLParallelBuilder(rng *rand.Rand, n int, sampler *NodeSampler, targetEdges int, filter EdgeFilter, workers int) *graph.Builder {
 	workers = parallel.Resolve(workers)
 	if workers <= 1 || targetEdges < minParallelEdges {
@@ -56,8 +57,13 @@ func generateCLParallelBuilder(rng *rand.Rand, n int, sampler *NodeSampler, targ
 		return graph.NewBuilder(n, 0)
 	}
 
-	merged, topUpSeed := proposeEdgesParallel(rng, sampler, targetEdges, filter, workers)
-	b := graph.FromEdgesBuilder(n, 0, merged)
+	lists, topUpSeed := proposeEdgesParallel(rng, sampler, targetEdges, filter, workers)
+	b := graph.NewBuilder(n, 0)
+	for _, edges := range lists {
+		for _, e := range edges {
+			b.AddEdge(e.U, e.V)
+		}
+	}
 
 	// Top-up: cross-worker duplicates leave the merged rows slightly short of
 	// the target; finish sequentially with the same proposal budget per edge
@@ -69,10 +75,10 @@ func generateCLParallelBuilder(rng *rand.Rand, n int, sampler *NodeSampler, targ
 }
 
 // proposeEdgesParallel fans the proposal loop out over `workers` tasks on the
-// shared pool and returns the concatenation of their edge lists (still
-// containing cross-worker duplicates) plus the pre-drawn seed for the
-// sequential top-up pass.
-func proposeEdgesParallel(rng *rand.Rand, sampler *NodeSampler, targetEdges int, filter EdgeFilter, workers int) ([]graph.Edge, int64) {
+// shared pool and returns their edge lists in worker order (still containing
+// cross-worker duplicates) plus the pre-drawn seed for the sequential top-up
+// pass.
+func proposeEdgesParallel(rng *rand.Rand, sampler *NodeSampler, targetEdges int, filter EdgeFilter, workers int) ([][]graph.Edge, int64) {
 	// Draw every seed before any task starts so the parent rng is consumed
 	// identically regardless of scheduling.
 	seeds := make([]int64, workers)
@@ -83,25 +89,12 @@ func proposeEdgesParallel(rng *rand.Rand, sampler *NodeSampler, targetEdges int,
 
 	// Partition the edge target across workers; the first target%workers
 	// shards carry one extra edge.
-	shards := make([]int, workers)
-	base, extra := targetEdges/workers, targetEdges%workers
-	for i := range shards {
-		shards[i] = base
-		if i < extra {
-			shards[i]++
-		}
-	}
-
-	results := make([][]graph.Edge, workers)
-	parallel.Do(workers, func(w int) {
-		results[w] = proposeEdges(rand.New(rand.NewSource(seeds[w])), sampler, shards[w], filter)
+	shards := parallel.Split(targetEdges, workers)
+	results := make([][]graph.Edge, len(shards))
+	parallel.Do(len(shards), func(w int) {
+		results[w] = proposeEdges(rand.New(rand.NewSource(seeds[w])), sampler, shards[w].Len(), filter)
 	})
-
-	merged := make([]graph.Edge, 0, targetEdges)
-	for _, edges := range results {
-		merged = append(merged, edges...)
-	}
-	return merged, topUpSeed
+	return results, topUpSeed
 }
 
 // proposeEdges runs one worker's proposal loop: Chung–Lu endpoint draws with
@@ -111,7 +104,7 @@ func proposeEdgesParallel(rng *rand.Rand, sampler *NodeSampler, targetEdges int,
 // duplicates are handled at merge time.
 func proposeEdges(rng *rand.Rand, sampler *NodeSampler, target int, filter EdgeFilter) []graph.Edge {
 	edges := make([]graph.Edge, 0, target)
-	seen := make(map[graph.Edge]struct{}, target)
+	seen := make(map[uint64]struct{}, target) // canonical edge packed as U<<32 | V
 	maxProposals := maxProposalFactor * (target + 1)
 	if filter != nil {
 		maxProposals *= 8
@@ -123,13 +116,14 @@ func proposeEdges(rng *rand.Rand, sampler *NodeSampler, target int, filter EdgeF
 			continue
 		}
 		e := graph.Edge{U: u, V: v}.Canonical()
-		if _, dup := seen[e]; dup {
+		key := uint64(e.U)<<32 | uint64(e.V)
+		if _, dup := seen[key]; dup {
 			continue
 		}
 		if !acceptEdge(rng, filter, u, v) {
 			continue
 		}
-		seen[e] = struct{}{}
+		seen[key] = struct{}{}
 		edges = append(edges, e)
 	}
 	return edges

@@ -3,21 +3,26 @@ package structural
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 )
 
 // NodeSampler draws nodes from the π distribution of the Chung–Lu family of
 // models, in which node i is selected with probability d_i / Σ_j d_j. Instead
 // of the classic Fast Chung–Lu pool (each node ID repeated d_i times, O(Σ d_i)
 // memory), it stores the included nodes once together with the running prefix
-// sum of their degrees: a draw picks a uniform integer below the total mass
-// and binary-searches the prefix sums, giving the same distribution in
-// O(log n) time and O(n) memory regardless of how skewed the degree sequence
+// sum of their degrees: a draw picks a uniform integer r below the total mass
+// and selects the first node whose prefix sum exceeds r. A guide table over
+// the prefix sums finds that node: the mass is cut into buckets of a
+// power-of-two width, at most one bucket per node, and each bucket records
+// the node its lowest r selects. A draw starts at its bucket's entry and
+// steps past the prefix sums that do not exceed r, which takes O(1)
+// expected steps, and memory stays O(n) however skewed the degree sequence
 // is.
 type NodeSampler struct {
 	nodes []int32 // node IDs with positive included degree, ascending
 	cum   []int64 // cum[k] = Σ degrees of nodes[0..k] (inclusive prefix sums)
 	total int64   // total mass, Σ of the included degrees
+	guide []int32 // guide[b] = first k with cum[k] > b<<shift
+	shift uint    // log2 of the bucket width
 }
 
 // NewNodeSampler builds a sampler from target degrees indexed by node ID.
@@ -37,6 +42,21 @@ func NewNodeSampler(degrees []int, exclude func(node int) bool) *NodeSampler {
 		s.nodes = append(s.nodes, int32(i))
 		s.cum = append(s.cum, s.total)
 	}
+	if s.total == 0 {
+		return s
+	}
+	// The narrowest bucket width that needs no more buckets than nodes.
+	for (s.total-1)>>s.shift >= int64(len(s.nodes)) {
+		s.shift++
+	}
+	s.guide = make([]int32, (s.total-1)>>s.shift+1)
+	k := 0
+	for b := range s.guide {
+		for s.cum[k] <= int64(b)<<s.shift {
+			k++
+		}
+		s.guide[b] = int32(k)
+	}
 	return s
 }
 
@@ -55,7 +75,14 @@ func (s *NodeSampler) Sample(rng *rand.Rand) int {
 	if s.total == 0 {
 		panic("structural: sampling from an empty node sampler")
 	}
-	r := rng.Int63n(s.total)
-	k := sort.Search(len(s.cum), func(k int) bool { return s.cum[k] > r })
+	return s.lookup(rng.Int63n(s.total))
+}
+
+// lookup returns the node that r in [0, total) selects.
+func (s *NodeSampler) lookup(r int64) int {
+	k := s.guide[r>>s.shift]
+	for s.cum[k] <= r {
+		k++
+	}
 	return int(s.nodes[k])
 }

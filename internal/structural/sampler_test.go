@@ -2,10 +2,136 @@ package structural
 
 import (
 	"math"
+	"math/rand"
+	"sort"
 	"testing"
 
+	"agmdp/internal/datasets"
 	"agmdp/internal/dp"
 )
+
+// datasetDegrees returns the degree sequence of a dataset stand-in at the
+// given scale, generated at seed 1.
+func datasetDegrees(tb testing.TB, name string, scale float64) []int {
+	tb.Helper()
+	p, err := datasets.ByName(name)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return datasets.Generate(rand.New(rand.NewSource(1)), p.Scaled(scale)).Degrees()
+}
+
+// searchNode is the reference lookup the guide table replaces: a binary
+// search of the prefix sums for the first one above r.
+func searchNode(s *NodeSampler, r int64) int {
+	k := sort.Search(len(s.cum), func(k int) bool { return s.cum[k] > r })
+	return int(s.nodes[k])
+}
+
+// checkLookup asserts that r selects the reference node.
+func checkLookup(t *testing.T, s *NodeSampler, r int64) {
+	t.Helper()
+	if got, want := s.lookup(r), searchNode(s, r); got != want {
+		t.Fatalf("lookup(%d) = node %d, binary search picks node %d", r, got, want)
+	}
+}
+
+// TestNodeSamplerGuideTableMatchesSearch checks that the guide table maps
+// every draw r to the node the binary search over the prefix sums picks, and
+// that Sample spends exactly one Int63n per draw. Small masses are checked at
+// every r; large ones at both sides of every bucket boundary and at random r.
+func TestNodeSamplerGuideTableMatchesSearch(t *testing.T) {
+	lastfm := datasetDegrees(t, "lastfm", 0.5)
+	hub := make([]int, 1001)
+	for i := range hub {
+		hub[i] = 1
+	}
+	hub[500] = 10_000_000
+	// nearPow2 spreads a total of 1<<24 + delta over 1000 nodes.
+	nearPow2 := func(delta int) []int {
+		d := make([]int, 1000)
+		for i := range d {
+			d[i] = (1 << 24) / 1000
+		}
+		d[999] += (1<<24)%1000 + delta
+		return d
+	}
+	cases := []struct {
+		name    string
+		degrees []int
+		exclude func(int) bool
+	}{
+		{"n=1", []int{7}, nil},
+		{"n=2", []int{1, 3}, nil},
+		{"n=10", []int{4, 1, 9, 2, 2, 16, 1, 5, 3, 8}, nil},
+		{"lastfm-0.5", lastfm, nil},
+		{"lastfm-0.5-no-degree-one", lastfm, func(i int) bool { return lastfm[i] == 1 }},
+		{"zero-and-excluded", []int{0, 5, 0, 1, 1, 0, 12, 3, 0}, func(i int) bool { return i == 3 || i == 7 }},
+		{"hub-1e7", hub, nil},
+		{"pow2-minus-1", nearPow2(-1), nil},
+		{"pow2", nearPow2(0), nil},
+		{"pow2-plus-1", nearPow2(1), nil},
+		{"pow2-minus-1-n=2", []int{1 << 22, 1<<22 - 1}, nil},
+		{"pow2-plus-1-n=2", []int{1 << 22, 1<<22 + 1}, nil},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			s := NewNodeSampler(c.degrees, c.exclude)
+			if len(s.guide) > len(s.nodes) {
+				t.Fatalf("guide table has %d entries for %d nodes", len(s.guide), len(s.nodes))
+			}
+			if s.total <= 1<<16 {
+				for r := int64(0); r < s.total; r++ {
+					checkLookup(t, s, r)
+				}
+			} else {
+				for b := range s.guide {
+					lo := int64(b) << s.shift
+					checkLookup(t, s, lo)
+					if lo > 0 {
+						checkLookup(t, s, lo-1)
+					}
+				}
+				checkLookup(t, s, s.total-1)
+				rng := rand.New(rand.NewSource(int64(len(c.name))))
+				for i := 0; i < 20000; i++ {
+					checkLookup(t, s, rng.Int63n(s.total))
+				}
+			}
+			a, b := rand.New(rand.NewSource(9)), rand.New(rand.NewSource(9))
+			for i := 0; i < 1000; i++ {
+				if got, want := s.Sample(a), searchNode(s, b.Int63n(s.total)); got != want {
+					t.Fatalf("draw %d: Sample = node %d, binary search on the same r picks node %d", i, got, want)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkNodeSamplerSample times one π draw over the degree sequences of
+// lastfm at scale 0.5 (922 nodes) and pokec at scale 0.1 (about 59k nodes).
+func BenchmarkNodeSamplerSample(b *testing.B) {
+	for _, c := range []struct {
+		name    string
+		dataset string
+		scale   float64
+	}{
+		{"lastfm-1k", "lastfm", 0.5},
+		{"pokec-59k", "pokec", 0.1},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			s := NewNodeSampler(datasetDegrees(b, c.dataset, c.scale), nil)
+			rng := rand.New(rand.NewSource(1))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sampleSink += s.Sample(rng)
+			}
+		})
+	}
+}
+
+// sampleSink keeps the benchmarked draws live.
+var sampleSink int
 
 func TestNodeSamplerProportionalToDegree(t *testing.T) {
 	degrees := []int{1, 2, 3, 4}
