@@ -117,7 +117,7 @@ func structuralModel(kind ModelKind, parallelism int) (structural.Model, error) 
 
 // SetParallelism sets the process-wide default worker count used by every
 // parallel code path in the library — the sharded graph analytics, the
-// sensitivity scans, and the structural generators' proposal and rewiring
+// sensitivity scans, and the structural generators' Chung–Lu proposal
 // streams. Values ≤ 0 restore the built-in default of runtime.GOMAXPROCS(0);
 // 1 forces every auto-resolved path sequential, which makes generator output
 // byte-for-byte reproducible across machines with different core counts.

@@ -57,7 +57,7 @@ func analyticsBenchFixture(tb testing.TB) *graph.Graph {
 			total += degs[i]
 		}
 		sampler := structural.NewNodeSampler(degs, nil)
-		g := structural.GenerateCL(rng, analyticsBenchNodes, sampler, total/2, nil)
+		g := structural.GenerateCL(rng, analyticsBenchNodes, sampler, total/2, nil, 1)
 		attrs := make([]graph.AttrVector, g.NumNodes())
 		for i := range attrs {
 			attrs[i] = graph.AttrVector(rng.Uint64() & 3)

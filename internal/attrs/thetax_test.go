@@ -133,3 +133,53 @@ func TestSampleAttributesMatchesDistribution(t *testing.T) {
 func TestSampleAttributesPanicsOnWidthMismatch(t *testing.T) {
 	mustPanic(t, func() { SampleAttributes(dp.NewRand(1), []float64{1}, 5, 2) }, "width mismatch")
 }
+
+// TestThetaXSensitivityExhaustive checks ThetaXSensitivity the way
+// TestThetaFSensitivityExhaustive checks Θ_F: on two to five nodes with one
+// attribute, every graph, every attribute assignment, and every single-edge
+// toggle and single-node attribute flip of it moves Q_X by at most the L1
+// sensitivity LearnAttributesDP charges.
+func TestThetaXSensitivityExhaustive(t *testing.T) {
+	for n := 2; n <= 5; n++ {
+		var pairs []graph.Edge
+		for u := 0; u < n; u++ {
+			for v := u + 1; v < n; v++ {
+				pairs = append(pairs, graph.Edge{U: u, V: v})
+			}
+		}
+		// q[mask][attrs] is Q_X of the graph on the pairs in mask whose node i
+		// has attribute bit i of attrs.
+		q := make([][][]float64, 1<<len(pairs))
+		for mask := range q {
+			q[mask] = make([][]float64, 1<<n)
+			for attrs := range q[mask] {
+				b := graph.NewBuilder(n, 1)
+				for p, e := range pairs {
+					if mask&(1<<p) != 0 {
+						b.AddEdge(e.U, e.V)
+					}
+				}
+				for i := 0; i < n; i++ {
+					b.SetAttr(i, graph.AttrVector(attrs>>i&1))
+				}
+				q[mask][attrs] = NodeConfigCounts(b.Finalize())
+			}
+		}
+		for mask := range q {
+			for attrs := range q[mask] {
+				for p := range pairs {
+					if d := l1(q[mask][attrs], q[mask^1<<p][attrs]); d > ThetaXSensitivity {
+						t.Fatalf("n=%d graph %b attrs %b: toggling %v moves Q_X by %v > %v",
+							n, mask, attrs, pairs[p], d, ThetaXSensitivity)
+					}
+				}
+				for i := 0; i < n; i++ {
+					if d := l1(q[mask][attrs], q[mask][attrs^1<<i]); d > ThetaXSensitivity {
+						t.Fatalf("n=%d graph %b attrs %b: flipping node %d moves Q_X by %v > %v",
+							n, mask, attrs, i, d, ThetaXSensitivity)
+					}
+				}
+			}
+		}
+	}
+}

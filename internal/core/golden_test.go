@@ -15,8 +15,8 @@ import (
 
 // goldenModel fits TriCycLe under ε = 1 to a Last.fm scale-0.5 stand-in, the
 // input shape the publish benchmark samples from. Its 6.3k edges sit above
-// parallel.MinShardEdges, so a two-worker TriCycLe takes the parallel seed
-// and the batched rewiring.
+// parallel.MinShardEdges, so a two-worker TriCycLe draws its Chung–Lu seed
+// from two streams.
 func goldenModel(t *testing.T) *FittedModel {
 	t.Helper()
 	p, err := datasets.ByName("lastfm")
@@ -37,7 +37,7 @@ func goldenModel(t *testing.T) *FittedModel {
 // TestGoldenModelID pins the content address of a DP fit at fixed seeds, so
 // a change to any fitting stage's rng trace or arithmetic fails here.
 func TestGoldenModelID(t *testing.T) {
-	const want = "310dc3fde3ce956feec9e40bd758de44"
+	const want = "5b42fb87b86403ac2f96e35c768fb92b"
 	id, err := ModelID(goldenModel(t))
 	if err != nil {
 		t.Fatal(err)
@@ -60,8 +60,8 @@ func TestGoldenSampleBytes(t *testing.T) {
 		seed  int64
 		want  string
 	}{
-		{"TriCycLe-1", structural.TriCycLe{Parallelism: 1}, 3, "382858fbb94778f0ce16999d872f52e9881436dbf3d9f14c23b638c208694463"},
-		{"TriCycLe-2", structural.TriCycLe{Parallelism: 2}, 4, "18d7997cfdc47c511d7e76ba5e22559597ffe6f19293e9e267718d601bcab39a"},
+		{"TriCycLe-1", structural.TriCycLe{Parallelism: 1}, 3, "20a7601d7a29a7189c170d01db54b0208fcdefbe5fd8e489f1004829f7aeee3d"},
+		{"TriCycLe-2", structural.TriCycLe{Parallelism: 2}, 4, "fba9db69745b0337845647fd1c2a5a77ad7b3be1dfd2d7285f32a5630279f821"},
 		{"FCL-1", structural.FCL{Parallelism: 1}, 5, "c4ad1c958e955c40bbfab9774857c1c70765d152032663b0d09347239da0012c"},
 	}
 	for _, c := range cases {

@@ -267,3 +267,63 @@ func TestPrivateSequenceValidityProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSequenceSensitivityExhaustive checks SequenceSensitivity on every
+// neighbour pair on two to five nodes with one attribute: every graph, every
+// attribute assignment, and every single-edge toggle and single-node
+// attribute flip of it moves the sorted degree sequence by at most the L1
+// sensitivity PrivateSequenceFromDegrees charges.
+func TestSequenceSensitivityExhaustive(t *testing.T) {
+	for n := 2; n <= 5; n++ {
+		var pairs []graph.Edge
+		for u := 0; u < n; u++ {
+			for v := u + 1; v < n; v++ {
+				pairs = append(pairs, graph.Edge{U: u, V: v})
+			}
+		}
+		// seq[mask][attrs] is the sorted degree sequence of the graph on the
+		// pairs in mask whose node i has attribute bit i of attrs.
+		seq := make([][][]int, 1<<len(pairs))
+		for mask := range seq {
+			seq[mask] = make([][]int, 1<<n)
+			for attrs := range seq[mask] {
+				b := graph.NewBuilder(n, 1)
+				for p, e := range pairs {
+					if mask&(1<<p) != 0 {
+						b.AddEdge(e.U, e.V)
+					}
+				}
+				for i := 0; i < n; i++ {
+					b.SetAttr(i, graph.AttrVector(attrs>>i&1))
+				}
+				degs := b.Finalize().Degrees()
+				sort.Ints(degs)
+				seq[mask][attrs] = degs
+			}
+		}
+		l1 := func(a, b []int) float64 {
+			d := 0
+			for i := range a {
+				d += max(a[i]-b[i], b[i]-a[i])
+			}
+			return float64(d)
+		}
+		for mask := range seq {
+			for attrs := range seq[mask] {
+				s := seq[mask][attrs]
+				for p := range pairs {
+					if d := l1(s, seq[mask^1<<p][attrs]); d > SequenceSensitivity {
+						t.Fatalf("n=%d graph %b attrs %b: toggling %v moves the sorted degrees by %v > %v",
+							n, mask, attrs, pairs[p], d, SequenceSensitivity)
+					}
+				}
+				for i := 0; i < n; i++ {
+					if d := l1(s, seq[mask][attrs^1<<i]); d > SequenceSensitivity {
+						t.Fatalf("n=%d graph %b attrs %b: flipping node %d moves the sorted degrees by %v > %v",
+							n, mask, attrs, i, d, SequenceSensitivity)
+					}
+				}
+			}
+		}
+	}
+}

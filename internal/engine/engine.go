@@ -1,10 +1,11 @@
 // Package engine provides a concurrent synthesis engine for fitted AGM-DP
 // models: a fixed pool of workers drains a bounded job queue, each worker owns
 // a deterministic RNG stream (base seed + worker index), and individual
-// sampling jobs additionally shard their structural generation — Chung–Lu
-// edge proposals and TriCycLe rewiring batches — across intra-job streams
-// that execute on the process-wide worker pool (internal/parallel), so job
-// throughput and per-job latency scale without oversubscribing the machine.
+// sampling jobs additionally shard their structural generation — the
+// Chung–Lu edge proposals of FCL samples and TriCycLe seeds — across
+// intra-job streams that execute on the process-wide worker pool
+// (internal/parallel), so job throughput and per-job latency scale without
+// oversubscribing the machine.
 // An optional acceptance-table cache (the registry) lets repeat samples of a
 // model skip the per-sample refinement rounds.
 //

@@ -38,7 +38,7 @@ func ioBenchFixture(tb testing.TB) (*graph.Graph, []byte, []byte) {
 			total += degs[i]
 		}
 		sampler := structural.NewNodeSampler(degs, nil)
-		g := structural.GenerateCL(rng, ioBenchNodes, sampler, total/2, nil)
+		g := structural.GenerateCL(rng, ioBenchNodes, sampler, total/2, nil, 1)
 		attrs := make([]graph.AttrVector, g.NumNodes())
 		for i := range attrs {
 			attrs[i] = graph.AttrVector(rng.Uint64() & 3)

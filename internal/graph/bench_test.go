@@ -57,7 +57,7 @@ func benchFixture() (*graph.Graph, []graph.Edge) {
 			target += d
 		}
 		target /= 2
-		benchCSR = structural.GenerateCL(rng, benchNodes, sampler, target, nil)
+		benchCSR = structural.GenerateCL(rng, benchNodes, sampler, target, nil, 1)
 		benchEdges = benchCSR.Edges()
 	})
 	return benchCSR, benchEdges
@@ -145,7 +145,7 @@ func BenchmarkGenerateCLParallel(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				g := structural.GenerateCLParallel(rand.New(rand.NewSource(int64(i))), benchNodes, sampler, target, nil, workers)
+				g := structural.GenerateCL(rand.New(rand.NewSource(int64(i))), benchNodes, sampler, target, nil, workers)
 				if g.NumEdges() == 0 {
 					b.Fatal("no edges generated")
 				}

@@ -1,8 +1,8 @@
 package parallel
 
 // MinShardEdges is the shared edge-count threshold below which the library's
-// sharded code paths (graph analytics, the sensitivity scan, the structural
-// generators' proposal and rewiring streams) fall back to their sequential
+// sharded code paths (graph analytics, the sensitivity scan, the Chung–Lu
+// generator's proposal streams) fall back to their sequential
 // implementations: under it, fan-out and merge overhead exceeds the work
 // itself. One constant, one retuning point.
 const MinShardEdges = 4096

@@ -25,7 +25,7 @@ func postProcessFixture(b *testing.B, name string, scale float64) (*graph.Builde
 	}
 	sampler := NewNodeSampler(degrees, func(i int) bool { return degrees[i] == 1 })
 	seedTarget := max(sumDegrees(degrees)/2-degreeOne, 0)
-	seed := generateCLBuilder(rand.New(rand.NewSource(2)), len(degrees), sampler, seedTarget, nil)
+	seed := generateCLBuilder(rand.New(rand.NewSource(2)), len(degrees), sampler, seedTarget, nil, 1)
 	return seed, sampler, degrees
 }
 

@@ -1,55 +1,37 @@
 package structural
 
-// Paired sequential-vs-batched benchmarks for TriCycLe's rewiring phase
-// (PR 3). Each iteration clones a pre-built Chung–Lu seed builder and rewires
-// it toward a 3× triangle target, so the pair measures exactly the phase the
-// parallel execution layer sharded. scripts/bench.sh records the ratio in
-// BENCH_pr3.json.
+// BenchmarkTriCycLeRewire times TriCycLe's rewiring phase (Algorithm 1,
+// lines 5–13) on its own. Each iteration clones a pre-built Chung–Lu seed
+// builder and rewires it toward a 3× triangle target.
 
 import (
 	"math/rand"
 	"testing"
 
 	"agmdp/internal/graph"
-	"agmdp/internal/parallel"
 )
 
 var rewireBenchSeed *graph.Builder
 
-// rewireBenchFixture builds (once) a seed graph well above the parallel
-// threshold with a heavy-tailed degree profile.
+// rewireBenchFixture builds (once) a ~16k-edge seed graph with a
+// heavy-tailed degree profile.
 func rewireBenchFixture(b *testing.B) (*graph.Builder, *NodeSampler, int64) {
 	b.Helper()
 	degrees := parallelDegrees(6000)
 	sampler := NewNodeSampler(degrees, nil)
 	if rewireBenchSeed == nil {
 		target := sumDegrees(degrees) / 2
-		rewireBenchSeed = generateCLBuilder(rand.New(rand.NewSource(3)), len(degrees), sampler, target, nil)
+		rewireBenchSeed = generateCLBuilder(rand.New(rand.NewSource(3)), len(degrees), sampler, target, nil, 1)
 	}
 	return rewireBenchSeed, sampler, rewireBenchSeed.Triangles() * 3
 }
 
-func BenchmarkTriCycLeRewireSequential(b *testing.B) {
+func BenchmarkTriCycLeRewire(b *testing.B) {
 	seed, sampler, target := rewireBenchFixture(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		bl := seed.Clone()
 		rewireSequential(rand.New(rand.NewSource(9)), bl, sampler, nil, target, maxProposalFactor)
-	}
-}
-
-func BenchmarkTriCycLeRewireParallel(b *testing.B) {
-	seed, sampler, target := rewireBenchFixture(b)
-	// The same worker count TriCycLe{} resolves to on this host.
-	workers := parallel.Resolve(0)
-	if workers < 2 {
-		workers = 2 // exercise the batched path even on a 1-core host
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bl := seed.Clone()
-		rewireParallel(rand.New(rand.NewSource(9)), bl, sampler, nil, target, maxProposalFactor, workers)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 
 	"agmdp/internal/graph"
+	"agmdp/internal/parallel"
 )
 
 // maxProposalFactor bounds how many edge proposals a generator will make as a
@@ -12,14 +13,19 @@ import (
 // generators total even under extremely restrictive filters.
 const maxProposalFactor = 60
 
+// minParallelEdges is the edge-count threshold below which GenerateCL runs
+// its sequential loop whatever the worker count: for small targets the
+// fan-out and merge overhead exceeds the sampling work itself.
+const minParallelEdges = parallel.MinShardEdges
+
 // FCL is the (bias-corrected) Fast Chung–Lu structural model: it generates a
 // graph whose expected degree sequence matches the target degrees but makes no
 // attempt to reproduce clustering. It is the simple structural model the paper
 // evaluates as AGM-FCL / AGMDP-FCL.
 //
 // The zero value proposes edges from the process-default number of concurrent
-// streams (see GenerateCLParallel and parallel.Resolve); output remains
-// deterministic for a fixed (seed, resolved worker count) pair.
+// streams (see GenerateCL and parallel.Resolve); output remains deterministic
+// for a fixed (seed, resolved worker count) pair.
 type FCL struct {
 	// Parallelism is the number of concurrent edge-proposal streams: ≤ 0
 	// means "auto" (the process default, runtime.GOMAXPROCS unless overridden
@@ -30,8 +36,8 @@ type FCL struct {
 // Name implements Model.
 func (FCL) Name() string { return "FCL" }
 
-// Generate implements Model by delegating to GenerateCL (or its parallel
-// variant) with the full target edge count.
+// Generate implements Model by delegating to GenerateCL with the full target
+// edge count.
 func (f FCL) Generate(rng *rand.Rand, n int, params Params, filter EdgeFilter) *graph.Graph {
 	return f.GenerateBuilder(rng, n, params, filter).Finalize()
 }
@@ -44,7 +50,7 @@ func (f FCL) GenerateBuilder(rng *rand.Rand, n int, params Params, filter EdgeFi
 	}
 	sampler := NewNodeSampler(params.Degrees, nil)
 	target := sumDegrees(params.Degrees) / 2
-	return generateCLParallelBuilder(rng, n, sampler, target, filter, f.Parallelism)
+	return generateCLBuilder(rng, n, sampler, target, filter, f.Parallelism)
 }
 
 // GenerateCL samples a Chung–Lu graph with the given number of edges over n
@@ -54,19 +60,63 @@ func (f FCL) GenerateBuilder(rng *rand.Rand, n int, params Params, filter EdgeFi
 // which re-samples rather than skipping so the realised edge count matches the
 // target). Generation stops early if the proposal budget is exhausted, which
 // can only happen under a near-zero acceptance filter.
-func GenerateCL(rng *rand.Rand, n int, sampler *NodeSampler, targetEdges int, filter EdgeFilter) *graph.Graph {
-	return generateCLBuilder(rng, n, sampler, targetEdges, filter).Finalize()
+//
+// Edges are proposed from `workers` concurrent streams on the shared pool
+// (internal/parallel); workers ≤ 0 means "auto" (the process default,
+// runtime.GOMAXPROCS unless overridden with parallel.SetParallelism), and 1 —
+// like any target under minParallelEdges — runs one sequential loop on rng.
+// The output depends only on (rng state, n, sampler, targetEdges, filter,
+// resolved workers): the same seed with the same worker count always
+// reproduces the same graph, while different worker counts are different,
+// equally valid draws from the model.
+//
+// The multi-stream merge stays deterministic despite concurrent execution:
+// worker i draws from its own rand.Rand seeded by the i-th value taken from
+// the parent rng up front and collects its accepted edges into a private
+// list. The lists are packed into builder rows in worker order with
+// Builder.AddEdge, which drops cross-worker duplicates, and a sequential
+// top-up pass (with its own pre-drawn seed) then fills any shortfall those
+// duplicates caused. With more than one stream the filter may be called from
+// multiple goroutines and must be safe for concurrent use; the filters built
+// by the AGM-DP sampler only read shared slices, so they qualify.
+func GenerateCL(rng *rand.Rand, n int, sampler *NodeSampler, targetEdges int, filter EdgeFilter, workers int) *graph.Graph {
+	return generateCLBuilder(rng, n, sampler, targetEdges, filter, workers).Finalize()
 }
 
 // generateCLBuilder is GenerateCL without the final freeze: the TCL and
 // TriCycLe generators keep rewiring the result, so they take the still-mutable
 // Builder and finalize once at the very end.
-func generateCLBuilder(rng *rand.Rand, n int, sampler *NodeSampler, targetEdges int, filter EdgeFilter) *graph.Builder {
+func generateCLBuilder(rng *rand.Rand, n int, sampler *NodeSampler, targetEdges int, filter EdgeFilter, workers int) *graph.Builder {
 	b := graph.NewBuilder(n, 0)
 	if sampler.Empty() || targetEdges <= 0 {
 		return b
 	}
-	maxProposals := maxProposalFactor * (targetEdges + 1)
+	workers = parallel.Resolve(workers)
+	if workers <= 1 || targetEdges < minParallelEdges {
+		addCLEdges(rng, b, sampler, targetEdges, filter)
+		return b
+	}
+
+	lists, topUpSeed := proposeEdgesParallel(rng, sampler, targetEdges, filter, workers)
+	for _, edges := range lists {
+		for _, e := range edges {
+			b.AddEdge(e.U, e.V)
+		}
+	}
+	// Top-up: cross-worker duplicates leave the merged rows slightly short of
+	// the target; finish sequentially with the same proposal budget per edge
+	// as the sequential loop.
+	if b.NumEdges() < targetEdges {
+		addCLEdges(rand.New(rand.NewSource(topUpSeed)), b, sampler, targetEdges, filter)
+	}
+	return b
+}
+
+// addCLEdges is the sequential Chung–Lu loop: it proposes edges into b until
+// b holds targetEdges edges or the proposal budget for the missing ones is
+// exhausted.
+func addCLEdges(rng *rand.Rand, b *graph.Builder, sampler *NodeSampler, targetEdges int, filter EdgeFilter) {
+	maxProposals := maxProposalFactor * (targetEdges - b.NumEdges() + 1)
 	if filter != nil {
 		// An AGM acceptance filter rejects most proposals for configurations
 		// the learned correlations consider over-represented, so the proposal
@@ -85,7 +135,61 @@ func generateCLBuilder(rng *rand.Rand, n int, sampler *NodeSampler, targetEdges 
 		}
 		b.AddEdge(u, v)
 	}
-	return b
+}
+
+// proposeEdgesParallel fans the proposal loop out over `workers` tasks on the
+// shared pool and returns their edge lists in worker order (still containing
+// cross-worker duplicates) plus the pre-drawn seed for the sequential top-up
+// pass.
+func proposeEdgesParallel(rng *rand.Rand, sampler *NodeSampler, targetEdges int, filter EdgeFilter, workers int) ([][]graph.Edge, int64) {
+	// Draw every seed before any task starts so the parent rng is consumed
+	// identically regardless of scheduling.
+	seeds := make([]int64, workers)
+	for i := range seeds {
+		seeds[i] = rng.Int63()
+	}
+	topUpSeed := rng.Int63()
+
+	// Partition the edge target across workers; the first target%workers
+	// shards carry one extra edge.
+	shards := parallel.Split(targetEdges, workers)
+	results := make([][]graph.Edge, len(shards))
+	parallel.Do(len(shards), func(w int) {
+		results[w] = proposeEdges(rand.New(rand.NewSource(seeds[w])), sampler, shards[w].Len(), filter)
+	})
+	return results, topUpSeed
+}
+
+// proposeEdges runs one worker's proposal loop: Chung–Lu endpoint draws with
+// self-loops, locally duplicate proposals and filter rejections discarded,
+// until `target` edges are collected or the proposal budget runs out. The
+// worker deduplicates only against its own accepted edges; cross-worker
+// duplicates are handled at merge time.
+func proposeEdges(rng *rand.Rand, sampler *NodeSampler, target int, filter EdgeFilter) []graph.Edge {
+	edges := make([]graph.Edge, 0, target)
+	seen := make(map[uint64]struct{}, target) // canonical edge packed as U<<32 | V
+	maxProposals := maxProposalFactor * (target + 1)
+	if filter != nil {
+		maxProposals *= 8
+	}
+	for proposals := 0; len(edges) < target && proposals < maxProposals; proposals++ {
+		u := sampler.Sample(rng)
+		v := sampler.Sample(rng)
+		if u == v {
+			continue
+		}
+		e := graph.Edge{U: u, V: v}.Canonical()
+		key := uint64(e.U)<<32 | uint64(e.V)
+		if _, dup := seen[key]; dup {
+			continue
+		}
+		if !acceptEdge(rng, filter, u, v) {
+			continue
+		}
+		seen[key] = struct{}{}
+		edges = append(edges, e)
+	}
+	return edges
 }
 
 // sumDegrees returns the sum of a degree sequence.

@@ -81,7 +81,7 @@ func TestGenerateCLMatchesTargetEdgeCount(t *testing.T) {
 	rng := dp.NewRand(1)
 	degs := powerLawDegrees(rng, 300, 40)
 	target := sumDegrees(degs) / 2
-	g := GenerateCL(dp.NewRand(2), 300, NewNodeSampler(degs, nil), target, nil)
+	g := GenerateCL(dp.NewRand(2), 300, NewNodeSampler(degs, nil), target, nil, 1)
 	if g.NumEdges() != target {
 		t.Fatalf("edges = %d, want %d", g.NumEdges(), target)
 	}
@@ -107,7 +107,7 @@ func TestGenerateCLApproximatesDegreeSequence(t *testing.T) {
 	var hubTotal, leafTotal float64
 	const trials = 15
 	for i := 0; i < trials; i++ {
-		g := GenerateCL(dp.NewRand(int64(i)+10), n, sampler, target, nil)
+		g := GenerateCL(dp.NewRand(int64(i)+10), n, sampler, target, nil, 1)
 		hubTotal += float64(g.Degree(0))
 		leafTotal += float64(g.Degree(100))
 	}
@@ -122,7 +122,7 @@ func TestGenerateCLApproximatesDegreeSequence(t *testing.T) {
 
 func TestGenerateCLZeroFilterProducesNoEdges(t *testing.T) {
 	degs := []int{2, 2, 2, 2}
-	g := GenerateCL(dp.NewRand(1), 4, NewNodeSampler(degs, nil), 4, func(u, v int) float64 { return 0 })
+	g := GenerateCL(dp.NewRand(1), 4, NewNodeSampler(degs, nil), 4, func(u, v int) float64 { return 0 }, 1)
 	if g.NumEdges() != 0 {
 		t.Fatalf("zero-acceptance filter produced %d edges", g.NumEdges())
 	}
@@ -142,7 +142,7 @@ func TestGenerateCLFilterBiasesEdgeSelection(t *testing.T) {
 		}
 		return 0
 	}
-	g := GenerateCL(dp.NewRand(5), n, NewNodeSampler(degs, nil), 200, filter)
+	g := GenerateCL(dp.NewRand(5), n, NewNodeSampler(degs, nil), 200, filter, 1)
 	bad := 0
 	g.ForEachEdge(func(u, v int) bool {
 		if (u < 50) != (v < 50) {
@@ -159,11 +159,11 @@ func TestGenerateCLFilterBiasesEdgeSelection(t *testing.T) {
 }
 
 func TestGenerateCLEmptySamplerAndZeroTarget(t *testing.T) {
-	g := GenerateCL(dp.NewRand(1), 10, NewNodeSampler(make([]int, 10), nil), 5, nil)
+	g := GenerateCL(dp.NewRand(1), 10, NewNodeSampler(make([]int, 10), nil), 5, nil, 1)
 	if g.NumEdges() != 0 {
 		t.Fatal("empty sampler should yield no edges")
 	}
-	g = GenerateCL(dp.NewRand(1), 10, NewNodeSampler([]int{1, 1, 0, 0, 0, 0, 0, 0, 0, 0}, nil), 0, nil)
+	g = GenerateCL(dp.NewRand(1), 10, NewNodeSampler([]int{1, 1, 0, 0, 0, 0, 0, 0, 0, 0}, nil), 0, nil, 1)
 	if g.NumEdges() != 0 {
 		t.Fatal("zero target should yield no edges")
 	}

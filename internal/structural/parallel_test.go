@@ -26,7 +26,7 @@ func TestGenerateCLParallelDeterministicPerWorkerCount(t *testing.T) {
 	gen := func(seed int64, workers int) *graph.Graph {
 		sampler := NewNodeSampler(degrees, nil)
 		target := sumDegrees(degrees) / 2
-		return GenerateCLParallel(rand.New(rand.NewSource(seed)), n, sampler, target, nil, workers)
+		return GenerateCL(rand.New(rand.NewSource(seed)), n, sampler, target, nil, workers)
 	}
 	for _, workers := range []int{1, 2, 4, 8} {
 		a, b := gen(17, workers), gen(17, workers)
@@ -45,7 +45,7 @@ func TestGenerateCLParallelHitsEdgeTarget(t *testing.T) {
 	target := sumDegrees(degrees) / 2
 	for _, workers := range []int{2, 4} {
 		sampler := NewNodeSampler(degrees, nil)
-		g := GenerateCLParallel(rand.New(rand.NewSource(3)), n, sampler, target, nil, workers)
+		g := GenerateCL(rand.New(rand.NewSource(3)), n, sampler, target, nil, workers)
 		// Cross-worker duplicates are topped up sequentially; with a generous
 		// proposal budget the realised count should land on the target.
 		if got := g.NumEdges(); got < target*95/100 || got > target {
@@ -55,16 +55,16 @@ func TestGenerateCLParallelHitsEdgeTarget(t *testing.T) {
 }
 
 func TestGenerateCLParallelSmallTargetFallsBack(t *testing.T) {
-	// Below the threshold the parallel generator must consume the rng exactly
-	// like the sequential one, i.e. produce the identical graph.
+	// Below the threshold a multi-worker call must consume the rng exactly
+	// like the sequential loop, i.e. produce the identical graph.
 	degrees := make([]int, 200)
 	for i := range degrees {
 		degrees[i] = 3
 	}
 	n := len(degrees)
 	target := sumDegrees(degrees) / 2
-	seq := GenerateCL(rand.New(rand.NewSource(9)), n, NewNodeSampler(degrees, nil), target, nil)
-	par := GenerateCLParallel(rand.New(rand.NewSource(9)), n, NewNodeSampler(degrees, nil), target, nil, 8)
+	seq := GenerateCL(rand.New(rand.NewSource(9)), n, NewNodeSampler(degrees, nil), target, nil, 1)
+	par := GenerateCL(rand.New(rand.NewSource(9)), n, NewNodeSampler(degrees, nil), target, nil, 8)
 	if !seq.Equal(par) {
 		t.Fatal("small-target parallel generation diverged from sequential")
 	}
@@ -83,7 +83,7 @@ func TestGenerateCLParallelWithFilter(t *testing.T) {
 		return 1
 	}
 	sampler := NewNodeSampler(degrees, nil)
-	g := GenerateCLParallel(rand.New(rand.NewSource(5)), n, sampler, target, filter, 4)
+	g := GenerateCL(rand.New(rand.NewSource(5)), n, sampler, target, filter, 4)
 	g.ForEachEdge(func(u, v int) bool {
 		if (u+v)%2 == 0 {
 			t.Fatalf("edge {%d,%d} violates the filter", u, v)
@@ -95,7 +95,7 @@ func TestGenerateCLParallelWithFilter(t *testing.T) {
 	}
 	// Deterministic under the filter too.
 	sampler2 := NewNodeSampler(degrees, nil)
-	h := GenerateCLParallel(rand.New(rand.NewSource(5)), n, sampler2, target, filter, 4)
+	h := GenerateCL(rand.New(rand.NewSource(5)), n, sampler2, target, filter, 4)
 	if !g.Equal(h) {
 		t.Fatal("filtered parallel generation is not deterministic")
 	}

@@ -154,7 +154,7 @@ func randomRepairCase(rng *rand.Rand) repairCase {
 			}
 		}
 		s := NewNodeSampler(desired, func(i int) bool { return desired[i] == 1 })
-		g = generateCLBuilder(rng, n, s, max(sumDegrees(desired)/2-degreeOne, 0), nil)
+		g = generateCLBuilder(rng, n, s, max(sumDegrees(desired)/2-degreeOne, 0), nil, 1)
 	case "halves":
 		// Two or three equal cycles and a few isolated nodes, so main holds
 		// at most n/2 nodes and size ties need the tie rule.

@@ -7,70 +7,44 @@ import (
 	"agmdp/internal/graph"
 )
 
-// rewireFixture builds a Chung–Lu seed builder big enough to clear the
-// parallel-rewiring threshold, plus the sampler that generated it.
+// rewireFixture builds a Chung–Lu seed builder of about 8k edges, the size
+// class of a publish-sized TriCycLe seed, plus the sampler that generated it.
 func rewireFixture(t testing.TB, seed int64) (*graph.Builder, *NodeSampler) {
 	t.Helper()
 	degrees := parallelDegrees(3000)
 	sampler := NewNodeSampler(degrees, nil)
 	target := sumDegrees(degrees) / 2
-	b := generateCLBuilder(rand.New(rand.NewSource(seed)), len(degrees), sampler, target, nil)
-	if b.NumEdges() < minParallelEdges {
-		t.Fatalf("fixture below the parallel threshold: %d edges", b.NumEdges())
-	}
-	return b, sampler
+	return generateCLBuilder(rand.New(rand.NewSource(seed)), len(degrees), sampler, target, nil, 1), sampler
 }
 
-func TestRewireParallelDeterministicPerWorkerCount(t *testing.T) {
-	run := func(seed int64, workers int) *graph.Graph {
-		b, sampler := rewireFixture(t, 31)
-		target := b.Triangles() * 3
-		rewireParallel(rand.New(rand.NewSource(seed)), b, sampler, nil, target, maxProposalFactor, workers)
-		return b.Finalize()
+func TestRewireIncreasesTriangles(t *testing.T) {
+	b, sampler := rewireFixture(t, 33)
+	before := b.Triangles()
+	target := before * 3
+	rewireSequential(rand.New(rand.NewSource(5)), b, sampler, nil, target, maxProposalFactor)
+	after := b.Triangles()
+	if after <= before {
+		t.Fatalf("rewiring did not add triangles (%d -> %d)", before, after)
 	}
-	for _, workers := range []int{2, 4, 8} {
-		a, b := run(7, workers), run(7, workers)
-		if !a.Equal(b) {
-			t.Fatalf("workers=%d: same seed produced different rewired graphs", workers)
-		}
-	}
-	if run(7, 2).Equal(run(8, 2)) {
-		t.Fatal("different seeds produced identical rewired graphs")
+	// The accept rule never decreases the count and the budget is sized to
+	// make real progress; require at least half the gap to close.
+	if after < before+(target-before)/2 {
+		t.Fatalf("rewiring stalled at %d triangles (started %d, target %d)", after, before, target)
 	}
 }
 
-func TestRewireParallelIncreasesTriangles(t *testing.T) {
-	for _, workers := range []int{2, 4} {
-		b, sampler := rewireFixture(t, 33)
-		before := b.Triangles()
-		target := before * 3
-		rewireParallel(rand.New(rand.NewSource(5)), b, sampler, nil, target, maxProposalFactor, workers)
-		after := b.Triangles()
-		if after <= before {
-			t.Fatalf("workers=%d: rewiring did not add triangles (%d -> %d)", workers, before, after)
-		}
-		// The accept rule never decreases the count and the budget is sized to
-		// make real progress; require at least half the gap to close.
-		if after < before+(target-before)/2 {
-			t.Fatalf("workers=%d: rewiring stalled at %d triangles (started %d, target %d)",
-				workers, after, before, target)
-		}
-	}
-}
-
-func TestRewireParallelPreservesEdgeCount(t *testing.T) {
+func TestRewirePreservesEdgeCount(t *testing.T) {
 	b, sampler := rewireFixture(t, 35)
 	edges := b.NumEdges()
-	rewireParallel(rand.New(rand.NewSource(9)), b, sampler, nil, b.Triangles()*2, maxProposalFactor, 4)
+	rewireSequential(rand.New(rand.NewSource(9)), b, sampler, nil, b.Triangles()*2, maxProposalFactor)
 	if b.NumEdges() != edges {
 		t.Fatalf("rewiring changed the edge count: %d -> %d", edges, b.NumEdges())
 	}
 }
 
-func TestRewireParallelRespectsFilter(t *testing.T) {
+func TestRewireRespectsFilter(t *testing.T) {
 	// Suppress edges between same-parity nodes; the seed is unfiltered, so
-	// only count rewired (new) edges. The filter is pure, hence safe for
-	// concurrent use.
+	// only count rewired (new) edges.
 	filter := func(u, v int) float64 {
 		if (u+v)%2 == 0 {
 			return 0
@@ -82,7 +56,7 @@ func TestRewireParallelRespectsFilter(t *testing.T) {
 	for _, e := range b.Edges() {
 		beforeEdges[e] = struct{}{}
 	}
-	rewireParallel(rand.New(rand.NewSource(11)), b, sampler, filter, b.Triangles()*2, maxProposalFactor, 4)
+	rewireSequential(rand.New(rand.NewSource(11)), b, sampler, filter, b.Triangles()*2, maxProposalFactor)
 	for _, e := range b.Edges() {
 		if _, old := beforeEdges[e]; old {
 			continue
@@ -93,22 +67,65 @@ func TestRewireParallelRespectsFilter(t *testing.T) {
 	}
 }
 
+// TestRewireParallelDeterministicPerWorkerCount keeps the name it had when
+// rewiring ran in parallel batches. Rewiring is now one sequential loop, so
+// the worker count reaches it only through the Chung–Lu seed: at every stream
+// count, a seed rewired from the same rng reproduces its graph, and a
+// different rewiring seed does not.
+func TestRewireParallelDeterministicPerWorkerCount(t *testing.T) {
+	degrees := parallelDegrees(3000)
+	target := sumDegrees(degrees) / 2
+	run := func(seed int64, workers int) *graph.Graph {
+		sampler := NewNodeSampler(degrees, nil)
+		b := generateCLBuilder(rand.New(rand.NewSource(31)), len(degrees), sampler, target, nil, workers)
+		rewireSequential(rand.New(rand.NewSource(seed)), b, sampler, nil, b.Triangles()*3, maxProposalFactor)
+		return b.Finalize()
+	}
+	for _, workers := range []int{1, 2, 4, 8} {
+		a := run(7, workers)
+		if !a.Equal(run(7, workers)) {
+			t.Fatalf("workers=%d: same seed produced different rewired graphs", workers)
+		}
+		if a.Equal(run(8, workers)) {
+			t.Fatalf("workers=%d: different seeds produced identical rewired graphs", workers)
+		}
+	}
+}
+
+// TestTriCycLeParallelRewiringDeterministicEndToEnd runs the whole pipeline
+// on a degree sequence whose seed clears minParallelEdges, so two and four
+// workers take the multi-stream seed before the one rewiring loop: a (seed,
+// worker count) pair reproduces its graph, a different seed does not, and
+// rewiring closes at least half the triangle target. Below the threshold the
+// worker count must not reach the sample.
 func TestTriCycLeParallelRewiringDeterministicEndToEnd(t *testing.T) {
-	// A degree sequence heavy enough that the seed clears the parallel
-	// threshold, so this exercises parallel seeding AND parallel rewiring.
 	degrees := parallelDegrees(3000)
 	params := Params{Degrees: degrees, Triangles: 6000}
 	gen := func(seed int64, workers int) *graph.Graph {
 		return TriCycLe{Parallelism: workers}.Generate(rand.New(rand.NewSource(seed)), len(degrees), params, nil)
 	}
-	for _, workers := range []int{2, 4} {
+	for _, workers := range []int{1, 2, 4} {
 		a, b := gen(41, workers), gen(41, workers)
 		if !a.Equal(b) {
 			t.Fatalf("TriCycLe workers=%d: same seed produced different graphs", workers)
 		}
-		if a.Triangles() < 3000 {
+		if a.Equal(gen(42, workers)) {
+			t.Fatalf("TriCycLe workers=%d: different seeds produced identical graphs", workers)
+		}
+		if a.Triangles() < params.Triangles/2 {
 			t.Fatalf("TriCycLe workers=%d: only %d triangles toward target %d",
 				workers, a.Triangles(), params.Triangles)
 		}
+	}
+
+	small := make([]int, 300)
+	for i := range small {
+		small[i] = 4
+	}
+	smallParams := Params{Degrees: small, Triangles: 400}
+	one := TriCycLe{Parallelism: 1}.Generate(rand.New(rand.NewSource(43)), len(small), smallParams, nil)
+	four := TriCycLe{Parallelism: 4}.Generate(rand.New(rand.NewSource(43)), len(small), smallParams, nil)
+	if !one.Equal(four) {
+		t.Fatal("TriCycLe on a seed under minParallelEdges depends on the worker count")
 	}
 }

@@ -33,7 +33,7 @@ func (TCL) GenerateBuilder(rng *rand.Rand, n int, params Params, filter EdgeFilt
 	}
 	sampler := NewNodeSampler(params.Degrees, nil)
 	target := sumDegrees(params.Degrees) / 2
-	b := generateCLBuilder(rng, n, sampler, target, filter)
+	b := generateCLBuilder(rng, n, sampler, target, filter, 1)
 	if b.NumEdges() == 0 {
 		return b
 	}
@@ -71,24 +71,17 @@ func (TCL) GenerateBuilder(rng *rand.Rand, n int, params Params, filter EdgeFilt
 	return b
 }
 
-// adjacency is the read surface the two-hop sampler needs; both the mutable
-// graph.Builder and the immutable CSR graph.Graph satisfy it, so the same
-// sampler serves the sequential rewiring loops (against the live builder) and
-// the batched parallel proposal workers (against a frozen snapshot).
-type adjacency interface {
-	NeighborsView(i int) []int32
-}
-
 // sampleTwoHop picks a uniformly random neighbour k of vi and then a uniformly
-// random neighbour of k (a "friend of a friend"). It returns -1 when vi has no
-// usable two-hop neighbour.
-func sampleTwoHop(rng *rand.Rand, g adjacency, vi int) int {
-	ni := g.NeighborsView(vi)
+// random neighbour of k (a "friend of a friend") in the live builder shared by
+// the TCL and TriCycLe rewiring loops. It returns -1 when vi has no usable
+// two-hop neighbour.
+func sampleTwoHop(rng *rand.Rand, b *graph.Builder, vi int) int {
+	ni := b.NeighborsView(vi)
 	if len(ni) == 0 {
 		return -1
 	}
 	vk := int(ni[rng.Intn(len(ni))])
-	nk := g.NeighborsView(vk)
+	nk := b.NeighborsView(vk)
 	if len(nk) == 0 {
 		return -1
 	}

@@ -6,7 +6,6 @@ import (
 
 	"agmdp/internal/graph"
 	"agmdp/internal/obs"
-	"agmdp/internal/parallel"
 )
 
 // Phase timings for TriCycLe generation, on the process-wide default
@@ -42,15 +41,16 @@ type TriCycLe struct {
 	DisablePostProcess bool
 	// MaxProposalFactor overrides the default proposal budget multiplier.
 	MaxProposalFactor int
-	// Parallelism is the number of concurrent streams used for both the
-	// Chung–Lu seed graph and the batched triangle-rewiring phase. Values ≤ 0
+	// Parallelism is the number of concurrent streams that draw the Chung–Lu
+	// seed graph (see GenerateCL); rewiring is always the paper's one
+	// sequential loop, as in FCL only the edge proposals fan out. Values ≤ 0
 	// mean "auto" (the process default, runtime.GOMAXPROCS by default); 1
 	// forces sequential generation. Output is deterministic for a fixed
-	// (seed, resolved worker count) pair; different worker counts are
-	// different, equally valid draws from the model. With more than one
-	// stream the filter may be called from multiple goroutines and must be
-	// safe for concurrent use (AGM-DP's filters are: they only read shared
-	// slices).
+	// (seed, resolved worker count) pair, and the worker count reaches it
+	// only through the seed: a seed target under minParallelEdges edges is
+	// drawn sequentially at every worker count. With more than one stream the
+	// filter may be called from multiple goroutines and must be safe for
+	// concurrent use (AGM-DP's filters are: they only read shared slices).
 	Parallelism int
 }
 
@@ -75,7 +75,6 @@ func (t TriCycLe) GenerateBuilder(rng *rand.Rand, n int, params Params, filter E
 		proposalFactor = maxProposalFactor
 	}
 	postProcess := !t.DisablePostProcess
-	workers := parallel.Resolve(t.Parallelism)
 
 	degrees := params.Degrees
 	totalEdges := sumDegrees(degrees) / 2
@@ -99,7 +98,7 @@ func (t TriCycLe) GenerateBuilder(rng *rand.Rand, n int, params Params, filter E
 	}
 
 	seedStart := time.Now()
-	b := generateCLParallelBuilder(rng, n, sampler, seedTarget, filter, workers)
+	b := generateCLBuilder(rng, n, sampler, seedTarget, filter, t.Parallelism)
 	if postProcess {
 		PostProcessGraph(rng, b, sampler, degrees, filter)
 	}
@@ -109,11 +108,7 @@ func (t TriCycLe) GenerateBuilder(rng *rand.Rand, n int, params Params, filter E
 	}
 
 	rewireStart := time.Now()
-	if workers > 1 && b.NumEdges() >= minParallelEdges {
-		rewireParallel(rng, b, sampler, filter, params.Triangles, proposalFactor, workers)
-	} else {
-		rewireSequential(rng, b, sampler, filter, params.Triangles, proposalFactor)
-	}
+	rewireSequential(rng, b, sampler, filter, params.Triangles, proposalFactor)
 	tricycleRewireDur.ObserveDuration(time.Since(rewireStart))
 
 	if postProcess {

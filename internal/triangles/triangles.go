@@ -3,7 +3,8 @@
 // Cormode, Procopiuc, Srivastava and Xiao (SIGMOD 2015), which the paper uses
 // to fit the TriCycLe structural model (Appendix C.3.2): it combines "local
 // sensitivity at distance t" with the exponential mechanism to release an
-// accurate triangle count under pure ε-differential privacy.
+// accurate triangle count under ε-differential privacy, up to the δ < 1e-10
+// its rung cap adds (see LadderCount).
 package triangles
 
 import (
@@ -83,8 +84,8 @@ type LadderOptions struct {
 	MaxRungs int
 }
 
-// LadderCount releases an ε-differentially private estimate of the triangle
-// count of g using the Ladder framework.
+// LadderCount releases an (ε, δ)-differentially private estimate of the
+// triangle count of g, δ < 1e-10, using the Ladder framework.
 //
 // The mechanism centres a sequence of "rungs" on the true count f(G). Rung 0
 // is the singleton {f(G)}; rung t (t ≥ 1) contains the integers whose distance
@@ -94,6 +95,14 @@ type LadderOptions struct {
 // selected with probability proportional to |rung t| · exp(−ε·t/2) and a value
 // is then drawn uniformly inside the rung. Negative candidates are clamped to
 // zero after sampling (post-processing).
+//
+// The rung cap (LadderOptions.MaxRungs, by default ⌈55.4/ε⌉ + 1 rungs, past
+// which a rung's weight exp(−ε·t/2) is below 1e-12) makes the output range
+// depend on the data, so the release is (ε, δ)-DP rather than pure ε-DP.
+// The capped draw lies within total-variation distance η of the uncapped
+// mechanism, which is pure ε-DP, where η is the dropped rungs' share of the
+// weight; hence δ = (1 + e^ε)·η. At the default cap η < 3e-11 on every graph
+// while ε > 2.8e-4 (below that the 200,000-rung limit binds), so δ < 1e-10.
 //
 // The mechanism's two exact measurements — f(G) and the maximum common-
 // neighbour count behind LS_t(G) — are computed together from one
@@ -117,11 +126,7 @@ func LadderCountWith(rng *rand.Rand, g *graph.Graph, epsilon float64, opts Ladde
 
 	maxRungs := opts.MaxRungs
 	if maxRungs <= 0 {
-		// Beyond weight exp(-eps*t/2) < 1e-12 the rungs are irrelevant.
-		maxRungs = int(math.Ceil(2*27.7/epsilon)) + 1
-		if maxRungs > 200000 {
-			maxRungs = 200000
-		}
+		maxRungs = defaultMaxRungs(epsilon)
 	}
 
 	// Rung widths on each side. Rung t spans width LS_t(G) per side.
@@ -159,11 +164,12 @@ func LadderCountWith(rng *rand.Rand, g *graph.Graph, epsilon float64, opts Ladde
 	if chosen.t == 0 {
 		value = trueCount
 	} else {
-		// Uniform offset within (lower, upper], mirrored to either side.
-		offset := chosen.lower + rng.Float64()*(chosen.upper-chosen.lower)
-		if offset < chosen.lower+1 {
-			offset = chosen.lower + 1
-		}
+		// Uniform integer offset in (lower, upper], mirrored to either side:
+		// every integer of the rung gets the same weight, which the
+		// exponential-mechanism argument needs. The min guards against u·w
+		// rounding up to w.
+		width := chosen.upper - chosen.lower
+		offset := chosen.lower + 1 + math.Min(math.Floor(rng.Float64()*width), width-1)
 		if rng.Intn(2) == 0 {
 			value = trueCount + offset
 		} else {
@@ -174,6 +180,12 @@ func LadderCountWith(rng *rand.Rand, g *graph.Graph, epsilon float64, opts Ladde
 		value = 0
 	}
 	return int64(math.Round(value))
+}
+
+// defaultMaxRungs is the automatic rung cap: past it a rung's weight
+// exp(−ε·t/2) is below 1e-12.
+func defaultMaxRungs(epsilon float64) int {
+	return min(int(math.Ceil(2*27.7/epsilon))+1, 200000)
 }
 
 // NaiveLaplaceCount releases the triangle count using the Laplace mechanism

@@ -244,3 +244,143 @@ func TestLadderAccuracyImprovesWithEpsilon(t *testing.T) {
 		t.Fatalf("error at eps=2 (%v) exceeds error at eps=0.05 (%v)", tight, loose)
 	}
 }
+
+// TestLadderRungUniform checks that every integer inside a rung is equally
+// likely, which the exponential-mechanism argument behind LadderCount needs.
+// On the 10-cycle (no triangles, max common-neighbour count 1) rung 1 holds
+// the outputs 1–2 and rung 2 the outputs 3–5 on the positive side; a χ² test
+// at p = 0.001 compares each rung's counts with equal weights.
+func TestLadderRungUniform(t *testing.T) {
+	b := graph.NewBuilder(10, 0)
+	for i := 0; i < 10; i++ {
+		b.AddEdge(i, (i+1)%10)
+	}
+	g := b.Finalize()
+	rng := dp.NewRand(17)
+	counts := make(map[int64]float64)
+	for i := 0; i < 60000; i++ {
+		counts[LadderCount(rng, g, 1, LadderOptions{})]++
+	}
+	for _, rung := range []struct {
+		outputs  []int64
+		critical float64 // χ² at p = 0.001 with len(outputs)−1 degrees of freedom
+	}{
+		{[]int64{1, 2}, 10.83},
+		{[]int64{3, 4, 5}, 13.82},
+	} {
+		got := make([]float64, len(rung.outputs))
+		var total float64
+		for i, v := range rung.outputs {
+			got[i] = counts[v]
+			total += got[i]
+		}
+		want := total / float64(len(got))
+		var chi2 float64
+		for _, c := range got {
+			chi2 += (c - want) * (c - want) / want
+		}
+		if total < 5000 || chi2 > rung.critical {
+			t.Errorf("outputs %v drawn %v times: χ² = %.1f (critical %.2f)", rung.outputs, got, chi2, rung.critical)
+		}
+	}
+}
+
+// TestLadderRungCapDelta checks the δ LadderCount documents for its default
+// rung cap: the weight share η of the dropped rungs, on the ladders that
+// widen fastest (max common-neighbour count 0 on a huge graph), keeps
+// δ = (1 + e^ε)·η below 1e-10.
+func TestLadderRungCapDelta(t *testing.T) {
+	const n = 1 << 30
+	for _, eps := range []float64{3e-4, 0.01, 0.25, 1, 4} {
+		for _, maxCN := range []int{0, 1, 8} {
+			capT := defaultMaxRungs(eps)
+			kept, dropped := 1.0, 0.0 // rung 0 has weight 1
+			for rung := 1; ; rung++ {
+				w := 2 * float64(LocalSensitivityAtDistance(maxCN, rung, n)) * math.Exp(-eps*float64(rung)/2)
+				if rung <= capT {
+					kept += w
+					continue
+				}
+				dropped += w
+				if w <= 1e-30*dropped {
+					break
+				}
+			}
+			eta := dropped / (kept + dropped)
+			if delta := (1 + math.Exp(eps)) * eta; delta >= 1e-10 {
+				t.Errorf("ε = %v, maxCN = %d: dropped share %.3g gives δ = %.3g", eps, maxCN, eta, delta)
+			}
+		}
+	}
+}
+
+// TestLadderFunctionExhaustive checks the ladder function on real graphs, not
+// just its formula: on two to five nodes with one attribute, for every graph
+// G and attribute assignment, (a) every graph within t ≤ 2 neighbour steps
+// (edge toggles or node attribute flips) has a maximum common-neighbour count
+// of at most LS_t(G), and (b) LS_t rises by at most one, and never past
+// LS_{t+1}(G), from G to any neighbour.
+func TestLadderFunctionExhaustive(t *testing.T) {
+	for n := 2; n <= 5; n++ {
+		var pairs []graph.Edge
+		for u := 0; u < n; u++ {
+			for v := u + 1; v < n; v++ {
+				pairs = append(pairs, graph.Edge{U: u, V: v})
+			}
+		}
+		type node struct{ mask, attrs int }
+		// maxCN[mask][attrs] is MaxCommonNeighbors of the graph on the pairs in
+		// mask whose node i has attribute bit i of attrs.
+		maxCN := make([][]int, 1<<len(pairs))
+		for mask := range maxCN {
+			maxCN[mask] = make([]int, 1<<n)
+			for attrs := range maxCN[mask] {
+				b := graph.NewBuilder(n, 1)
+				for p, e := range pairs {
+					if mask&(1<<p) != 0 {
+						b.AddEdge(e.U, e.V)
+					}
+				}
+				for i := 0; i < n; i++ {
+					b.SetAttr(i, graph.AttrVector(attrs>>i&1))
+				}
+				maxCN[mask][attrs] = MaxCommonNeighbors(b.Finalize())
+			}
+		}
+		neighbours := func(g node) []node {
+			out := make([]node, 0, len(pairs)+n)
+			for p := range pairs {
+				out = append(out, node{g.mask ^ 1<<p, g.attrs})
+			}
+			for i := 0; i < n; i++ {
+				out = append(out, node{g.mask, g.attrs ^ 1<<i})
+			}
+			return out
+		}
+		ls := func(g node, t int) int { return LocalSensitivityAtDistance(maxCN[g.mask][g.attrs], t, n) }
+		for mask := range maxCN {
+			for attrs := range maxCN[mask] {
+				g := node{mask, attrs}
+				if got := maxCN[mask][attrs]; got > ls(g, 0) {
+					t.Fatalf("n=%d graph %b: maxCN %d > LS_0 = %d", n, mask, got, ls(g, 0))
+				}
+				for _, h := range neighbours(g) {
+					for tt := 0; tt <= n; tt++ {
+						if ls(h, tt) > ls(g, tt)+1 || ls(h, tt) > ls(g, tt+1) {
+							t.Fatalf("n=%d graph %b attrs %b → graph %b attrs %b: LS_%d %d → %d (LS_%d(G) = %d)",
+								n, mask, attrs, h.mask, h.attrs, tt, ls(g, tt), ls(h, tt), tt+1, ls(g, tt+1))
+						}
+					}
+					if got := maxCN[h.mask][h.attrs]; got > ls(g, 1) {
+						t.Fatalf("n=%d graph %b: neighbour graph %b has maxCN %d > LS_1 = %d", n, mask, h.mask, got, ls(g, 1))
+					}
+					for _, k := range neighbours(h) {
+						if got := maxCN[k.mask][k.attrs]; got > ls(g, 2) {
+							t.Fatalf("n=%d graph %b: graph %b two steps away has maxCN %d > LS_2 = %d", n, mask, k.mask, got, ls(g, 2))
+						}
+					}
+				}
+			}
+		}
+	}
+}

@@ -12,7 +12,7 @@
 #
 #   PR 2 pairs — CSR construction vs the map-adjacency baseline
 #   PR 3 pairs — parallel (shared worker pool) vs sequential analytics and
-#                TriCycLe rewiring
+#                the sensitivity scan
 #   PR 4 pairs — binary CSR snapshot codec vs the line-oriented text format
 #   PR 5 pairs — linear counting-based snapshot symmetry check vs the
 #                per-edge binary-search baseline
@@ -103,8 +103,6 @@ pairs = {
         "BenchmarkSummarizeSequential", "BenchmarkSummarizeParallel"),
     "max_common_neighbors_parallel_vs_sequential": (
         "BenchmarkMaxCommonNeighborsSequential", "BenchmarkMaxCommonNeighborsParallel"),
-    "tricycle_rewire_parallel_vs_sequential": (
-        "BenchmarkTriCycLeRewireSequential", "BenchmarkTriCycLeRewireParallel"),
     # PR 4: binary CSR snapshot codec vs the text format (118k-edge fixture).
     "read_binary_vs_text": ("BenchmarkReadGraphText", "BenchmarkReadGraphBinary"),
     "write_binary_vs_text": ("BenchmarkWriteGraphText", "BenchmarkWriteGraphBinary"),
@@ -175,8 +173,7 @@ doc = {
     "host_cpus": cores,
     "notes": None if cores > 1 else (
         "recorded on a 1-core container: the parallel paths resolve to one "
-        "worker (or pay a small coordination overhead where the batched path "
-        "is forced), so parallel-vs-sequential ratios near 1.0 are expected; "
+        "worker, so parallel-vs-sequential ratios near 1.0 are expected; "
         "speedups materialise on multi-core hosts"),
     "benchmarks": benches,
     "speedups": speedups,
