@@ -54,10 +54,8 @@
 // surfaces (/metrics, /v1/stats, /debug/pprof/) require the tenants file's
 // operator_token, since they export per-tenant ε spends. -tenant-dir
 // persists the ε-ledger (ledger.jsonl) and the ownership log (owners.jsonl)
-// as append-only JSONL so spends and scoping survive restarts.
-//
-// The original unversioned endpoints (/fit, /sample, /models…, /healthz)
-// remain as aliases of the v1 handlers.
+// as append-only JSONL so spends and scoping survive restarts. A damaged
+// line in the middle of either log refuses startup with its file:line.
 //
 // The server shuts down gracefully on SIGINT/SIGTERM: in-flight requests get
 // a drain window, running jobs are cancelled, then the engine stops after
@@ -214,7 +212,7 @@ func run(args []string, stdout io.Writer, ready func(addr string, stop func())) 
 		Retain:            *jobsRetain,
 		Dir:               jobsPath,
 		MaxConcurrentFits: *maxFits,
-		// Matches the server's default /sample deadline, so a wedged sample
+		// Matches the server's default /v1/sample deadline, so a wedged sample
 		// inside a batch job cannot occupy an engine worker forever.
 		SampleTimeout: time.Minute,
 	})

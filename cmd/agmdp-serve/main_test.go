@@ -52,7 +52,7 @@ func TestServeEndToEnd(t *testing.T) {
 	base, shutdown := startService(t, "-store", store)
 
 	// Health.
-	resp, err := http.Get(base + "/healthz")
+	resp, err := http.Get(base + "/v1/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestServeEndToEnd(t *testing.T) {
 	}
 
 	// Fit once.
-	fit, err := http.Post(base+"/fit", "application/json", strings.NewReader(
+	fit, err := http.Post(base+"/v1/fit", "application/json", strings.NewReader(
 		`{"dataset":{"name":"lastfm","scale":0.1,"seed":1},"epsilon":1.0,"seed":2}`))
 	if err != nil {
 		t.Fatal(err)
@@ -81,7 +81,7 @@ func TestServeEndToEnd(t *testing.T) {
 
 	// Sample twice at the same seed: identical summaries.
 	sample := func() string {
-		resp, err := http.Post(base+"/sample", "application/json", strings.NewReader(
+		resp, err := http.Post(base+"/v1/sample", "application/json", strings.NewReader(
 			fmt.Sprintf(`{"id":%q,"seed":9,"iterations":1,"format":"summary"}`, fr.ID)))
 		if err != nil {
 			t.Fatal(err)
@@ -100,7 +100,7 @@ func TestServeEndToEnd(t *testing.T) {
 	// A default-shaped sample fits the model's acceptance table, which
 	// persists next to the model file as <id>.table.
 	defaultSample := func(base string) string {
-		resp, err := http.Post(base+"/sample", "application/json", strings.NewReader(
+		resp, err := http.Post(base+"/v1/sample", "application/json", strings.NewReader(
 			fmt.Sprintf(`{"id":%q,"seed":9,"format":"summary"}`, fr.ID)))
 		if err != nil {
 			t.Fatal(err)
@@ -123,7 +123,7 @@ func TestServeEndToEnd(t *testing.T) {
 	// across a restart.
 	base2, shutdown2 := startService(t, "-store", store)
 	defer shutdown2()
-	resp2, err := http.Get(base2 + "/models/" + fr.ID)
+	resp2, err := http.Get(base2 + "/v1/models/" + fr.ID)
 	if err != nil {
 		t.Fatal(err)
 	}

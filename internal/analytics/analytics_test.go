@@ -390,37 +390,3 @@ func TestCacheEvict(t *testing.T) {
 		t.Fatal("second Evict reported a removal")
 	}
 }
-
-func TestSampleMemo(t *testing.T) {
-	m := NewSampleMemo(2)
-	k1 := SampleKey{ModelID: "m", Seed: 1, Parallelism: 2}
-	k2 := SampleKey{ModelID: "m", Seed: 2, Parallelism: 2}
-	k3 := SampleKey{ModelID: "m", Seed: 3, Parallelism: 2}
-	if _, ok := m.Get(k1); ok {
-		t.Fatal("hit on empty memo")
-	}
-	m.Put(k1, SampleMeta{Seed: 1, Nodes: 10})
-	m.Put(k2, SampleMeta{Seed: 2, Nodes: 20})
-	if meta, ok := m.Get(k1); !ok || meta.Nodes != 10 {
-		t.Fatalf("Get(k1) = %+v, %v", meta, ok)
-	}
-	// k1 was just used, so inserting k3 evicts k2.
-	m.Put(k3, SampleMeta{Seed: 3, Nodes: 30})
-	if _, ok := m.Get(k2); ok {
-		t.Fatal("k2 survived past the bound")
-	}
-	if _, ok := m.Get(k1); !ok {
-		t.Fatal("k1 evicted despite recent use")
-	}
-	if m.Len() != 2 {
-		t.Fatalf("Len = %d", m.Len())
-	}
-	// Re-putting an existing key updates in place.
-	m.Put(k1, SampleMeta{Seed: 1, Nodes: 11})
-	if meta, _ := m.Get(k1); meta.Nodes != 11 {
-		t.Fatalf("updated meta = %+v", meta)
-	}
-	if m.Len() != 2 {
-		t.Fatalf("Len after update = %d", m.Len())
-	}
-}

@@ -4,8 +4,7 @@ package analytics
 // (≥100k edges, 2 attributes — the same shape the graph codec benchmarks
 // use). The cold/warm pair quantifies what the content-addressed cache buys
 // a metrics serve; the evaluate pair quantifies what parallel utility
-// comparison buys an evaluation job. scripts/bench.sh records both ratios
-// in BENCH_pr10.json.
+// comparison buys an evaluation job.
 
 import (
 	"math"

@@ -118,7 +118,7 @@ type Request struct {
 	CacheKey string
 }
 
-// Stats is a point-in-time snapshot of engine load, served by /healthz.
+// Stats is a point-in-time snapshot of engine load, served by /v1/healthz.
 type Stats struct {
 	Workers     int   `json:"workers"`
 	QueueDepth  int   `json:"queue_depth"`

@@ -3,8 +3,7 @@ package graph_test
 // Codec benchmarks: the binary CSR snapshot (binary.go) against the
 // line-oriented "agmdp graph" text format (io.go), on a heavy-tailed
 // Chung–Lu graph with well over 100k edges — the service-restart and
-// wire-transfer workload the graph store runs. scripts/bench.sh records the
-// read/write ratios in BENCH_pr4.json.
+// wire-transfer workload the graph store runs.
 
 import (
 	"bytes"

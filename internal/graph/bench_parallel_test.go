@@ -4,9 +4,8 @@ package graph_test
 // max-common-neighbour scan, run on the shared 10k-node Chung–Lu fixture.
 // The *Sequential variants pin one worker; the *Parallel variants use the
 // process default (GOMAXPROCS), so the pairs measure the worker-pool speedup
-// on the benchmarking host.
-// scripts/bench.sh records the ratios in BENCH_pr3.json; on a single-core
-// container the ratio is ≈ 1 by construction (see the JSON's notes).
+// on the benchmarking host; on a single core the ratio is ≈ 1 by
+// construction.
 
 import (
 	"testing"

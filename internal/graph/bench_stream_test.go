@@ -5,8 +5,7 @@ package graph_test
 // baseline that packs a CSR graph first and then encodes it. This pair is
 // where the O(row) memory claim lives: the materialised path allocates the
 // full offsets/neighbors/attrs arrays per request, the streamed path only
-// the encoder's bounded buffers. scripts/bench.sh records the ratios (time
-// and allocated bytes).
+// the encoder's bounded buffers.
 
 import (
 	"io"

@@ -5,7 +5,6 @@ package graph_test
 // so the speedup is measured inside one binary on identical inputs. The
 // shared fixture is a 10k-node Chung–Lu graph with a heavy-tailed degree
 // sequence, the workload the paper's pipeline actually runs on.
-// scripts/bench.sh records the results.
 
 import (
 	"math"

@@ -3,9 +3,9 @@ package graph
 // Benchmarks for the binary decoder's CSR validation pass, isolating the
 // symmetry check the PR-5 follow-up rewrote: the per-edge binary search
 // (O(m log d), kept here as the baseline) against the counting-based linear
-// sweep validateSymmetry runs now (O(n + m)). scripts/bench.sh records the
-// ratio; the end-to-end effect also shows in BenchmarkReadGraphBinary
-// (bench_io_test.go), where validation is a large slice of decode time.
+// sweep validateSymmetry runs now (O(n + m)). The end-to-end effect also
+// shows in BenchmarkReadGraphBinary (bench_io_test.go), where validation is
+// a large slice of decode time.
 
 import (
 	"math/rand"

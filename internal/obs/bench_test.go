@@ -3,7 +3,7 @@ package obs
 // Instrumentation-overhead benchmarks. The acceptance bar for this layer is
 // that the counter fast path stays under 100ns/op — cheap enough to leave on
 // in every hot loop. BenchmarkMutexCounterInc is the baseline a lock-based
-// design would have cost (the pair feeds scripts/bench.sh's speedup table).
+// design would have cost.
 
 import (
 	"sync"

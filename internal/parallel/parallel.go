@@ -168,7 +168,7 @@ func (p *pool) worker() {
 	}
 }
 
-// Stats is a point-in-time snapshot of the shared pool, for /healthz.
+// Stats is a point-in-time snapshot of the shared pool, for /v1/healthz.
 type Stats struct {
 	// Workers is the resident worker count (0 until the pool's first use).
 	Workers int `json:"workers"`

@@ -275,35 +275,6 @@ func TestEvaluateValidationEndpoint(t *testing.T) {
 	}
 }
 
-func TestSampleMemoServesRepeatedRequests(t *testing.T) {
-	ts, _ := newV1TestServer(t)
-	id := fitDataset(t, ts, 1.0)
-	body := map[string]any{"id": id, "seed": 77, "iterations": 1, "format": "summary"}
-
-	hits0 := metricValue(t, ts, "agmdp_analytics_sample_memo_hits_total")
-	var first, second sampleResponse
-	decode(t, postJSON(t, ts.URL+"/v1/sample", body), &first)
-	decode(t, postJSON(t, ts.URL+"/v1/sample", body), &second)
-	if first != second {
-		t.Fatalf("memoised response differs: %+v vs %+v", first, second)
-	}
-	if first.Seed != 77 || first.Nodes == 0 {
-		t.Fatalf("sample = %+v", first)
-	}
-	if d := metricValue(t, ts, "agmdp_analytics_sample_memo_hits_total") - hits0; d != 1 {
-		t.Fatalf("memo hits delta = %v, want 1 (second request must not resample)", d)
-	}
-
-	// Unseeded and graph-storing requests are never memoised.
-	hits1 := metricValue(t, ts, "agmdp_analytics_sample_memo_hits_total")
-	resp := postJSON(t, ts.URL+"/v1/sample", map[string]any{"id": id, "iterations": 1, "format": "summary"})
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if d := metricValue(t, ts, "agmdp_analytics_sample_memo_hits_total") - hits1; d != 0 {
-		t.Fatalf("unseeded request hit the memo (delta %v)", d)
-	}
-}
-
 func TestAnalyticsTenantScoping(t *testing.T) {
 	ts, _ := newTenantedServer(t, tenant.File{Tenants: []tenant.Tenant{
 		{ID: "alpha", Key: "alpha-key"},

@@ -46,10 +46,6 @@ func (s *Server) registerObservability() {
 	m.GaugeFunc("agmdp_analytics_cached_bundles",
 		"Encoded metric bundles resident in the analytics cache's LRU.",
 		func() float64 { return float64(analyticsCache.Len()) })
-	memo := s.sampleMemo
-	m.GaugeFunc("agmdp_analytics_sample_memo_entries",
-		"Sample requests memoised by the content-addressed request memo.",
-		func() float64 { return float64(memo.Len()) })
 
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /v1/stats", s.handleStats)

@@ -51,7 +51,7 @@ func get(t *testing.T, url string) (*http.Response, string) {
 func TestMetricsExposition(t *testing.T) {
 	ts, _ := newObservedServer(t)
 	// One served request gives the per-route families a child to expose.
-	if resp, _ := get(t, ts.URL+"/healthz"); resp.StatusCode != http.StatusOK {
+	if resp, _ := get(t, ts.URL+"/v1/healthz"); resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz status %d", resp.StatusCode)
 	}
 
@@ -64,10 +64,10 @@ func TestMetricsExposition(t *testing.T) {
 	}
 	for _, want := range []string{
 		"# TYPE agmdp_http_requests_total counter",
-		`agmdp_http_requests_total{route="GET /healthz",method="GET",code="200"} 1`,
+		`agmdp_http_requests_total{route="GET /v1/healthz",method="GET",code="200"} 1`,
 		"# TYPE agmdp_http_request_duration_seconds histogram",
-		`agmdp_http_request_duration_seconds_bucket{route="GET /healthz",le="+Inf"} 1`,
-		`agmdp_http_request_duration_seconds_count{route="GET /healthz"} 1`,
+		`agmdp_http_request_duration_seconds_bucket{route="GET /v1/healthz",le="+Inf"} 1`,
+		`agmdp_http_request_duration_seconds_count{route="GET /v1/healthz"} 1`,
 		"# TYPE agmdp_models_resident gauge",
 		"agmdp_models_resident 0",
 		"agmdp_graphs_bytes 0",
@@ -81,7 +81,7 @@ func TestMetricsExposition(t *testing.T) {
 
 func TestStatsJSON(t *testing.T) {
 	ts, _ := newObservedServer(t)
-	if resp, _ := get(t, ts.URL+"/healthz"); resp.StatusCode != http.StatusOK {
+	if resp, _ := get(t, ts.URL+"/v1/healthz"); resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz status %d", resp.StatusCode)
 	}
 
@@ -104,7 +104,7 @@ func TestStatsJSON(t *testing.T) {
 	}
 	found := false
 	for _, m := range reqs.Metrics {
-		if m.Labels["route"] == "GET /healthz" && m.Labels["code"] == "200" && m.Value >= 1 {
+		if m.Labels["route"] == "GET /v1/healthz" && m.Labels["code"] == "200" && m.Value >= 1 {
 			found = true
 		}
 	}
@@ -116,7 +116,7 @@ func TestStatsJSON(t *testing.T) {
 		t.Fatalf("stats missing duration histogram: %+v", dur)
 	}
 	for _, m := range dur.Metrics {
-		if m.Labels["route"] == "GET /healthz" && m.Count < 1 {
+		if m.Labels["route"] == "GET /v1/healthz" && m.Count < 1 {
 			t.Fatalf("healthz duration histogram empty: %+v", m)
 		}
 	}
@@ -126,7 +126,7 @@ func TestMiddlewareRequestIDAndStatus(t *testing.T) {
 	ts, metrics := newObservedServer(t)
 
 	// A client-supplied request ID is propagated to the response.
-	req, err := http.NewRequest(http.MethodGet, ts.URL+"/healthz", nil)
+	req, err := http.NewRequest(http.MethodGet, ts.URL+"/v1/healthz", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestMiddlewareRequestIDAndStatus(t *testing.T) {
 	}
 
 	// Without one, the middleware generates a 16-character ID.
-	resp2, _ := get(t, ts.URL+"/healthz")
+	resp2, _ := get(t, ts.URL+"/v1/healthz")
 	if got := resp2.Header.Get("X-Request-Id"); len(got) != 16 {
 		t.Fatalf("generated request ID %q, want 16 characters", got)
 	}
@@ -159,7 +159,7 @@ func TestMiddlewareRequestIDAndStatus(t *testing.T) {
 		}
 		for _, m := range f.Metrics {
 			switch {
-			case m.Labels["route"] == "GET /healthz" && m.Labels["code"] == "200":
+			case m.Labels["route"] == "GET /v1/healthz" && m.Labels["code"] == "200":
 				healthzHits = m.Value
 			case m.Labels["route"] == "unmatched" && m.Labels["code"] == "404":
 				unmatchedHits = m.Value

@@ -7,11 +7,8 @@
 // once from an uploaded graph, then sample synthetic graphs from it any
 // number of times at no additional privacy cost. Graphs travel in three
 // interchangeable wire formats (inline JSON, agmdp text, and the binary CSR
-// snapshot), negotiated per request.
-//
-// The original unversioned endpoints (/fit, /sample, /models…, /healthz)
-// remain as thin aliases over the v1 handlers, so pre-v1 clients keep
-// working unchanged. See docs/api.md for the full endpoint reference.
+// snapshot), negotiated per request. See docs/api.md for the full endpoint
+// reference.
 package server
 
 import (
@@ -21,7 +18,6 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
-	"strings"
 	"time"
 
 	"agmdp/internal/analytics"
@@ -55,7 +51,7 @@ type Config struct {
 	// is created. Inject a cache with a directory (typically the graph
 	// store's) to persist bundles as <id>.metrics next to the snapshots.
 	Analytics *analytics.Cache
-	// FitTimeout bounds synchronous POST /fit requests (default 5 minutes).
+	// FitTimeout bounds synchronous POST /v1/fit requests (default 5 minutes).
 	// Fitting runs in the request goroutine under a context carrying this
 	// deadline: it bounds the wait for one of the jobs manager's fit slots
 	// and aborts an in-progress fit at its next stage boundary. Asynchronous
@@ -67,7 +63,7 @@ type Config struct {
 	// fitting. Fitted models are bit-identical for every value; the knob
 	// trades fit latency against concurrent request throughput.
 	FitParallelism int
-	// SampleTimeout bounds POST /sample requests and each individual sample
+	// SampleTimeout bounds POST /v1/sample requests and each individual sample
 	// of a job (default 1 minute); jobs whose context expires while queued
 	// are abandoned by the engine.
 	SampleTimeout time.Duration
@@ -116,12 +112,8 @@ type Server struct {
 	logger   *slog.Logger
 
 	// analytics is Config.Analytics (or the default cache built over the
-	// graph store); sampleMemo memoises identical seeded summary samples by
-	// their full request identity — in-memory only, so a restart (which may
-	// change the resolved parallelism defaults) can never serve stale
-	// metadata.
-	analytics  *analytics.Cache
-	sampleMemo *analytics.SampleMemo
+	// graph store).
+	analytics *analytics.Cache
 
 	// Per-route request metrics, registered on cfg.Metrics at construction.
 	httpRequests *obs.CounterVec
@@ -196,13 +188,12 @@ func New(cfg Config) (*Server, error) {
 		cfg.Logger = slog.Default()
 	}
 	s := &Server{
-		cfg:        cfg,
-		mux:        http.NewServeMux(),
-		ownsJobs:   ownsJobs,
-		start:      time.Now(),
-		logger:     cfg.Logger,
-		analytics:  cfg.Analytics,
-		sampleMemo: analytics.NewSampleMemo(0),
+		cfg:       cfg,
+		mux:       http.NewServeMux(),
+		ownsJobs:  ownsJobs,
+		start:     time.Now(),
+		logger:    cfg.Logger,
+		analytics: cfg.Analytics,
 		httpRequests: cfg.Metrics.CounterVec("agmdp_http_requests_total",
 			"HTTP requests served, by route pattern, method and status code.",
 			"route", "method", "code"),
@@ -214,22 +205,12 @@ func New(cfg Config) (*Server, error) {
 			"reason"),
 	}
 
-	// Every pre-v1 route is registered twice: the versioned /v1 path is the
-	// canonical one, the unversioned path is a compatibility alias bound to
-	// the same handler.
-	alias := func(pattern string, h http.HandlerFunc) {
-		s.mux.HandleFunc(pattern, h)
-		method, path, _ := strings.Cut(pattern, " ")
-		s.mux.HandleFunc(method+" /v1"+path, h)
-	}
-	alias("GET /healthz", s.handleHealthz)
-	alias("GET /models", s.handleListModels)
-	alias("GET /models/{id}", s.handleGetModel)
-	alias("DELETE /models/{id}", s.handleEvictModel)
-	alias("POST /fit", s.handleFit)
-	alias("POST /sample", s.handleSample)
-
-	// v1-only resources.
+	s.mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
+	s.mux.HandleFunc("GET /v1/models", s.handleListModels)
+	s.mux.HandleFunc("GET /v1/models/{id}", s.handleGetModel)
+	s.mux.HandleFunc("DELETE /v1/models/{id}", s.handleEvictModel)
+	s.mux.HandleFunc("POST /v1/fit", s.handleFit)
+	s.mux.HandleFunc("POST /v1/sample", s.handleSample)
 	s.mux.HandleFunc("POST /v1/graphs", s.handleCreateGraph)
 	s.mux.HandleFunc("GET /v1/graphs", s.handleListGraphs)
 	s.mux.HandleFunc("GET /v1/graphs/{id}", s.handleGetGraph)
@@ -302,9 +283,8 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) error
 	return dec.Decode(v)
 }
 
-// healthzResponse is the GET /healthz body. The original fields (status and
-// resource counts) are unchanged for pre-v1 clients; uptime, build identity,
-// store byte sizes and the shared worker pool's load ride along.
+// healthzResponse is the GET /v1/healthz body: status and resource counts,
+// uptime, build identity, store byte sizes and the shared worker pool's load.
 type healthzResponse struct {
 	Status        string         `json:"status"`
 	Models        int            `json:"models"`
@@ -335,7 +315,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// listModelsResponse is the GET /models body.
+// listModelsResponse is the GET /v1/models body.
 type listModelsResponse struct {
 	Models []registry.Info `json:"models"`
 }
@@ -469,7 +449,7 @@ type datasetSpec struct {
 	Seed  int64   `json:"seed,omitempty"`
 }
 
-// fitRequest is the POST /fit body (and, nested, the "fit" member of a
+// fitRequest is the POST /v1/fit body (and, nested, the "fit" member of a
 // kind:"fit" job submission). Exactly one of Graph, GraphID or Dataset must
 // be set. Epsilon 0 requests a non-private (baseline) fit. Parallelism is
 // the worker count for the fit pipeline's measurement passes and the
@@ -489,7 +469,7 @@ type fitRequest struct {
 	Async       bool          `json:"async,omitempty"`
 }
 
-// fitResponse is the POST /fit body on success.
+// fitResponse is the POST /v1/fit body on success.
 type fitResponse struct {
 	ID   string        `json:"id"`
 	Info registry.Info `json:"info"`
@@ -710,7 +690,7 @@ func (s *Server) handleFit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, fitResponse{ID: id, Info: info})
 }
 
-// sampleRequest is the POST /sample body. Format selects the response shape:
+// sampleRequest is the POST /v1/sample body. Format selects the response shape:
 // "json" (default) inlines the graph as a graphPayload; "text" streams the
 // agmdp graph text format; "binary" streams the binary CSR snapshot
 // (deterministic and byte-identical for equal seeds — it is encoded straight
@@ -732,7 +712,7 @@ type sampleRequest struct {
 	Store       bool   `json:"store,omitempty"`
 }
 
-// sampleResponse is the POST /sample body for the json and summary formats.
+// sampleResponse is the POST /v1/sample body for the json and summary formats.
 type sampleResponse struct {
 	ID        string        `json:"id"`
 	Seed      int64         `json:"seed"`
@@ -782,34 +762,6 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 	if req.Parallelism < 0 {
 		writeError(w, http.StatusBadRequest, "negative parallelism %d", req.Parallelism)
 		return
-	}
-
-	// Content-addressed request memo: a seeded summary sample is a pure
-	// function of (model ID, seed, iterations, model kind, parallelism) —
-	// models are immutable and seeded sampling is deterministic at a fixed
-	// parallelism — so a repeat of an identical request skips the sampler
-	// entirely. Only the graph-free summary shape memoises (graphs are served
-	// from the content-addressed store instead), and only after the scoping
-	// checks above, so a memo hit can never leak across tenants.
-	var memoKey *analytics.SampleKey
-	if req.Seed != 0 && req.Format == "summary" && !req.Store {
-		memoKey = &analytics.SampleKey{
-			ModelID:     req.ID,
-			Seed:        req.Seed,
-			Iterations:  req.Iterations,
-			ModelKind:   req.Model,
-			Parallelism: req.Parallelism,
-		}
-		if meta, ok := s.sampleMemo.Get(*memoKey); ok {
-			writeJSON(w, http.StatusOK, sampleResponse{
-				ID:        req.ID,
-				Seed:      meta.Seed,
-				Nodes:     meta.Nodes,
-				Edges:     meta.Edges,
-				Triangles: meta.Triangles,
-			})
-			return
-		}
 	}
 
 	ereq := engine.Request{
@@ -865,14 +817,6 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 		resp.GraphID = id
 	} else if req.Format != "summary" {
 		resp.Graph = payloadFromGraph(g)
-	}
-	if memoKey != nil {
-		s.sampleMemo.Put(*memoKey, analytics.SampleMeta{
-			Seed:      resp.Seed,
-			Nodes:     resp.Nodes,
-			Edges:     resp.Edges,
-			Triangles: resp.Triangles,
-		})
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

@@ -60,7 +60,7 @@ func decode(t *testing.T, resp *http.Response, v any) {
 // fitDataset fits a model from a named dataset and returns its ID.
 func fitDataset(t *testing.T, ts *httptest.Server, epsilon float64) string {
 	t.Helper()
-	resp := postJSON(t, ts.URL+"/fit", map[string]any{
+	resp := postJSON(t, ts.URL+"/v1/fit", map[string]any{
 		"dataset": map[string]any{"name": "lastfm", "scale": 0.1, "seed": 1},
 		"epsilon": epsilon,
 		"seed":    3,
@@ -79,7 +79,7 @@ func fitDataset(t *testing.T, ts *httptest.Server, epsilon float64) string {
 
 func TestHealthz(t *testing.T) {
 	ts := newTestServer(t)
-	resp, err := http.Get(ts.URL + "/healthz")
+	resp, err := http.Get(ts.URL + "/v1/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestFitSampleRoundTrip(t *testing.T) {
 	ts := newTestServer(t)
 	id := fitDataset(t, ts, 1.0)
 
-	resp := postJSON(t, ts.URL+"/sample", map[string]any{"id": id, "seed": 7, "iterations": 1})
+	resp := postJSON(t, ts.URL+"/v1/sample", map[string]any{"id": id, "seed": 7, "iterations": 1})
 	if resp.StatusCode != http.StatusOK {
 		b, _ := io.ReadAll(resp.Body)
 		t.Fatalf("sample: status %d: %s", resp.StatusCode, b)
@@ -115,7 +115,7 @@ func TestFitSampleRoundTrip(t *testing.T) {
 	}
 
 	// The model shows up in listings and metadata.
-	lresp, err := http.Get(ts.URL + "/models")
+	lresp, err := http.Get(ts.URL + "/v1/models")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestFitSampleRoundTrip(t *testing.T) {
 	if len(lr.Models) != 1 || lr.Models[0].ID != id || !lr.Models[0].Private {
 		t.Fatalf("models = %+v", lr.Models)
 	}
-	gresp, err := http.Get(ts.URL + "/models/" + id)
+	gresp, err := http.Get(ts.URL + "/v1/models/" + id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestSampleTextFormatByteIdentical(t *testing.T) {
 	ts := newTestServer(t)
 	id := fitDataset(t, ts, 1.0)
 	fetch := func() []byte {
-		resp := postJSON(t, ts.URL+"/sample", map[string]any{"id": id, "seed": 11, "iterations": 1, "format": "text"})
+		resp := postJSON(t, ts.URL+"/v1/sample", map[string]any{"id": id, "seed": 11, "iterations": 1, "format": "text"})
 		defer resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("status %d", resp.StatusCode)
@@ -174,7 +174,7 @@ func TestConcurrentSamples(t *testing.T) {
 	results := make(chan result, k)
 	for i := 0; i < k; i++ {
 		go func(seed int64) {
-			resp := postJSON(t, ts.URL+"/sample", map[string]any{"id": id, "seed": seed, "iterations": 1, "format": "summary"})
+			resp := postJSON(t, ts.URL+"/v1/sample", map[string]any{"id": id, "seed": seed, "iterations": 1, "format": "summary"})
 			defer resp.Body.Close()
 			if resp.StatusCode != http.StatusOK {
 				results <- result{seed: seed, err: fmt.Errorf("status %d", resp.StatusCode)}
@@ -205,7 +205,7 @@ func TestFitInlineGraphAndNonPrivate(t *testing.T) {
 	for i := 0; i < 29; i++ {
 		edges = append(edges, [2]int{i, i + 1}, [2]int{i, (i + 2) % 30})
 	}
-	resp := postJSON(t, ts.URL+"/fit", map[string]any{
+	resp := postJSON(t, ts.URL+"/v1/fit", map[string]any{
 		"graph": map[string]any{"n": 30, "w": 1, "edges": edges, "attrs": make([]uint64, 30)},
 		"model": "fcl",
 	})
@@ -218,7 +218,7 @@ func TestFitInlineGraphAndNonPrivate(t *testing.T) {
 	if fr.Info.Private || fr.Info.ModelName != "FCL" {
 		t.Fatalf("info = %+v", fr.Info)
 	}
-	sresp := postJSON(t, ts.URL+"/sample", map[string]any{"id": fr.ID, "seed": 2, "format": "summary"})
+	sresp := postJSON(t, ts.URL+"/v1/sample", map[string]any{"id": fr.ID, "seed": 2, "format": "summary"})
 	if sresp.StatusCode != http.StatusOK {
 		t.Fatalf("sample after inline fit: status %d", sresp.StatusCode)
 	}
@@ -235,35 +235,42 @@ func TestHandlerErrors(t *testing.T) {
 		body   any
 		want   int
 	}{
-		{"sample unknown model", "POST", "/sample", map[string]any{"id": "feedfeed"}, http.StatusNotFound},
-		{"sample bad format", "POST", "/sample", map[string]any{"id": id, "format": "yaml"}, http.StatusBadRequest},
-		{"sample malformed body", "POST", "/sample", nil, http.StatusBadRequest},
-		{"fit neither input", "POST", "/fit", map[string]any{"epsilon": 1.0}, http.StatusBadRequest},
-		{"fit both inputs", "POST", "/fit", map[string]any{
+		{"sample unknown model", "POST", "/v1/sample", map[string]any{"id": "feedfeed"}, http.StatusNotFound},
+		{"sample bad format", "POST", "/v1/sample", map[string]any{"id": id, "format": "yaml"}, http.StatusBadRequest},
+		{"sample malformed body", "POST", "/v1/sample", nil, http.StatusBadRequest},
+		{"fit neither input", "POST", "/v1/fit", map[string]any{"epsilon": 1.0}, http.StatusBadRequest},
+		{"fit both inputs", "POST", "/v1/fit", map[string]any{
 			"graph":   map[string]any{"n": 1, "w": 0},
 			"dataset": map[string]any{"name": "lastfm"},
 		}, http.StatusBadRequest},
-		{"fit unknown dataset", "POST", "/fit", map[string]any{"dataset": map[string]any{"name": "nope"}}, http.StatusBadRequest},
-		{"fit negative epsilon", "POST", "/fit", map[string]any{
+		{"fit unknown dataset", "POST", "/v1/fit", map[string]any{"dataset": map[string]any{"name": "nope"}}, http.StatusBadRequest},
+		{"fit negative epsilon", "POST", "/v1/fit", map[string]any{
 			"dataset": map[string]any{"name": "lastfm", "scale": 0.05}, "epsilon": -3.0,
 		}, http.StatusBadRequest},
-		{"fit oversized scale", "POST", "/fit", map[string]any{
+		{"fit oversized scale", "POST", "/v1/fit", map[string]any{
 			"dataset": map[string]any{"name": "pokec", "scale": 1e6},
 		}, http.StatusBadRequest},
-		{"fit oversized inline graph", "POST", "/fit", map[string]any{
+		{"fit oversized inline graph", "POST", "/v1/fit", map[string]any{
 			"graph": map[string]any{"n": 2_000_000_000, "w": 0, "edges": [][2]int{}},
 		}, http.StatusBadRequest},
-		{"fit oversized attribute width", "POST", "/fit", map[string]any{
+		{"fit oversized attribute width", "POST", "/v1/fit", map[string]any{
 			"graph": map[string]any{"n": 2, "w": 31, "edges": [][2]int{{0, 1}}},
 		}, http.StatusBadRequest},
-		{"fit bad model", "POST", "/fit", map[string]any{
+		{"fit bad model", "POST", "/v1/fit", map[string]any{
 			"dataset": map[string]any{"name": "lastfm", "scale": 0.05}, "model": "gnp",
 		}, http.StatusBadRequest},
-		{"fit bad edge", "POST", "/fit", map[string]any{
+		{"fit bad edge", "POST", "/v1/fit", map[string]any{
 			"graph": map[string]any{"n": 2, "w": 0, "edges": [][2]int{{0, 5}}},
 		}, http.StatusBadRequest},
-		{"get missing model", "GET", "/models/deadbeef", nil, http.StatusNotFound},
-		{"evict missing model", "DELETE", "/models/deadbeef", nil, http.StatusNotFound},
+		{"get missing model", "GET", "/v1/models/deadbeef", nil, http.StatusNotFound},
+		{"evict missing model", "DELETE", "/v1/models/deadbeef", nil, http.StatusNotFound},
+		// The unversioned paths are not routes.
+		{"unversioned healthz", "GET", "/healthz", nil, http.StatusNotFound},
+		{"unversioned list models", "GET", "/models", nil, http.StatusNotFound},
+		{"unversioned get model", "GET", "/models/" + id, nil, http.StatusNotFound},
+		{"unversioned evict model", "DELETE", "/models/" + id, nil, http.StatusNotFound},
+		{"unversioned fit", "POST", "/fit", map[string]any{"dataset": map[string]any{"name": "lastfm", "scale": 0.05}}, http.StatusNotFound},
+		{"unversioned sample", "POST", "/sample", map[string]any{"id": id, "seed": 1}, http.StatusNotFound},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -297,7 +304,7 @@ func TestHandlerErrors(t *testing.T) {
 func TestEvictModel(t *testing.T) {
 	ts := newTestServer(t)
 	id := fitDataset(t, ts, 1.0)
-	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/models/"+id, nil)
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/models/"+id, nil)
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -306,7 +313,7 @@ func TestEvictModel(t *testing.T) {
 	if resp.StatusCode != http.StatusNoContent {
 		t.Fatalf("evict: status %d", resp.StatusCode)
 	}
-	sresp := postJSON(t, ts.URL+"/sample", map[string]any{"id": id})
+	sresp := postJSON(t, ts.URL+"/v1/sample", map[string]any{"id": id})
 	sresp.Body.Close()
 	if sresp.StatusCode != http.StatusNotFound {
 		t.Fatalf("sample after evict: status %d, want 404", sresp.StatusCode)
@@ -316,7 +323,7 @@ func TestEvictModel(t *testing.T) {
 func TestGetModelFull(t *testing.T) {
 	ts := newTestServer(t)
 	id := fitDataset(t, ts, 1.0)
-	resp, err := http.Get(ts.URL + "/models/" + id + "?full=1")
+	resp, err := http.Get(ts.URL + "/v1/models/" + id + "?full=1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +337,7 @@ func TestGetModelFull(t *testing.T) {
 	}
 	// full=0 and full=false mean metadata, not the serialized model.
 	for _, v := range []string{"0", "false"} {
-		resp, err := http.Get(ts.URL + "/models/" + id + "?full=" + v)
+		resp, err := http.Get(ts.URL + "/v1/models/" + id + "?full=" + v)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -348,13 +355,13 @@ func TestGetModelFull(t *testing.T) {
 func TestSampleEchoesDrawnSeed(t *testing.T) {
 	ts := newTestServer(t)
 	id := fitDataset(t, ts, 1.0)
-	resp := postJSON(t, ts.URL+"/sample", map[string]any{"id": id, "iterations": 1, "format": "summary"})
+	resp := postJSON(t, ts.URL+"/v1/sample", map[string]any{"id": id, "iterations": 1, "format": "summary"})
 	var sr sampleResponse
 	decode(t, resp, &sr)
 	if sr.Seed == 0 {
 		t.Fatal("auto-seeded sample did not report the drawn seed")
 	}
-	replay := postJSON(t, ts.URL+"/sample", map[string]any{"id": id, "seed": sr.Seed, "iterations": 1, "format": "summary"})
+	replay := postJSON(t, ts.URL+"/v1/sample", map[string]any{"id": id, "seed": sr.Seed, "iterations": 1, "format": "summary"})
 	var rr sampleResponse
 	decode(t, replay, &rr)
 	if rr.Edges != sr.Edges || rr.Triangles != sr.Triangles {
@@ -385,7 +392,7 @@ func TestSampleUsesAcceptanceCacheDeterministically(t *testing.T) {
 	ts, reg := newCachedTestServer(t)
 	id := fitDataset(t, ts, 1.0)
 	fetch := func() []byte {
-		resp := postJSON(t, ts.URL+"/sample", map[string]any{"id": id, "seed": 21, "format": "text"})
+		resp := postJSON(t, ts.URL+"/v1/sample", map[string]any{"id": id, "seed": 21, "format": "text"})
 		defer resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
 			b, _ := io.ReadAll(resp.Body)
@@ -406,7 +413,7 @@ func TestSampleUsesAcceptanceCacheDeterministically(t *testing.T) {
 	}
 	// Evicting the model drops the table; re-fitting the same input brings
 	// back the same content address and the samples stay reproducible.
-	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/models/"+id, nil)
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/models/"+id, nil)
 	if resp, err := http.DefaultClient.Do(req); err != nil || resp.StatusCode != http.StatusNoContent {
 		t.Fatalf("evict failed: %v %v", err, resp.StatusCode)
 	}
@@ -422,7 +429,7 @@ func TestSampleParallelismField(t *testing.T) {
 	ts, _ := newCachedTestServer(t)
 	id := fitDataset(t, ts, 1.0)
 	fetch := func(par int) []byte {
-		resp := postJSON(t, ts.URL+"/sample", map[string]any{
+		resp := postJSON(t, ts.URL+"/v1/sample", map[string]any{
 			"id": id, "seed": 23, "format": "text", "parallelism": par,
 		})
 		defer resp.Body.Close()
@@ -441,7 +448,7 @@ func TestSampleParallelismField(t *testing.T) {
 		t.Fatal("same seed + same parallelism gave different samples")
 	}
 	// Negative parallelism is rejected.
-	resp := postJSON(t, ts.URL+"/sample", map[string]any{"id": id, "seed": 1, "parallelism": -2})
+	resp := postJSON(t, ts.URL+"/v1/sample", map[string]any{"id": id, "seed": 1, "parallelism": -2})
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("negative parallelism: status %d, want 400", resp.StatusCode)

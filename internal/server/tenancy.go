@@ -83,7 +83,7 @@ func requestKey(r *http.Request) string {
 // tenant-enabled server: only health, which carries aggregate counts and no
 // tenant data, so load balancers and probes need no identity.
 func authExempt(path string) bool {
-	return path == "/healthz" || path == "/v1/healthz"
+	return path == "/v1/healthz"
 }
 
 // operatorPath reports whether a path is an operator surface: metrics, the

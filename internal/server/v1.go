@@ -1,9 +1,8 @@
 package server
 
-// The /v1-only resource handlers: the graph store collection (/v1/graphs)
-// and the asynchronous sampling jobs (/v1/jobs). The shared actions and the
-// model collection live in server.go, registered under both the /v1 and the
-// legacy unversioned paths.
+// The graph store collection (/v1/graphs) and the asynchronous jobs
+// (/v1/jobs). The fit and sample actions and the model collection live in
+// server.go.
 
 import (
 	"fmt"

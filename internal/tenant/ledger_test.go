@@ -139,50 +139,46 @@ func TestLedgerClosedRefusesCharges(t *testing.T) {
 	}
 }
 
-// TestLedgerCorruptLinesSkipped loads a ledger with garbage, a torn final
-// line and an incomplete entry mixed between good lines: the good totals
-// survive, each bad line produces a warning, and a stray refund can never
-// push a total negative.
-func TestLedgerCorruptLinesSkipped(t *testing.T) {
-	dir := t.TempDir()
-	lines := []string{
-		`{"tenant":"t1","graph":"g1","epsilon":1.5,"at":"2026-01-02T03:04:05Z"}`,
-		`not json at all`,
-		`{"tenant":"","graph":"g1","epsilon":4}`,                                 // incomplete: no tenant
-		`{"tenant":"t2","graph":"g1","epsilon":-9}`,                              // refund exceeding spends: clamps to 0
-		`{"tenant":"t1","graph":"g1","epsilon":0.5,"at":"2026-01-02T03:04:06Z"}`, // good
-		`{"tenant":"t1","graph":"g1","eps`,                                       // torn mid-append
-	}
-	path := filepath.Join(dir, ledgerFile)
-	if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	l, err := OpenLedger(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	if got := l.Spent("t1", "g1"); got != 2.0 {
-		t.Errorf("Spent(t1, g1) = %v, want 2.0 from the two good lines", got)
-	}
-	if got := l.Spent("t2", "g1"); got != 0 {
-		t.Errorf("Spent(t2, g1) = %v, want 0 (refund clamped)", got)
-	}
-	w := l.Warnings()
-	if len(w) != 3 {
-		t.Fatalf("got %d warnings %v, want 3 (garbage, incomplete, torn)", len(w), w)
-	}
-	for _, warning := range w {
-		if !strings.Contains(warning, ledgerFile) {
-			t.Errorf("warning %q does not name the ledger file", warning)
-		}
-	}
-	// The reopened ledger still admits charges on top of the replayed state.
-	if _, err := l.Charge("t1", "g1", 1, 100); err != nil {
-		t.Fatalf("charge after corrupt-skip reload: %v", err)
-	}
-	if got := l.Spent("t1", "g1"); got != 3.0 {
-		t.Errorf("Spent after charge = %v, want 3.0", got)
+// TestLedgerCorruptLineRefusesOpen: a complete line in the middle of the
+// ledger that is not a valid entry could be a charge, and skipping it would
+// hand its ε back. The open must fail, name the file and line, and leave the
+// file byte for byte as it was (its torn tail included) for the operator to
+// repair.
+func TestLedgerCorruptLineRefusesOpen(t *testing.T) {
+	const (
+		good = `{"tenant":"t1","graph":"g1","epsilon":1.5,"at":"2026-01-02T03:04:05Z"}`
+		torn = `{"tenant":"t1","graph":"g1","eps`
+	)
+	for _, tc := range []struct{ name, line string }{
+		{"garbage", `not json at all`},
+		{"half an entry", `{"tenant":"t1","graph":"g1","eps`},
+		{"missing tenant", `{"tenant":"","graph":"g1","epsilon":4}`},
+		{"missing graph", `{"tenant":"t1","epsilon":4}`},
+		{"null", `null`},
+		{"epsilon not a number", `{"tenant":"t1","graph":"g1","epsilon":"4"}`},
+		{"bad timestamp", `{"tenant":"t1","graph":"g1","epsilon":4,"at":"yesterday"}`},
+		{"damaged epsilon key", `{"tenant":"t1","graph":"g1","epsiloo":4}`},
+		{"data after the entry", `{"tenant":"t1","graph":"g1","epsilon":4} 7`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, ledgerFile)
+			data := []byte(good + "\n" + tc.line + "\n" + good + "\n" + torn)
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			l, err := OpenLedger(dir)
+			if err == nil {
+				l.Close()
+				t.Fatalf("OpenLedger accepted a corrupt line; Spent(t1, g1) = %v", l.Spent("t1", "g1"))
+			}
+			if !strings.Contains(err.Error(), ledgerFile+":2:") {
+				t.Errorf("error %q does not name %s:2", err, ledgerFile)
+			}
+			if after, _ := os.ReadFile(path); string(after) != string(data) {
+				t.Errorf("ledger changed by a refused open:\n%q\nwant\n%q", after, data)
+			}
+		})
 	}
 }
 
@@ -252,6 +248,24 @@ func TestRefundClampsAtZero(t *testing.T) {
 	}
 	if _, err := l.Charge("t1", "g1", -1, 10); err == nil {
 		t.Error("negative charge accepted; want error")
+	}
+
+	// Replay clamps the same way: a persisted refund larger than the spends
+	// before it leaves the account at zero, and later charges count in full.
+	dir := t.TempDir()
+	lines := `{"tenant":"t1","graph":"g1","epsilon":1}` + "\n" +
+		`{"tenant":"t1","graph":"g1","epsilon":-9}` + "\n" +
+		`{"tenant":"t1","graph":"g1","epsilon":0.5}` + "\n"
+	if err := os.WriteFile(filepath.Join(dir, ledgerFile), []byte(lines), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	re, err := OpenLedger(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if got := re.Spent("t1", "g1"); got != 0.5 {
+		t.Errorf("replayed spent %v, want 0.5 (over-refund clamped to 0, then +0.5)", got)
 	}
 }
 

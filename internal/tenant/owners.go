@@ -11,17 +11,17 @@ package tenant
 // Like the ε-ledger, ownership persists as append-only JSONL
 // (Dir/owners.jsonl): grants and revokes each append one synced line, and
 // the file is replayed on startup so a restarted service still knows who may
-// touch what. Unparseable lines are skipped and reported via Warnings —
-// a lost grant fails closed (the tenant loses access), never open. A torn
-// final line is dropped and cut from the file before the next append, so a
-// later revoke is never glued onto it and lost.
+// touch what. A complete line that does not parse into an entry fails the
+// open, because skipping a damaged revoke would grant access again. A torn
+// final line is dropped, reported via Warnings, and cut from the file before
+// the next append, so a later revoke is never glued onto it and lost.
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"time"
 )
@@ -61,8 +61,10 @@ type Owners struct {
 }
 
 // OpenOwners opens (or creates) the ownership log under dir; an empty dir
-// keeps ownership in memory only. Existing entries are replayed; unparseable
-// lines and a torn final line are skipped and reported via Warnings.
+// keeps ownership in memory only. Existing entries are replayed. A complete
+// line that is not a valid entry fails the open with an error naming its
+// file:line, leaving the file as it was; a torn final line is dropped and
+// reported via Warnings.
 func OpenOwners(dir string) (*Owners, error) {
 	o := &Owners{owners: make(map[resourceKey]map[string]bool), clock: time.Now}
 	if dir == "" {
@@ -72,11 +74,10 @@ func OpenOwners(dir string) (*Owners, error) {
 		return nil, fmt.Errorf("tenant: creating owners directory: %w", err)
 	}
 	path := filepath.Join(dir, ownersFile)
-	f, data, torn, err := openLog(path)
+	f, torn, err := openLog(path, o.replay)
 	if err != nil {
 		return nil, fmt.Errorf("tenant: opening owners log: %w", err)
 	}
-	o.replay(path, data)
 	if torn != "" {
 		o.warnings = append(o.warnings, torn)
 	}
@@ -85,25 +86,17 @@ func OpenOwners(dir string) (*Owners, error) {
 	return o, nil
 }
 
-// replay accumulates the persisted grant/revoke entries. Unparseable lines
-// are skipped with a warning.
-func (o *Owners) replay(path string, data []byte) {
-	for i, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" {
-			continue
-		}
-		var e ownerEntry
-		if err := json.Unmarshal([]byte(line), &e); err != nil {
-			o.warnings = append(o.warnings, fmt.Sprintf("%s:%d: %v", path, i+1, err))
-			continue
-		}
-		if e.Kind == "" || e.ID == "" || e.Tenant == "" {
-			o.warnings = append(o.warnings, fmt.Sprintf("%s:%d: entry missing kind, id or tenant", path, i+1))
-			continue
-		}
-		o.applyLocked(e)
+// replay folds one persisted grant or revoke entry into the in-memory sets.
+func (o *Owners) replay(line []byte) error {
+	var e ownerEntry
+	if err := decodeEntry(line, &e); err != nil {
+		return err
 	}
+	if e.Kind == "" || e.ID == "" || e.Tenant == "" {
+		return errors.New("entry missing kind, id or tenant")
+	}
+	o.applyLocked(e)
+	return nil
 }
 
 // applyLocked folds one entry into the in-memory sets. Callers hold o.mu (or
@@ -125,7 +118,9 @@ func (o *Owners) applyLocked(e ownerEntry) {
 	set[e.Tenant] = true
 }
 
-// Warnings reports ownership-log lines skipped on load.
+// Warnings reports the torn final line dropped on load, if any: an append
+// that never returned, so the grant or revoke it carried was never
+// acknowledged.
 func (o *Owners) Warnings() []string {
 	o.mu.Lock()
 	defer o.mu.Unlock()

@@ -3,6 +3,7 @@ package tenant
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -105,42 +106,45 @@ func TestOwnersRestartRoundTrip(t *testing.T) {
 	}
 }
 
-func TestOwnersCorruptLinesSkipped(t *testing.T) {
-	dir := t.TempDir()
-	o, err := OpenOwners(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := o.Grant(ResourceGraph, "g1", "alpha"); err != nil {
-		t.Fatal(err)
-	}
-	if err := o.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// A crash mid-append leaves a torn final line; an operator mishap can
-	// leave structurally valid JSON missing required fields. Both must be
-	// skipped with a warning, keeping every intact grant.
-	path := filepath.Join(dir, ownersFile)
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString("{\"kind\":\"graph\",\"id\":\"g2\"}\n{\"kind\":\"graph\",\"id\":\"g3\",\"ten"); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	re, err := OpenOwners(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	if ws := re.Warnings(); len(ws) != 2 {
-		t.Fatalf("warnings = %v, want 2 (field-less entry + torn line)", ws)
-	}
-	if !re.Owns(ResourceGraph, "g1", "alpha") {
-		t.Error("intact grant lost while skipping corrupt lines")
+// TestOwnersCorruptLineRefusesOpen: a complete line in the middle of the
+// ownership log that is not a valid entry could be a revoke, and skipping it
+// would grant access again. The open must fail, name the file and line, and
+// leave the file byte for byte as it was.
+func TestOwnersCorruptLineRefusesOpen(t *testing.T) {
+	const (
+		grant  = `{"kind":"graph","id":"g1","tenant":"alpha","at":"2026-01-02T03:04:05Z"}`
+		revoke = `{"kind":"graph","id":"g1","tenant":"alpha","revoke":true,"at":"2026-01-02T03:04:06Z"}`
+		torn   = `{"kind":"graph","id":"g3","ten`
+	)
+	for _, tc := range []struct{ name, line string }{
+		{"garbage", `not json`},
+		{"half an entry", `{"kind":"graph","id":"g2","ten`},
+		{"missing tenant", `{"kind":"graph","id":"g2"}`},
+		{"missing id", `{"kind":"graph","tenant":"alpha"}`},
+		{"missing kind", `{"id":"g2","tenant":"alpha"}`},
+		{"null", `null`},
+		{"damaged revoke flag", `{"kind":"graph","id":"g1","tenant":"alpha","revoke":"yes"}`},
+		{"damaged revoke key", `{"kind":"graph","id":"g1","tenant":"alpha","revoje":true}`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, ownersFile)
+			data := []byte(grant + "\n" + tc.line + "\n" + revoke + "\n" + torn)
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			o, err := OpenOwners(dir)
+			if err == nil {
+				o.Close()
+				t.Fatalf("OpenOwners accepted a corrupt line; Owns(g1, alpha) = %v", o.Owns(ResourceGraph, "g1", "alpha"))
+			}
+			if !strings.Contains(err.Error(), ownersFile+":2:") {
+				t.Errorf("error %q does not name %s:2", err, ownersFile)
+			}
+			if after, _ := os.ReadFile(path); string(after) != string(data) {
+				t.Errorf("owners log changed by a refused open:\n%q\nwant\n%q", after, data)
+			}
+		})
 	}
 }
 

@@ -121,10 +121,12 @@ type Registry struct {
 	clock    func() time.Time
 }
 
-// Open loads the tenants file and the ε-ledger. Config errors (missing file,
-// duplicate keys or IDs, empty tenant list) fail the open — a service that
-// cannot tell its tenants apart must not start. Ledger corruption does not:
-// bad lines are skipped and reported via Warnings.
+// Open loads the tenants file, the ε-ledger and the ownership log. Config
+// errors (missing file, duplicate keys or IDs, empty tenant list) fail the
+// open — a service that cannot tell its tenants apart must not start — and
+// so does a damaged line in the middle of either log, which could otherwise
+// hand back spent ε or restore a revoked grant. A torn final line does not:
+// it is dropped and reported via Warnings.
 func Open(opts Options) (*Registry, error) {
 	if opts.Path == "" {
 		return nil, errors.New("tenant: no tenants file configured")
@@ -294,8 +296,8 @@ func (r *Registry) Owns(kind, id, tenantID string) bool {
 	return r.owners.Owns(kind, id, tenantID)
 }
 
-// Warnings reports ledger and ownership-log lines skipped on load (see
-// Ledger.Warnings, Owners.Warnings).
+// Warnings reports torn final lines the ledger and ownership log dropped on
+// load (see Ledger.Warnings, Owners.Warnings).
 func (r *Registry) Warnings() []string {
 	return append(r.ledger.Warnings(), r.owners.Warnings()...)
 }

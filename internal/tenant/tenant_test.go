@@ -157,4 +157,29 @@ func TestRegistryChargePersistsAcrossRestart(t *testing.T) {
 	if _, err := r2.Charge(beta2, "graph-1", 1.0); err == nil {
 		t.Error("charge over restarted budget admitted")
 	}
+	if err := r2.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// A damaged line in either log keeps the registry, and so the service,
+	// from starting.
+	for _, name := range []string{ledgerFile, ownersFile} {
+		f, err := os.OpenFile(filepath.Join(dir, name), os.O_WRONLY|os.O_APPEND, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.WriteString("{garbage}\n"); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+		if r3, err := New(file, Options{Dir: dir}); err == nil || !strings.Contains(err.Error(), name) {
+			if err == nil {
+				r3.Close()
+			}
+			t.Errorf("New over a damaged %s = %v, want an error naming it", name, err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
