@@ -49,8 +49,12 @@ func NodeConfig(a graph.AttrVector, w int) int {
 // edge direction. The triangular indexing scheme places pair {a, b} with
 // a ≤ b at index b·(b+1)/2 + a.
 func EdgeConfig(ai, aj graph.AttrVector, w int) int {
-	a := NodeConfig(ai, w)
-	b := NodeConfig(aj, w)
+	return PairConfig(NodeConfig(ai, w), NodeConfig(aj, w))
+}
+
+// PairConfig maps the unordered pair of node configurations {a, b} to its
+// edge-configuration index, b·(b+1)/2 + a for a ≤ b.
+func PairConfig(a, b int) int {
 	if a > b {
 		a, b = b, a
 	}

@@ -60,9 +60,9 @@ func TestGoldenSampleBytes(t *testing.T) {
 		seed  int64
 		want  string
 	}{
-		{"TriCycLe-1", structural.TriCycLe{Parallelism: 1}, 3, "20a7601d7a29a7189c170d01db54b0208fcdefbe5fd8e489f1004829f7aeee3d"},
-		{"TriCycLe-2", structural.TriCycLe{Parallelism: 2}, 4, "fba9db69745b0337845647fd1c2a5a77ad7b3be1dfd2d7285f32a5630279f821"},
-		{"FCL-1", structural.FCL{Parallelism: 1}, 5, "c4ad1c958e955c40bbfab9774857c1c70765d152032663b0d09347239da0012c"},
+		{"TriCycLe-1", structural.TriCycLe{Parallelism: 1}, 3, "c7c15d88b539f9c28813e154b4fa56544719c47c8c5a194ff52388c28477a27d"},
+		{"TriCycLe-2", structural.TriCycLe{Parallelism: 2}, 4, "0034bcdb0ccea9722bdd4955afa07dfd3f170d69a714162fad32e052ddb35a62"},
+		{"FCL-1", structural.FCL{Parallelism: 1}, 5, "6f579538f3e084c4f4e584a77db2bf3acd9d4ce28281a374761ab8a3bbfe551e"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -97,7 +97,7 @@ func sampleRefined(rng *rand.Rand, m *FittedModel, opts SampleOptions) (graph.Ro
 		iterations = DefaultSampleIterations
 	}
 	model := opts.modelFor(m)
-	generate := func(filter structural.EdgeFilter) graph.RowSource {
+	generate := func(filter *structural.EdgeFilter) graph.RowSource {
 		if sm, ok := model.(structural.StreamModel); ok {
 			return sm.GenerateBuilder(rng, m.N, m.Structural, filter)
 		}
@@ -106,6 +106,7 @@ func sampleRefined(rng *rand.Rand, m *FittedModel, opts SampleOptions) (graph.Ro
 
 	// Line 6: sample new attribute vectors X̃ from Θ̃X.
 	attrVecs := attrs.SampleAttributes(rng, m.ThetaX, m.N, m.W)
+	classes := nodeClasses(attrVecs, m.W)
 
 	// Line 7: sample a temporary edge set independently of the attributes.
 	cur := generate(nil)
@@ -134,10 +135,7 @@ func sampleRefined(rng *rand.Rand, m *FittedModel, opts SampleOptions) (graph.Ro
 		for i := range ratios {
 			accept[i] = ratios[i] / sup
 		}
-		filter := func(u, v int) float64 {
-			return accept[attrs.EdgeConfig(attrVecs[u], attrVecs[v], m.W)]
-		}
-		cur = generate(filter)
+		cur = generate(acceptanceFilter(classes, m.W, accept))
 		aOld = accept
 	}
 	return overlayAttributes(cur, attrVecs, m.W), aOld
@@ -205,15 +203,50 @@ func SampleSourceWithTable(rng *rand.Rand, m *FittedModel, table []float64, opts
 	if len(table) != attrs.NumEdgeConfigs(m.W) {
 		return nil, fmt.Errorf("core: acceptance table has %d entries, want %d", len(table), attrs.NumEdgeConfigs(m.W))
 	}
+	if err := CheckAcceptanceTable(table); err != nil {
+		return nil, err
+	}
 	model := opts.modelFor(m)
 	attrVecs := attrs.SampleAttributes(rng, m.ThetaX, m.N, m.W)
-	filter := func(u, v int) float64 {
-		return table[attrs.EdgeConfig(attrVecs[u], attrVecs[v], m.W)]
-	}
+	filter := acceptanceFilter(nodeClasses(attrVecs, m.W), m.W, table)
 	if sm, ok := model.(structural.StreamModel); ok {
 		return overlayAttributes(sm.GenerateBuilder(rng, m.N, m.Structural, filter), attrVecs, m.W), nil
 	}
 	return attachAttributes(model.Generate(rng, m.N, m.Structural, filter), attrVecs, m.W), nil
+}
+
+// CheckAcceptanceTable reports an error unless every entry of table is an
+// acceptance probability: a number in [0, 1]. NaN, infinities and negative
+// entries are refused.
+func CheckAcceptanceTable(table []float64) error {
+	for i, p := range table {
+		if !(p >= 0 && p <= 1) {
+			return fmt.Errorf("core: acceptance table entry %d is %v, not a probability in [0, 1]", i, p)
+		}
+	}
+	return nil
+}
+
+// nodeClasses returns every node's attribute configuration f_w(x̃_u), the
+// class the acceptance filter reads. The attributes are drawn once per
+// sample, so one slice serves every refinement round.
+func nodeClasses(vecs []graph.AttrVector, w int) []int {
+	classes := make([]int, len(vecs))
+	for u, x := range vecs {
+		classes[u] = attrs.NodeConfig(x, w)
+	}
+	return classes
+}
+
+// acceptanceFilter is AGM's filter A(F_w(x̃_u, x̃_v)) over the node classes
+// of one sample: a class pair's acceptance is the table entry of its edge
+// configuration, read in place.
+func acceptanceFilter(classes []int, w int, table []float64) *structural.EdgeFilter {
+	return &structural.EdgeFilter{
+		Class:   classes,
+		Classes: attrs.NumNodeConfigs(w),
+		Pair:    func(a, b int) float64 { return table[attrs.PairConfig(a, b)] },
+	}
 }
 
 // acceptanceRatio computes Θ̃F(y)/Θ'F(y) with guards for sparse observations.

@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"math"
+	"slices"
 	"testing"
 
 	"agmdp/internal/dp"
@@ -91,5 +93,28 @@ func TestSampleSourceStaysUnpacked(t *testing.T) {
 	}
 	if _, packed := src.(*graph.Graph); packed {
 		t.Fatal("SampleSource returned a packed graph for a streaming model")
+	}
+}
+
+// TestSampleSourceWithTableRefusesImpossibleTables checks that a table of
+// the right length is still refused when an entry is not a probability in
+// [0, 1], and that the entries at its ends are accepted.
+func TestSampleSourceWithTableRefusesImpossibleTables(t *testing.T) {
+	m := Fit(testInputGraph(32), structural.FCL{Parallelism: 1})
+	table, err := FitAcceptanceTable(m, SampleOptions{})
+	if err != nil {
+		t.Fatalf("FitAcceptanceTable: %v", err)
+	}
+	for _, bad := range []float64{math.NaN(), -0.5, 1.5, math.Inf(1), math.Inf(-1)} {
+		broken := slices.Clone(table)
+		broken[len(broken)/2] = bad
+		if _, err := SampleSourceWithTable(dp.NewRand(1), m, broken, SampleOptions{}); err == nil {
+			t.Fatalf("SampleSourceWithTable accepted a table holding %v", bad)
+		}
+	}
+	edges := slices.Clone(table)
+	edges[0], edges[len(edges)-1] = 0, 1
+	if _, err := SampleSourceWithTable(dp.NewRand(1), m, edges, SampleOptions{}); err != nil {
+		t.Fatalf("SampleSourceWithTable refused entries 0 and 1: %v", err)
 	}
 }

@@ -371,9 +371,10 @@ func (r *Registry) Acceptance(id string) ([]float64, bool) {
 // evicting the model (explicitly or by the MaxModels bound) drops the table
 // — and its persisted file — with it, so a re-fitted model can never serve
 // a stale table. With table persistence configured the table is also written
-// to <id>.table (content-addressed model IDs make the file permanently
-// valid); persistence failures are logged and the in-memory table still
-// serves, since a missing file merely costs a re-fit after restart.
+// to <id>.table (content-addressed model IDs and the file's table version
+// keep it valid for every build that fits the same table); persistence
+// failures are logged and the in-memory table still serves, since a missing
+// file merely costs a re-fit after restart.
 func (r *Registry) SetAcceptance(id string, table []float64) bool {
 	r.mu.Lock()
 	e, ok := r.entries[id]

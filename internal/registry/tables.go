@@ -6,6 +6,8 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+
+	"agmdp/internal/core"
 )
 
 // Acceptance tables persist next to model files as <id>.table: a fixed
@@ -14,13 +16,17 @@ import (
 //	magic "AGMDPTBL" (8 bytes) | version uint32 | reserved uint32 |
 //	count uint64 | count × float64
 //
-// A table is deterministic for a given model (refinement is a pure function
-// of the fitted parameters) and the model ID is a content address, so a
-// persisted table can never be stale for the file it sits next to — at worst
-// it is absent and gets re-fitted.
+// A table is deterministic for a given model and build: refinement is a pure
+// function of the fitted parameters, and the model ID is a content address.
+// But tables are fitted by sampling, so a build whose structural generators
+// draw differently fits a different table for the same model. The version
+// names the sampler a table was fitted with, and a file of another version
+// reads as absent and gets re-fitted. Version 1 tables were fitted by the
+// Chung–Lu seed's accept/reject loop; version 2 by its direct class-pair
+// draw. Bump the version whenever the fit's draws change.
 const (
 	tableMagic      = "AGMDPTBL"
-	tableVersion    = 1
+	tableVersion    = 2
 	tableHeaderSize = 8 + 4 + 4 + 8
 	// maxTableEntries caps decode allocation for corrupt counts: tables are
 	// acceptance probabilities over attribute pairs, far below this.
@@ -39,8 +45,8 @@ func encodeTable(table []float64) []byte {
 	return out
 }
 
-// decodeTable parses a persisted acceptance table, rejecting foreign or
-// truncated files.
+// decodeTable parses a persisted acceptance table, rejecting foreign,
+// truncated or outdated files and any entry that is not a probability.
 func decodeTable(data []byte) ([]float64, error) {
 	if len(data) < tableHeaderSize {
 		return nil, fmt.Errorf("registry: acceptance table is %d bytes, shorter than its %d-byte header", len(data), tableHeaderSize)
@@ -64,6 +70,9 @@ func decodeTable(data []byte) ([]float64, error) {
 	table := make([]float64, count)
 	for i := range table {
 		table[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[tableHeaderSize+8*i:]))
+	}
+	if err := core.CheckAcceptanceTable(table); err != nil {
+		return nil, fmt.Errorf("registry: %w", err)
 	}
 	return table, nil
 }

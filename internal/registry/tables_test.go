@@ -1,6 +1,7 @@
 package registry
 
 import (
+	"encoding/binary"
 	"math"
 	"os"
 	"path/filepath"
@@ -9,13 +10,13 @@ import (
 )
 
 // TestTableCodecRoundTrip pins the persistent table layout: encode/decode is
-// lossless (including NaN payload-free bit patterns and infinities) and
-// foreign bytes are rejected.
+// lossless (including negative zero and the smallest subnormal) and foreign
+// bytes are rejected.
 func TestTableCodecRoundTrip(t *testing.T) {
 	tables := [][]float64{
 		{},
 		{0.5},
-		{0, 1, 0.25, math.Inf(1), math.Inf(-1), math.NaN(), -0.0},
+		{0, 1, 0.25, math.Copysign(0, -1), math.SmallestNonzeroFloat64, math.Nextafter(1, 0)},
 	}
 	for _, table := range tables {
 		data := encodeTable(table)
@@ -47,6 +48,30 @@ func TestTableCodecRoundTrip(t *testing.T) {
 	bad[8] = 99 // unsupported version
 	if _, err := decodeTable(bad); err == nil {
 		t.Fatal("decodeTable accepted an unsupported version")
+	}
+}
+
+// TestDecodeTableRefusesImpossibleTables checks that a table file whose
+// entries are not all probabilities, or that an earlier sampler fitted, is
+// refused: a NaN would poison the pair sampler's cumulative weights.
+func TestDecodeTableRefusesImpossibleTables(t *testing.T) {
+	v1 := encodeTable([]float64{0.5, 0.25})
+	binary.LittleEndian.PutUint32(v1[8:], 1)
+	for _, c := range []struct {
+		name string
+		data []byte
+	}{
+		{"NaN", encodeTable([]float64{0.5, math.NaN()})},
+		{"negative", encodeTable([]float64{-0.5, 1})},
+		{"above one", encodeTable([]float64{1.5, 0.25})},
+		{"+Inf", encodeTable([]float64{0, math.Inf(1)})},
+		{"version 1", v1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if table, err := decodeTable(c.data); err == nil {
+				t.Fatalf("decodeTable accepted %v", table)
+			}
+		})
 	}
 }
 

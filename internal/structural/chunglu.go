@@ -8,9 +8,11 @@ import (
 )
 
 // maxProposalFactor bounds how many edge proposals a generator will make as a
-// multiple of the target edge count before giving up. Rejections come from
-// duplicate edges, self-loops and the AGM acceptance filter; the cap keeps the
-// generators total even under extremely restrictive filters.
+// multiple of the target edge count before giving up. The Chung–Lu seed
+// draws filtered edges directly, so its rejections are only self-loops and
+// duplicates; TCL's replacement loop and TriCycLe's rewiring also lose
+// proposals to the AGM acceptance filter. The cap keeps the generators total
+// even when the target cannot be met.
 const maxProposalFactor = 60
 
 // minParallelEdges is the edge-count threshold below which GenerateCL runs
@@ -38,13 +40,13 @@ func (FCL) Name() string { return "FCL" }
 
 // Generate implements Model by delegating to GenerateCL with the full target
 // edge count.
-func (f FCL) Generate(rng *rand.Rand, n int, params Params, filter EdgeFilter) *graph.Graph {
+func (f FCL) Generate(rng *rand.Rand, n int, params Params, filter *EdgeFilter) *graph.Graph {
 	return f.GenerateBuilder(rng, n, params, filter).Finalize()
 }
 
 // GenerateBuilder implements StreamModel: the Chung–Lu proposal loop with the
 // final freeze left to the caller.
-func (f FCL) GenerateBuilder(rng *rand.Rand, n int, params Params, filter EdgeFilter) *graph.Builder {
+func (f FCL) GenerateBuilder(rng *rand.Rand, n int, params Params, filter *EdgeFilter) *graph.Builder {
 	if err := params.Validate(n); err != nil {
 		panic(err)
 	}
@@ -55,11 +57,18 @@ func (f FCL) GenerateBuilder(rng *rand.Rand, n int, params Params, filter EdgeFi
 
 // GenerateCL samples a Chung–Lu graph with the given number of edges over n
 // nodes, drawing both endpoints of every edge from the π distribution encoded
-// by sampler. Proposals that are self-loops, duplicates, or rejected by the
-// filter are discarded and re-drawn (the bias-corrected FCL variant, cFCL,
-// which re-samples rather than skipping so the realised edge count matches the
-// target). Generation stops early if the proposal budget is exhausted, which
-// can only happen under a near-zero acceptance filter.
+// by sampler. Proposals that are self-loops or duplicates are discarded and
+// re-drawn (the bias-corrected FCL variant, cFCL, which re-samples rather
+// than skipping so the realised edge count matches the target). Generation
+// stops early if the proposal budget is exhausted, which happens only when
+// the target asks for nearly every pair the distribution can give.
+//
+// A filter does not reject proposals: since its acceptance depends only on
+// the endpoints' classes, every proposal is drawn from the accepted mass at
+// once — a class pair by its accepted π mass, then one endpoint from each
+// class (see pairSampler). Each edge thus has the distribution the paper's
+// accept/reject loop gives it, ∝ π_u·π_v·A(u, v) over the valid pairs, from
+// fewer draws. A filter under which every pair weighs zero yields no edges.
 //
 // Edges are proposed from `workers` concurrent streams on the shared pool
 // (internal/parallel); workers ≤ 0 means "auto" (the process default,
@@ -72,32 +81,35 @@ func (f FCL) GenerateBuilder(rng *rand.Rand, n int, params Params, filter EdgeFi
 //
 // The multi-stream merge stays deterministic despite concurrent execution:
 // worker i draws from its own rand.Rand seeded by the i-th value taken from
-// the parent rng up front and collects its accepted edges into a private
-// list. The lists are packed into builder rows in worker order with
-// Builder.AddEdge, which drops cross-worker duplicates, and a sequential
-// top-up pass (with its own pre-drawn seed) then fills any shortfall those
-// duplicates caused. With more than one stream the filter may be called from
-// multiple goroutines and must be safe for concurrent use; the filters built
-// by the AGM-DP sampler only read shared slices, so they qualify.
-func GenerateCL(rng *rand.Rand, n int, sampler *NodeSampler, targetEdges int, filter EdgeFilter, workers int) *graph.Graph {
+// the parent rng up front and collects its edges into a private list. The
+// lists are packed into builder rows in worker order with Builder.AddEdge,
+// which drops cross-worker duplicates, and a sequential top-up pass (with its
+// own pre-drawn seed) then fills any shortfall those duplicates caused. The
+// streams share the sampler, the filter and the pair sampler built from
+// them, none of which a generator modifies.
+func GenerateCL(rng *rand.Rand, n int, sampler *NodeSampler, targetEdges int, filter *EdgeFilter, workers int) *graph.Graph {
 	return generateCLBuilder(rng, n, sampler, targetEdges, filter, workers).Finalize()
 }
 
 // generateCLBuilder is GenerateCL without the final freeze: the TCL and
 // TriCycLe generators keep rewiring the result, so they take the still-mutable
 // Builder and finalize once at the very end.
-func generateCLBuilder(rng *rand.Rand, n int, sampler *NodeSampler, targetEdges int, filter EdgeFilter, workers int) *graph.Builder {
+func generateCLBuilder(rng *rand.Rand, n int, sampler *NodeSampler, targetEdges int, filter *EdgeFilter, workers int) *graph.Builder {
 	b := graph.NewBuilder(n, 0)
 	if sampler.Empty() || targetEdges <= 0 {
 		return b
 	}
+	pairs := newPairSampler(sampler, filter)
+	if pairs.empty() {
+		return b
+	}
 	workers = parallel.Resolve(workers)
 	if workers <= 1 || targetEdges < minParallelEdges {
-		addCLEdges(rng, b, sampler, targetEdges, filter)
+		addCLEdges(rng, b, pairs, targetEdges)
 		return b
 	}
 
-	lists, topUpSeed := proposeEdgesParallel(rng, sampler, targetEdges, filter, workers)
+	lists, topUpSeed := proposeEdgesParallel(rng, pairs, targetEdges, workers)
 	for _, edges := range lists {
 		for _, e := range edges {
 			b.AddEdge(e.U, e.V)
@@ -107,7 +119,7 @@ func generateCLBuilder(rng *rand.Rand, n int, sampler *NodeSampler, targetEdges 
 	// the target; finish sequentially with the same proposal budget per edge
 	// as the sequential loop.
 	if b.NumEdges() < targetEdges {
-		addCLEdges(rand.New(rand.NewSource(topUpSeed)), b, sampler, targetEdges, filter)
+		addCLEdges(rand.New(rand.NewSource(topUpSeed)), b, pairs, targetEdges)
 	}
 	return b
 }
@@ -115,22 +127,11 @@ func generateCLBuilder(rng *rand.Rand, n int, sampler *NodeSampler, targetEdges 
 // addCLEdges is the sequential Chung–Lu loop: it proposes edges into b until
 // b holds targetEdges edges or the proposal budget for the missing ones is
 // exhausted.
-func addCLEdges(rng *rand.Rand, b *graph.Builder, sampler *NodeSampler, targetEdges int, filter EdgeFilter) {
+func addCLEdges(rng *rand.Rand, b *graph.Builder, pairs *pairSampler, targetEdges int) {
 	maxProposals := maxProposalFactor * (targetEdges - b.NumEdges() + 1)
-	if filter != nil {
-		// An AGM acceptance filter rejects most proposals for configurations
-		// the learned correlations consider over-represented, so the proposal
-		// budget has to cover the extra rejections (the acceptance ratios are
-		// capped upstream, which bounds the required head-room).
-		maxProposals *= 8
-	}
 	for proposals := 0; b.NumEdges() < targetEdges && proposals < maxProposals; proposals++ {
-		u := sampler.Sample(rng)
-		v := sampler.Sample(rng)
+		u, v := pairs.sample(rng)
 		if u == v || b.HasEdge(u, v) {
-			continue
-		}
-		if !acceptEdge(rng, filter, u, v) {
 			continue
 		}
 		b.AddEdge(u, v)
@@ -141,7 +142,7 @@ func addCLEdges(rng *rand.Rand, b *graph.Builder, sampler *NodeSampler, targetEd
 // shared pool and returns their edge lists in worker order (still containing
 // cross-worker duplicates) plus the pre-drawn seed for the sequential top-up
 // pass.
-func proposeEdgesParallel(rng *rand.Rand, sampler *NodeSampler, targetEdges int, filter EdgeFilter, workers int) ([][]graph.Edge, int64) {
+func proposeEdgesParallel(rng *rand.Rand, pairs *pairSampler, targetEdges int, workers int) ([][]graph.Edge, int64) {
 	// Draw every seed before any task starts so the parent rng is consumed
 	// identically regardless of scheduling.
 	seeds := make([]int64, workers)
@@ -155,35 +156,28 @@ func proposeEdgesParallel(rng *rand.Rand, sampler *NodeSampler, targetEdges int,
 	shards := parallel.Split(targetEdges, workers)
 	results := make([][]graph.Edge, len(shards))
 	parallel.Do(len(shards), func(w int) {
-		results[w] = proposeEdges(rand.New(rand.NewSource(seeds[w])), sampler, shards[w].Len(), filter)
+		results[w] = proposeEdges(rand.New(rand.NewSource(seeds[w])), pairs, shards[w].Len())
 	})
 	return results, topUpSeed
 }
 
 // proposeEdges runs one worker's proposal loop: Chung–Lu endpoint draws with
-// self-loops, locally duplicate proposals and filter rejections discarded,
-// until `target` edges are collected or the proposal budget runs out. The
-// worker deduplicates only against its own accepted edges; cross-worker
-// duplicates are handled at merge time.
-func proposeEdges(rng *rand.Rand, sampler *NodeSampler, target int, filter EdgeFilter) []graph.Edge {
+// self-loops and locally duplicate proposals discarded, until `target` edges
+// are collected or the proposal budget runs out. The worker deduplicates
+// only against its own edges; cross-worker duplicates are handled at merge
+// time.
+func proposeEdges(rng *rand.Rand, pairs *pairSampler, target int) []graph.Edge {
 	edges := make([]graph.Edge, 0, target)
 	seen := make(map[uint64]struct{}, target) // canonical edge packed as U<<32 | V
 	maxProposals := maxProposalFactor * (target + 1)
-	if filter != nil {
-		maxProposals *= 8
-	}
 	for proposals := 0; len(edges) < target && proposals < maxProposals; proposals++ {
-		u := sampler.Sample(rng)
-		v := sampler.Sample(rng)
+		u, v := pairs.sample(rng)
 		if u == v {
 			continue
 		}
 		e := graph.Edge{U: u, V: v}.Canonical()
 		key := uint64(e.U)<<32 | uint64(e.V)
 		if _, dup := seen[key]; dup {
-			continue
-		}
-		if !acceptEdge(rng, filter, u, v) {
 			continue
 		}
 		seen[key] = struct{}{}

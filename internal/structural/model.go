@@ -7,7 +7,7 @@
 //
 // All generators are deterministic given a *rand.Rand and accept an optional
 // EdgeFilter, which is how AGM-DP injects its attribute-correlation
-// accept/reject probabilities into edge proposal (Section 4 of the paper).
+// acceptance probabilities into edge proposal (Section 4 of the paper).
 package structural
 
 import (
@@ -18,18 +18,35 @@ import (
 	"agmdp/internal/graph"
 )
 
-// EdgeFilter returns the probability, in [0, 1], with which a proposed edge
-// {u, v} should be accepted. A nil EdgeFilter accepts every proposal. AGM-DP
-// supplies a filter of the form A(F_w(x̃_u, x̃_v)) derived from the learned
-// attribute correlations.
-type EdgeFilter func(u, v int) float64
+// EdgeFilter is AGM's acceptance filter: every node belongs to one class,
+// and a proposed edge {u, v} is kept with a probability that depends only on
+// the ordered pair of its endpoints' classes. AGM-DP's class of a node is its
+// attribute configuration f_w(x̃_u), and a class pair's acceptance is
+// A(F_w(x̃_u, x̃_v)), read from the acceptance table the learned attribute
+// correlations refine. Because acceptance depends on classes alone, the
+// Chung–Lu seed draws its accepted edges directly (see GenerateCL) instead
+// of rejecting proposals. A nil *EdgeFilter accepts every proposal. A filter
+// is never modified by a generator, so concurrent streams share one.
+type EdgeFilter struct {
+	// Class holds the class of every node, each in [0, Classes).
+	Class []int
+	// Classes is the number of classes.
+	Classes int
+	// Pair returns the probability, in [0, 1], with which an edge from a
+	// node of class a to a node of class b is accepted.
+	Pair func(a, b int) float64
+}
+
+// Accept returns the probability with which a proposed edge {u, v} is
+// accepted.
+func (f *EdgeFilter) Accept(u, v int) float64 { return f.Pair(f.Class[u], f.Class[v]) }
 
 // acceptEdge rolls the filter for a proposed edge.
-func acceptEdge(rng *rand.Rand, filter EdgeFilter, u, v int) bool {
+func acceptEdge(rng *rand.Rand, filter *EdgeFilter, u, v int) bool {
 	if filter == nil {
 		return true
 	}
-	p := filter(u, v)
+	p := filter.Accept(u, v)
 	if p >= 1 {
 		return true
 	}
@@ -115,7 +132,7 @@ type Model interface {
 	// Generate produces a synthetic structure over n nodes following the
 	// model's parameters, consulting filter (if non-nil) before accepting any
 	// proposed edge.
-	Generate(rng *rand.Rand, n int, params Params, filter EdgeFilter) *graph.Graph
+	Generate(rng *rand.Rand, n int, params Params, filter *EdgeFilter) *graph.Graph
 }
 
 // StreamModel is a Model whose generator can hand back the still-mutable
@@ -132,7 +149,7 @@ type StreamModel interface {
 	// GenerateBuilder is Generate without the final freeze: it returns the
 	// mutable builder holding the generated structure. The rng trace is
 	// exactly that of Generate.
-	GenerateBuilder(rng *rand.Rand, n int, params Params, filter EdgeFilter) *graph.Builder
+	GenerateBuilder(rng *rand.Rand, n int, params Params, filter *EdgeFilter) *graph.Builder
 }
 
 // Every shipped model streams; the sampling pipeline relies on this to take

@@ -52,6 +52,24 @@ func clusteredTestGraph(rng *rand.Rand, n, cliqueSize int, extraEdges int) *grap
 	return b.Finalize()
 }
 
+// classFilter builds a filter over n nodes in k classes: node u is in class
+// class(u), and pair gives the acceptance of each ordered class pair.
+func classFilter(n, k int, class func(u int) int, pair func(a, b int) float64) *EdgeFilter {
+	f := &EdgeFilter{Class: make([]int, n), Classes: k, Pair: pair}
+	for u := range f.Class {
+		f.Class[u] = class(u)
+	}
+	return f
+}
+
+// sameClass accepts an edge only inside a class.
+func sameClass(a, b int) float64 {
+	if a == b {
+		return 1
+	}
+	return 0
+}
+
 func TestParamsValidate(t *testing.T) {
 	ok := Params{Degrees: []int{1, 1}, Triangles: 0, Rho: 0.5}
 	if err := ok.Validate(2); err != nil {
@@ -122,7 +140,8 @@ func TestGenerateCLApproximatesDegreeSequence(t *testing.T) {
 
 func TestGenerateCLZeroFilterProducesNoEdges(t *testing.T) {
 	degs := []int{2, 2, 2, 2}
-	g := GenerateCL(dp.NewRand(1), 4, NewNodeSampler(degs, nil), 4, func(u, v int) float64 { return 0 }, 1)
+	zero := classFilter(4, 1, func(int) int { return 0 }, func(a, b int) float64 { return 0 })
+	g := GenerateCL(dp.NewRand(1), 4, NewNodeSampler(degs, nil), 4, zero, 1)
 	if g.NumEdges() != 0 {
 		t.Fatalf("zero-acceptance filter produced %d edges", g.NumEdges())
 	}
@@ -136,12 +155,7 @@ func TestGenerateCLFilterBiasesEdgeSelection(t *testing.T) {
 	for i := range degs {
 		degs[i] = 4
 	}
-	filter := func(u, v int) float64 {
-		if (u < 50) == (v < 50) {
-			return 1
-		}
-		return 0
-	}
+	filter := classFilter(n, 2, func(u int) int { return u / 50 }, sameClass)
 	g := GenerateCL(dp.NewRand(5), n, NewNodeSampler(degs, nil), 200, filter, 1)
 	bad := 0
 	g.ForEachEdge(func(u, v int) bool {
@@ -406,12 +420,7 @@ func TestTriCycLeRespectsFilterGroups(t *testing.T) {
 	rng := dp.NewRand(24)
 	n := 200
 	degs := powerLawDegrees(rng, n, 20)
-	filter := func(u, v int) float64 {
-		if (u%2 == 0) == (v%2 == 0) {
-			return 1
-		}
-		return 0
-	}
+	filter := classFilter(n, 2, func(u int) int { return u % 2 }, sameClass)
 	g := TriCycLe{}.Generate(dp.NewRand(25), n, Params{Degrees: degs, Triangles: 100}, filter)
 	bad := 0
 	g.ForEachEdge(func(u, v int) bool {

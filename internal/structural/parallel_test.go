@@ -74,14 +74,9 @@ func TestGenerateCLParallelWithFilter(t *testing.T) {
 	degrees := parallelDegrees(3000)
 	n := len(degrees)
 	target := sumDegrees(degrees) / 2
-	// A filter that suppresses edges between same-parity nodes; it is pure, so
-	// safe for concurrent use.
-	filter := func(u, v int) float64 {
-		if (u+v)%2 == 0 {
-			return 0
-		}
-		return 1
-	}
+	// A filter that suppresses edges between same-parity nodes; the four
+	// streams share it and the pair sampler built from it.
+	filter := classFilter(n, 2, func(u int) int { return u % 2 }, crossParity)
 	sampler := NewNodeSampler(degrees, nil)
 	g := GenerateCL(rand.New(rand.NewSource(5)), n, sampler, target, filter, 4)
 	g.ForEachEdge(func(u, v int) bool {
@@ -99,6 +94,14 @@ func TestGenerateCLParallelWithFilter(t *testing.T) {
 	if !g.Equal(h) {
 		t.Fatal("filtered parallel generation is not deterministic")
 	}
+}
+
+// crossParity accepts an edge only between the two parity classes.
+func crossParity(a, b int) float64 {
+	if (a+b)%2 == 0 {
+		return 0
+	}
+	return 1
 }
 
 func TestParallelModelsDeterministic(t *testing.T) {

@@ -54,7 +54,7 @@ import (
 // round recomputes the list with g.OrphanedNodes(). Every round thus draws
 // from the list a per-round recomputation would give, and the rng draws and
 // the repaired graph are the same.
-func PostProcessGraph(rng *rand.Rand, g *graph.Builder, sampler *NodeSampler, desired []int, filter EdgeFilter) {
+func PostProcessGraph(rng *rand.Rand, g *graph.Builder, sampler *NodeSampler, desired []int, filter *EdgeFilter) {
 	n := g.NumNodes()
 	if n == 0 || len(desired) != n {
 		return

@@ -12,7 +12,7 @@ import (
 // referencePostProcessGraph is Algorithm 2's loop in its direct form: every
 // round recomputes the orphan list with a whole-graph search through
 // g.OrphanedNodes(). PostProcessGraph must match it draw for draw.
-func referencePostProcessGraph(rng *rand.Rand, g *graph.Builder, sampler *NodeSampler, desired []int, filter EdgeFilter) {
+func referencePostProcessGraph(rng *rand.Rand, g *graph.Builder, sampler *NodeSampler, desired []int, filter *EdgeFilter) {
 	n := g.NumNodes()
 	if n == 0 || len(desired) != n {
 		return
@@ -103,7 +103,7 @@ type repairCase struct {
 	g       *graph.Builder
 	desired []int
 	sampler *NodeSampler
-	filter  EdgeFilter
+	filter  *EdgeFilter
 }
 
 // repairShapes name the start graphs randomRepairCase draws from.
@@ -187,9 +187,10 @@ func randomRepairCase(rng *rand.Rand) repairCase {
 	if rng.Intn(2) == 0 {
 		exclude = func(i int) bool { return desired[i] == 1 }
 	}
-	var filter EdgeFilter
+	var filter *EdgeFilter
 	if rng.Intn(2) == 0 {
-		filter = func(u, v int) float64 { return float64((7*u+13*v)%5) / 4 }
+		// (7u + 13v) mod 5 depends only on u mod 5 and v mod 5.
+		filter = classFilter(n, 5, func(u int) int { return u % 5 }, func(a, b int) float64 { return float64((7*a+13*b)%5) / 4 })
 	}
 	return repairCase{shape: shape, g: g, desired: desired, sampler: NewNodeSampler(desired, exclude), filter: filter}
 }

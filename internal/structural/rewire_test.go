@@ -45,13 +45,8 @@ func TestRewirePreservesEdgeCount(t *testing.T) {
 func TestRewireRespectsFilter(t *testing.T) {
 	// Suppress edges between same-parity nodes; the seed is unfiltered, so
 	// only count rewired (new) edges.
-	filter := func(u, v int) float64 {
-		if (u+v)%2 == 0 {
-			return 0
-		}
-		return 1
-	}
 	b, sampler := rewireFixture(t, 37)
+	filter := classFilter(b.NumNodes(), 2, func(u int) int { return u % 2 }, crossParity)
 	beforeEdges := make(map[graph.Edge]struct{}, b.NumEdges())
 	for _, e := range b.Edges() {
 		beforeEdges[e] = struct{}{}

@@ -242,3 +242,80 @@ func TestNodeSamplerPanicsOnNegativeDegree(t *testing.T) {
 	}()
 	NewNodeSampler([]int{1, -1}, nil)
 }
+
+// TestPairSamplerChiSquared checks that one filtered pair draw has the
+// distribution of the proposals the accept/reject loop keeps. The fixture
+// has eight nodes of unequal degree, one of them excluded from π, in three
+// classes; the acceptance table holds a 0, a 1, fractional entries and one
+// asymmetric pair. The count of each unordered pair {u, v}, u ≠ v, is
+// compared with π_u·π_v·(A(u,v) + A(v,u))/Z and that of each self-loop with
+// π_u²·A(u,u)/Z by Pearson's χ² at p = 0.001. Pairs of weight zero, and so
+// every pair holding the excluded node, must never be drawn.
+func TestPairSamplerChiSquared(t *testing.T) {
+	degrees := []int{1, 2, 3, 4, 5, 6, 7, 8}
+	const excluded = 2
+	class := []int{0, 1, 2, 0, 1, 2, 0, 1}
+	accept := [3][3]float64{
+		{1, 0.5, 0.2},
+		{0.5, 0, 0.7},
+		{0.9, 0.7, 0.3}, // A(2,0) = 0.9 but A(0,2) = 0.2
+	}
+	filter := &EdgeFilter{Class: class, Classes: 3, Pair: func(a, b int) float64 { return accept[a][b] }}
+	s := NewNodeSampler(degrees, func(u int) bool { return u == excluded })
+	p := newPairSampler(s, filter)
+
+	n := len(degrees)
+	pi := func(u int) float64 {
+		if u == excluded {
+			return 0
+		}
+		return float64(degrees[u])
+	}
+	a := func(u, v int) float64 { return accept[class[u]][class[v]] }
+	weight := make([][]float64, n) // weight[u][v], u ≤ v: unnormalised probability of {u, v}
+	z := 0.0
+	for u := 0; u < n; u++ {
+		weight[u] = make([]float64, n)
+		for v := u; v < n; v++ {
+			if u == v {
+				weight[u][v] = pi(u) * pi(u) * a(u, u)
+			} else {
+				weight[u][v] = pi(u) * pi(v) * (a(u, v) + a(v, u))
+			}
+			z += weight[u][v]
+		}
+	}
+
+	const trials = 200000
+	counts := make([][]float64, n)
+	for u := range counts {
+		counts[u] = make([]float64, n)
+	}
+	rng := dp.NewRand(7)
+	for i := 0; i < trials; i++ {
+		u, v := p.sample(rng)
+		counts[min(u, v)][max(u, v)]++
+	}
+	chi2, bins := 0.0, 0
+	for u := 0; u < n; u++ {
+		for v := u; v < n; v++ {
+			if weight[u][v] == 0 {
+				if counts[u][v] != 0 {
+					t.Fatalf("pair {%d,%d} has weight zero but was drawn %v times", u, v, counts[u][v])
+				}
+				continue
+			}
+			expected := trials * weight[u][v] / z
+			diff := counts[u][v] - expected
+			chi2 += diff * diff / expected
+			bins++
+		}
+	}
+	if bins != 22 {
+		t.Fatalf("fixture has %d pairs of positive weight, want 22", bins)
+	}
+	const critical = 46.80 // χ²(df=21) at p = 0.001
+	if chi2 > critical {
+		t.Fatalf("χ² = %v exceeds the p=0.001 critical value %v", chi2, critical)
+	}
+}

@@ -48,9 +48,7 @@ type TriCycLe struct {
 	// forces sequential generation. Output is deterministic for a fixed
 	// (seed, resolved worker count) pair, and the worker count reaches it
 	// only through the seed: a seed target under minParallelEdges edges is
-	// drawn sequentially at every worker count. With more than one stream the
-	// filter may be called from multiple goroutines and must be safe for
-	// concurrent use (AGM-DP's filters are: they only read shared slices).
+	// drawn sequentially at every worker count.
 	Parallelism int
 }
 
@@ -59,14 +57,14 @@ func (t TriCycLe) Name() string { return "TriCycLe" }
 
 // Generate implements Model. params.Degrees is the target degree sequence
 // assigned positionally to nodes, params.Triangles the target triangle count.
-func (t TriCycLe) Generate(rng *rand.Rand, n int, params Params, filter EdgeFilter) *graph.Graph {
+func (t TriCycLe) Generate(rng *rand.Rand, n int, params Params, filter *EdgeFilter) *graph.Graph {
 	return t.GenerateBuilder(rng, n, params, filter).Finalize()
 }
 
 // GenerateBuilder implements StreamModel: the full TriCycLe pipeline — seed,
 // orphan post-processing, triangle rewiring, second post-processing — with the
 // final freeze left to the caller.
-func (t TriCycLe) GenerateBuilder(rng *rand.Rand, n int, params Params, filter EdgeFilter) *graph.Builder {
+func (t TriCycLe) GenerateBuilder(rng *rand.Rand, n int, params Params, filter *EdgeFilter) *graph.Builder {
 	if err := params.Validate(n); err != nil {
 		panic(err)
 	}
@@ -120,7 +118,7 @@ func (t TriCycLe) GenerateBuilder(rng *rand.Rand, n int, params Params, filter E
 // rewireSequential is the paper's single-stream rewiring loop (Algorithm 1,
 // lines 5–13): propose a transitive edge, delete the oldest edge, keep the
 // replacement only if the triangle count does not decrease.
-func rewireSequential(rng *rand.Rand, b *graph.Builder, sampler *NodeSampler, filter EdgeFilter, target int64, proposalFactor int) {
+func rewireSequential(rng *rand.Rand, b *graph.Builder, sampler *NodeSampler, filter *EdgeFilter, target int64, proposalFactor int) {
 	queue := newEdgeQueue(b)
 	tau := b.Triangles()
 	// Proposal budget: enough to rewire every edge several times plus extra
