@@ -150,7 +150,11 @@ func sampleRefined(rng *rand.Rand, m *FittedModel, opts SampleOptions) (graph.Ro
 // (SampleWithTable) then needs a single structural generation instead of
 // 1+Iterations, which is the hot-path saving the registry's acceptance cache
 // exists for. The table never touches the sensitive input graph, so caching
-// it is post-processing and consumes no privacy budget.
+// it is post-processing and consumes no privacy budget. Because the table is
+// fitted by sampling, it is a function of the structural generators' draws
+// as well: a build that draws differently (the direct class-pair draw of the
+// Chung–Lu seed replaced an accept/reject loop) fits a different table for
+// the same model, which is why persisted tables carry a version.
 func FitAcceptanceTable(m *FittedModel, opts SampleOptions) ([]float64, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
@@ -252,11 +256,14 @@ func acceptanceFilter(classes []int, w int, table []float64) *structural.EdgeFil
 // acceptanceRatio computes Θ̃F(y)/Θ'F(y) with guards for sparse observations.
 // The ratio is capped at maxAcceptanceRatio: a configuration the model wants
 // but the current graph (almost) never produced still gets the highest
-// acceptance probability after normalisation, but the cap keeps sup(R) — and
-// therefore the rejection rate of every other configuration — bounded, so the
-// structural generators cannot be starved into producing too few edges when a
-// noisy Θ̃F asks for correlations the sampled attributes can barely supply.
-// Configurations with no target mass are suppressed entirely.
+// acceptance probability after normalisation, but the cap keeps sup(R)
+// bounded, and with it how far the filter skews the edge distribution. The
+// Chung–Lu seed draws accepted edges directly, so no acceptance rate can
+// starve it; the cap still bounds the rejection rate of the loops that roll
+// the filter per proposal — TriCycLe's rewiring, TCL's replacement loop and
+// the orphan repair — when a noisy Θ̃F asks for correlations the sampled
+// attributes can barely supply. Configurations with no target mass are
+// suppressed entirely.
 func acceptanceRatio(target, observed float64) float64 {
 	const maxAcceptanceRatio = 50.0
 	if target <= 0 {

@@ -7,6 +7,7 @@ package graph_test
 // sequence, the workload the paper's pipeline actually runs on.
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -124,9 +125,12 @@ func BenchmarkHasEdgeCSR(b *testing.B) {
 }
 
 // BenchmarkGenerateCLParallel measures the end-to-end Chung–Lu generation
-// path — proposal streams, dedup, CSR packing — at several worker counts.
-// On a single-core host the variants coincide; the parallel win shows on
-// multi-core hardware.
+// path — proposal streams, dedup, CSR packing — at several worker counts,
+// unfiltered and under an AGM-style filter. The filter puts node u in class
+// u mod 4, and its acceptance table spans the range a refined AGM table
+// does: the smallest entry is 1/50 of the largest. On a single-core host
+// the worker counts coincide; the parallel win shows on multi-core
+// hardware.
 func BenchmarkGenerateCLParallel(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	degs := benchDegrees(rng, benchNodes, 300)
@@ -136,20 +140,32 @@ func BenchmarkGenerateCLParallel(b *testing.B) {
 		target += d
 	}
 	target /= 2
-	for _, workers := range []int{1, 4} {
-		name := "workers=1"
-		if workers > 1 {
-			name = "workers=4"
-		}
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				g := structural.GenerateCL(rand.New(rand.NewSource(int64(i))), benchNodes, sampler, target, nil, workers)
-				if g.NumEdges() == 0 {
-					b.Fatal("no edges generated")
+	accept := [4][4]float64{
+		{1, 0.3, 0.05, 0.02},
+		{0.3, 0.6, 0.1, 0.2},
+		{0.05, 0.1, 0.4, 0.5},
+		{0.02, 0.2, 0.5, 0.8},
+	}
+	filtered := &structural.EdgeFilter{Class: make([]int, benchNodes), Classes: 4,
+		Pair: func(x, y int) float64 { return accept[x][y] }}
+	for u := range filtered.Class {
+		filtered.Class[u] = u % 4
+	}
+	for _, c := range []struct {
+		name   string
+		filter *structural.EdgeFilter
+	}{{"", nil}, {"filtered-", filtered}} {
+		for _, workers := range []int{1, 4} {
+			b.Run(fmt.Sprintf("%sworkers=%d", c.name, workers), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					g := structural.GenerateCL(rand.New(rand.NewSource(int64(i))), benchNodes, sampler, target, c.filter, workers)
+					if g.NumEdges() == 0 {
+						b.Fatal("no edges generated")
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }
 

@@ -93,8 +93,8 @@ func (s *NodeSampler) byClass(class []int, k int) []NodeSampler {
 	cum := make([]int64, len(s.nodes))
 	classes := make([]NodeSampler, k)
 	for c := range classes {
-		// Empty views with exactly the class's capacity: the appends below
-		// fill them in place and never reallocate.
+		// Each class's views have exactly its capacity in the shared
+		// arrays, so the appends below write in place and never allocate.
 		classes[c].nodes = nodes[start[c]:start[c]:start[c+1]]
 		classes[c].cum = cum[start[c]:start[c]:start[c+1]]
 	}
@@ -122,6 +122,33 @@ func (s *NodeSampler) byClass(class []int, k int) []NodeSampler {
 		}
 	}
 	return classes
+}
+
+// Empty reports whether the sampler has no mass (all degrees zero or all
+// nodes excluded).
+func (s *NodeSampler) Empty() bool { return s.total == 0 }
+
+// PoolSize returns the total mass of the distribution, i.e. the sum of the
+// included degrees (the length the classic repeated-ID pool would have had).
+func (s *NodeSampler) PoolSize() int { return int(s.total) }
+
+// Sample draws one node with probability proportional to its degree: a
+// uniform draw r in [0, total) selects the first node whose inclusive prefix
+// sum exceeds r. It panics on an empty sampler.
+func (s *NodeSampler) Sample(rng *rand.Rand) int {
+	if s.total == 0 {
+		panic("structural: sampling from an empty node sampler")
+	}
+	return s.lookup(rng.Int63n(s.total))
+}
+
+// lookup returns the node that r in [0, total) selects.
+func (s *NodeSampler) lookup(r int64) int {
+	k := s.guide[r>>s.shift]
+	for s.cum[k] <= r {
+		k++
+	}
+	return int(s.nodes[k])
 }
 
 // pairSampler draws the two endpoints of a Chung–Lu seed proposal. Without
@@ -163,9 +190,9 @@ func newPairSampler(s *NodeSampler, filter *EdgeFilter) *pairSampler {
 	total := 0.0
 	for i, a := range live {
 		for _, b := range live[i:] {
-			w := filterProbability(filter.Pair(a, b))
+			w := filter.Pair(a, b)
 			if a != b {
-				w += filterProbability(filter.Pair(b, a))
+				w += filter.Pair(b, a)
 			}
 			w *= float64(classes[a].total) * float64(classes[b].total)
 			if w > 0 {
@@ -176,16 +203,6 @@ func newPairSampler(s *NodeSampler, filter *EdgeFilter) *pairSampler {
 		}
 	}
 	return p
-}
-
-// filterProbability reads an acceptance value the way acceptEdge does:
-// anything at or above 1 always accepts, anything at or below 0 (or NaN)
-// never does.
-func filterProbability(p float64) float64 {
-	if !(p > 0) {
-		return 0
-	}
-	return min(p, 1)
 }
 
 // empty reports whether no proposal can be accepted.
@@ -212,31 +229,4 @@ func (p *pairSampler) sample(rng *rand.Rand) (int, int) {
 		e = &p.pairs[lo]
 	}
 	return e.u.Sample(rng), e.v.Sample(rng)
-}
-
-// Empty reports whether the sampler has no mass (all degrees zero or all
-// nodes excluded).
-func (s *NodeSampler) Empty() bool { return s.total == 0 }
-
-// PoolSize returns the total mass of the distribution, i.e. the sum of the
-// included degrees (the length the classic repeated-ID pool would have had).
-func (s *NodeSampler) PoolSize() int { return int(s.total) }
-
-// Sample draws one node with probability proportional to its degree: a
-// uniform draw r in [0, total) selects the first node whose inclusive prefix
-// sum exceeds r. It panics on an empty sampler.
-func (s *NodeSampler) Sample(rng *rand.Rand) int {
-	if s.total == 0 {
-		panic("structural: sampling from an empty node sampler")
-	}
-	return s.lookup(rng.Int63n(s.total))
-}
-
-// lookup returns the node that r in [0, total) selects.
-func (s *NodeSampler) lookup(r int64) int {
-	k := s.guide[r>>s.shift]
-	for s.cum[k] <= r {
-		k++
-	}
-	return int(s.nodes[k])
 }
