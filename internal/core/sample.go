@@ -151,10 +151,9 @@ func sampleRefined(rng *rand.Rand, m *FittedModel, opts SampleOptions) (graph.Ro
 // 1+Iterations, which is the hot-path saving the registry's acceptance cache
 // exists for. The table never touches the sensitive input graph, so caching
 // it is post-processing and consumes no privacy budget. Because the table is
-// fitted by sampling, it is a function of the structural generators' draws
-// as well: a build that draws differently (the direct class-pair draw of the
-// Chung–Lu seed replaced an accept/reject loop) fits a different table for
-// the same model, which is why persisted tables carry a version.
+// fitted by sampling, it also depends on how the structural generators draw:
+// a build whose generators draw differently fits a different table for the
+// same model, which is why persisted tables carry a version.
 func FitAcceptanceTable(m *FittedModel, opts SampleOptions) ([]float64, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
