@@ -8,6 +8,7 @@ package graph_test
 import (
 	"bytes"
 	"io"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -91,7 +92,7 @@ func BenchmarkReadGraphText(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := graph.ReadGraph(bytes.NewReader(text)); err != nil {
+		if _, err := graph.ReadGraph(bytes.NewReader(text), math.MaxInt32); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -78,12 +78,55 @@ func BenchmarkBuildBuilderFinalize(b *testing.B) {
 	}
 }
 
+// benchShuffled returns the fixture's edges in a seeded random order, each
+// flipped with probability 1/2. The fixture's own list is canonical and
+// sorted, which no generator or upload produces, and which would hide the
+// cost of a sort.
+func benchShuffled() []graph.Edge {
+	_, edges := benchFixture()
+	rng := rand.New(rand.NewSource(3))
+	out := make([]graph.Edge, len(edges))
+	for i, j := range rng.Perm(len(edges)) {
+		e := edges[j]
+		if rng.Intn(2) == 0 {
+			e.U, e.V = e.V, e.U
+		}
+		out[i] = e
+	}
+	return out
+}
+
 func BenchmarkBuildFromEdges(b *testing.B) {
 	_, edges := benchFixture()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if graph.FromEdges(benchNodes, 0, edges).NumEdges() != len(edges) {
+			b.Fatal("edge count mismatch")
+		}
+	}
+}
+
+func BenchmarkBuildFromEdgesShuffled(b *testing.B) {
+	edges := benchShuffled()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if graph.FromEdges(benchNodes, 0, edges).NumEdges() != len(edges) {
+			b.Fatal("edge count mismatch")
+		}
+	}
+}
+
+// BenchmarkPackEdgesShuffled packs the shuffled fixture split into two lists,
+// the shape of a two-stream Chung–Lu merge.
+func BenchmarkPackEdgesShuffled(b *testing.B) {
+	edges := benchShuffled()
+	half := len(edges) / 2
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if graph.PackEdges(benchNodes, 0, edges[:half], edges[half:]).NumEdges() != len(edges) {
 			b.Fatal("edge count mismatch")
 		}
 	}

@@ -194,7 +194,7 @@ func TestBinaryMatchesTextDecode(t *testing.T) {
 	if err := g.WriteGraph(&text); err != nil {
 		t.Fatal(err)
 	}
-	fromText, err := graph.ReadGraph(&text)
+	fromText, err := graph.ReadGraph(&text, math.MaxInt32)
 	if err != nil {
 		t.Fatal(err)
 	}

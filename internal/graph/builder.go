@@ -35,6 +35,98 @@ func NewBuilder(n, w int) *Builder {
 	}
 }
 
+// PackEdges returns a Builder with n nodes, w attributes per node and every
+// edge of the given lists. Duplicate edges, within a list or across lists and
+// in either orientation, and self loops are dropped, so the rows and the edge
+// count equal those of a Builder fed the same edges one AddEdge at a time,
+// at O(n + m) cost with no comparison sort (see packRows). PackEdges panics
+// on an endpoint outside [0, n) and, like NewBuilder, on a bad n or w.
+//
+// The rows are slices of one shared array, each capped at its own slots, so
+// a later AddEdge that outgrows a row moves it instead of writing into the
+// next row.
+func PackEdges(n, w int, lists ...[]Edge) *Builder {
+	b := NewBuilder(n, w)
+	adj, end, deg, m := packRows(n, lists)
+	for u := range b.rows {
+		b.rows[u] = adj[end[u] : end[u]+int64(deg[u]) : end[u+1]]
+	}
+	b.m = m
+	return b
+}
+
+// packRows packs the edges of the lists into sorted, duplicate-free rows
+// over n nodes and returns them with the edge count m. Row u is
+// adj[end[u] : end[u]+deg[u]]; its slots run on to end[u+1], one for each
+// edge that names u, duplicates included. It panics on an endpoint outside
+// [0, n).
+//
+// It works in three passes, with no comparison sort. The first groups every
+// edge under its smaller endpoint. The second walks the groups in ascending
+// order and appends each node to its larger neighbours' rows, so each row
+// then holds its smaller neighbours in order; a duplicate edge lands next to
+// its twin and is dropped there. The third walks the rows in ascending order
+// and appends each node to its smaller neighbours' rows, which completes
+// every row, still sorted.
+func packRows(n int, lists [][]Edge) (adj []int32, end []int64, deg []int32, m int) {
+	end = make([]int64, n+1)
+	for _, edges := range lists {
+		for _, e := range edges {
+			if e.U < 0 || e.U >= n || e.V < 0 || e.V >= n {
+				panic(fmt.Sprintf("graph: edge {%d,%d} out of range [0, %d)", e.U, e.V, n))
+			}
+			if e.U != e.V {
+				end[e.U+1]++
+				end[e.V+1]++
+			}
+		}
+	}
+	for u := 0; u < n; u++ {
+		end[u+1] += end[u]
+	}
+	adj = make([]int32, end[n])
+
+	// Pass 1: group each edge's larger endpoint under its smaller one, at the
+	// tail of the smaller endpoint's slots: group u is adj[group[u]:end[u+1]].
+	group := make([]int64, n)
+	copy(group, end[1:])
+	for _, edges := range lists {
+		for _, e := range edges {
+			e = e.Canonical()
+			if e.U != e.V {
+				group[e.U]--
+				adj[group[e.U]] = int32(e.V)
+			}
+		}
+	}
+
+	// Pass 2: row v's smaller neighbours fill its slots from the front. They
+	// never reach the tail holding v's own group: v has one slot per edge
+	// that names it, at either end.
+	deg = make([]int32, n)
+	for u := 0; u < n; u++ {
+		for _, v := range adj[group[u]:end[u+1]] {
+			next := end[v] + int64(deg[v])
+			if deg[v] > 0 && adj[next-1] == int32(u) {
+				continue // a duplicate of the edge just appended
+			}
+			adj[next] = int32(u)
+			deg[v]++
+			m++
+		}
+	}
+
+	// Pass 3: every group has been read, so larger neighbours may overwrite
+	// them. Row v holds exactly its smaller neighbours when v's turn comes.
+	for v := 0; v < n; v++ {
+		for _, u := range adj[end[v] : end[v]+int64(deg[v])] {
+			adj[end[u]+int64(deg[u])] = int32(v)
+			deg[u]++
+		}
+	}
+	return adj, end, deg, m
+}
+
 // Builder returns a mutable copy of the graph: same nodes, edges and
 // attributes. Mutating the Builder never affects the source graph.
 func (g *Graph) Builder() *Builder {

@@ -38,7 +38,6 @@ package graph
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // MaxAttributes is the largest attribute-vector width supported by Graph.
@@ -288,74 +287,24 @@ func (g *Graph) CloneStructure() *Graph {
 }
 
 // FromEdges builds a graph with n nodes and w attributes from an edge list.
-// Duplicate edges and self loops are silently dropped. The edge list is
-// canonicalised, sorted and deduplicated once, then packed directly into CSR
-// form — the bulk-construction fast path used by the loaders and the parallel
-// generators.
+// Duplicate edges and self loops are silently dropped; an endpoint outside
+// [0, n) panics. The list is packed into sorted rows in O(n + m), whatever
+// its order, by the packer PackEdges uses, and the rows become the CSR
+// arrays in place. The loaders and the server's uploads build their graphs
+// here.
 func FromEdges(n, w int, edges []Edge) *Graph {
 	checkDims(n, w)
-	return fromCanonicalEdges(n, w, canonicalEdges(n, edges))
-}
-
-// canonicalEdges canonicalises, sorts and deduplicates an edge list, dropping
-// self loops. It panics on out-of-range endpoints.
-func canonicalEdges(n int, edges []Edge) []Edge {
-	clean := make([]Edge, 0, len(edges))
-	for _, e := range edges {
-		if e.U == e.V {
-			continue
-		}
-		e = e.Canonical()
-		if e.U < 0 || e.V >= n {
-			panic(fmt.Sprintf("graph: edge {%d,%d} out of range [0, %d)", e.U, e.V, n))
-		}
-		clean = append(clean, e)
+	adj, end, deg, m := packRows(n, [][]Edge{edges})
+	// Dropped duplicates leave empty slots behind their rows; shift the rows
+	// down over them, so end becomes the CSR offsets.
+	next := int64(0)
+	for u := 0; u < n; u++ {
+		lo := end[u]
+		end[u] = next
+		next += int64(copy(adj[next:], adj[lo:lo+int64(deg[u])]))
 	}
-	sort.Slice(clean, func(a, b int) bool {
-		if clean[a].U != clean[b].U {
-			return clean[a].U < clean[b].U
-		}
-		return clean[a].V < clean[b].V
-	})
-	// Deduplicate in place (the slice is sorted, so duplicates are adjacent).
-	uniq := clean[:0]
-	for i, e := range clean {
-		if i == 0 || e != clean[i-1] {
-			uniq = append(uniq, e)
-		}
-	}
-	return uniq
-}
-
-// fromCanonicalEdges packs a sorted, deduplicated, self-loop-free canonical
-// edge list into CSR form. Each row comes out sorted without a per-row sort:
-// row u first receives its smaller neighbours (from edges (a, u), a ascending)
-// and then its larger neighbours (from edges (u, v), v ascending).
-func fromCanonicalEdges(n, w int, edges []Edge) *Graph {
-	g := &Graph{
-		w:       w,
-		m:       len(edges),
-		offsets: make([]int64, n+1),
-		attrs:   make([]AttrVector, n),
-	}
-	deg := make([]int64, n)
-	for _, e := range edges {
-		deg[e.U]++
-		deg[e.V]++
-	}
-	for i, d := range deg {
-		g.offsets[i+1] = g.offsets[i] + d
-	}
-	g.neighbors = make([]int32, g.offsets[n])
-	cursor := make([]int64, n)
-	copy(cursor, g.offsets[:n])
-	for _, e := range edges {
-		g.neighbors[cursor[e.U]] = int32(e.V)
-		cursor[e.U]++
-		g.neighbors[cursor[e.V]] = int32(e.U)
-		cursor[e.V]++
-	}
-	return g
+	end[n] = next
+	return &Graph{w: w, m: m, offsets: end, neighbors: adj[:next:next], attrs: make([]AttrVector, n)}
 }
 
 // CommonNeighbors returns |Γ(i) ∩ Γ(j)|, the number of common neighbours of i

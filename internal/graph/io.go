@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -110,8 +111,12 @@ func (g *Graph) WriteGraph(w io.Writer) error {
 
 // ReadGraph parses the "agmdp graph" format produced by WriteGraph. The node
 // and edge directives are accumulated and packed into an immutable CSR graph
-// once the whole stream has been validated.
-func ReadGraph(r io.Reader) (*Graph, error) {
+// once the whole stream has been validated. A nodes directive above maxNodes,
+// or above the int32 ID space, is refused at its line, before anything is
+// sized by it: the count costs a few bytes of input but tens of bytes of
+// memory per node.
+func ReadGraph(r io.Reader, maxNodes int) (*Graph, error) {
+	maxNodes = min(maxNodes, math.MaxInt32)
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
 	var (
@@ -137,6 +142,9 @@ func ReadGraph(r io.Reader) (*Graph, error) {
 			n, err = strconv.Atoi(fields[1])
 			if err != nil || n < 0 {
 				return nil, fmt.Errorf("graph: line %d: bad node count %q", line, fields[1])
+			}
+			if n > maxNodes {
+				return nil, fmt.Errorf("graph: line %d: %d nodes, limit is %d", line, n, maxNodes)
 			}
 		case "attrs":
 			if len(fields) != 2 {
@@ -221,14 +229,15 @@ func SaveGraph(g *Graph, path string) error {
 	return f.Close()
 }
 
-// LoadGraph reads a graph from the named file in the "agmdp graph" format.
+// LoadGraph reads a graph from the named file in the "agmdp graph" format,
+// accepting any node count the int32 ID space holds.
 func LoadGraph(path string) (*Graph, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("graph: %w", err)
 	}
 	defer f.Close()
-	return ReadGraph(f)
+	return ReadGraph(f, math.MaxInt32)
 }
 
 // LoadEdgeList reads an edge-list file from disk.

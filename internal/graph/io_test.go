@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -68,7 +69,7 @@ func TestGraphFormatRoundTripPreservesAttributes(t *testing.T) {
 	if err := g.WriteGraph(&buf); err != nil {
 		t.Fatalf("WriteGraph: %v", err)
 	}
-	back, err := ReadGraph(&buf)
+	back, err := ReadGraph(&buf, math.MaxInt32)
 	if err != nil {
 		t.Fatalf("ReadGraph: %v", err)
 	}
@@ -94,22 +95,43 @@ func TestReadGraphErrors(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := ReadGraph(strings.NewReader(tc.input)); err == nil {
+			if _, err := ReadGraph(strings.NewReader(tc.input), math.MaxInt32); err == nil {
 				t.Fatalf("ReadGraph(%q) succeeded, want error", tc.input)
 			}
 		})
 	}
 }
 
+// TestReadGraphNodeLimit checks that a nodes directive above the caller's
+// limit, or above the int32 ID space whatever the limit, is an error at
+// its line rather than an allocation or a panic.
+func TestReadGraphNodeLimit(t *testing.T) {
+	if g, err := ReadGraph(strings.NewReader("nodes 5\nattrs 0\nedge 0 4\n"), 5); err != nil || g.NumNodes() != 5 {
+		t.Fatalf("nodes at the limit: graph %v, error %v", g, err)
+	}
+	for _, tc := range []struct {
+		input string
+		limit int
+	}{
+		{"nodes 6\nattrs 0\n", 5},
+		{"# agmdp graph\nnodes 2147483648\nattrs 0\n", math.MaxInt},
+	} {
+		_, err := ReadGraph(strings.NewReader(tc.input), tc.limit)
+		if err == nil || !strings.Contains(err.Error(), "limit is") || !strings.Contains(err.Error(), "line ") {
+			t.Errorf("ReadGraph(%q, %d) error = %v, want a node limit error naming the line", tc.input, tc.limit, err)
+		}
+	}
+}
+
 func TestReadGraphHeaderOnly(t *testing.T) {
-	g, err := ReadGraph(strings.NewReader("nodes 3\nattrs 1\n"))
+	g, err := ReadGraph(strings.NewReader("nodes 3\nattrs 1\n"), math.MaxInt32)
 	if err != nil {
 		t.Fatalf("ReadGraph: %v", err)
 	}
 	if g.NumNodes() != 3 || g.NumEdges() != 0 || g.NumAttributes() != 1 {
 		t.Fatalf("header-only graph = %d nodes / %d edges / %d attrs", g.NumNodes(), g.NumEdges(), g.NumAttributes())
 	}
-	if _, err := ReadGraph(strings.NewReader("# just a comment\n")); err == nil {
+	if _, err := ReadGraph(strings.NewReader("# just a comment\n"), math.MaxInt32); err == nil {
 		t.Fatal("ReadGraph with no header should fail")
 	}
 }

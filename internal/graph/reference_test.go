@@ -11,6 +11,7 @@ package graph_test
 import (
 	"bytes"
 	"encoding/hex"
+	"math"
 	"math/rand"
 	"sort"
 	"strings"
@@ -275,7 +276,7 @@ func TestGraphIOGoldenRoundTrip(t *testing.T) {
 	if buf.String() != goldenText {
 		t.Fatalf("WriteGraph output drifted from golden file:\ngot:\n%s\nwant:\n%s", buf.String(), goldenText)
 	}
-	back, err := graph.ReadGraph(strings.NewReader(goldenText))
+	back, err := graph.ReadGraph(strings.NewReader(goldenText), math.MaxInt32)
 	if err != nil {
 		t.Fatalf("ReadGraph: %v", err)
 	}

@@ -8,15 +8,14 @@ package graph
 // degree at most k.
 //
 // The receiver is immutable and unchanged; a new graph is returned. The
-// surviving edges come from ForEachTruncatedEdge, already in canonical order,
-// and are packed straight into a new CSR graph. Attribute vectors are
-// preserved. Truncate panics if k < 0.
+// surviving edges come from ForEachTruncatedEdge and are packed by FromEdges.
+// Attribute vectors are preserved. Truncate panics if k < 0.
 func (g *Graph) Truncate(k int) *Graph {
 	kept := make([]Edge, 0, g.m)
 	g.ForEachTruncatedEdge(k, func(u, v int) {
 		kept = append(kept, Edge{U: u, V: v})
 	})
-	out := fromCanonicalEdges(len(g.attrs), g.w, kept)
+	out := FromEdges(len(g.attrs), g.w, kept)
 	copy(out.attrs, g.attrs)
 	return out
 }

@@ -65,7 +65,7 @@ func (s *Server) handleCreateGraph(w http.ResponseWriter, r *http.Request) {
 	case "text/plain":
 		body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 		var err error
-		g, err = graph.ReadGraph(body)
+		g, err = graph.ReadGraph(body, s.cfg.MaxFitNodes)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, "parsing graph text: %v", err)
 			return

@@ -5,9 +5,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -208,7 +210,7 @@ func TestGraphDownloadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromText, err := graph.ReadGraph(resp.Body)
+	fromText, err := graph.ReadGraph(resp.Body, math.MaxInt32)
 	resp.Body.Close()
 	if err != nil || !g.Equal(fromText) {
 		t.Fatalf("text download does not round-trip: %v", err)
@@ -481,6 +483,26 @@ func TestJobLifecycle(t *testing.T) {
 	}
 }
 
+// TestV1TextUploadNodeLimitBeforeAllocating uploads a 22-byte text graph
+// whose nodes directive passes MaxFitNodes. The upload must be refused at
+// that line: sizing the graph by the count first would allocate tens of
+// bytes per node (about 96 MB here) before the limit was checked.
+func TestV1TextUploadNodeLimitBeforeAllocating(t *testing.T) {
+	ts, _ := newV1TestServer(t)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	resp := postBody(t, ts.URL+"/v1/graphs", "text/plain", []byte("nodes 3000000\nattrs 0\n"))
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	runtime.ReadMemStats(&after)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d, want %d", resp.StatusCode, http.StatusBadRequest)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 16<<20 {
+		t.Fatalf("refusing the upload allocated %d bytes, want under 16 MiB", got)
+	}
+}
+
 // TestV1HandlerErrors drives every v1-specific error status.
 func TestV1HandlerErrors(t *testing.T) {
 	ts, _ := newV1TestServer(t)
@@ -511,6 +533,8 @@ func TestV1HandlerErrors(t *testing.T) {
 		{"upload unparseable media type", "POST", "/v1/graphs", "zzz;;;", []byte("{}"), http.StatusUnsupportedMediaType},
 		{"upload chunked media type", "POST", "/v1/graphs", "application/x-agmdp-csr-chunked", []byte("frames"), http.StatusUnsupportedMediaType},
 		{"upload oversized graph", "POST", "/v1/graphs", "application/json", bigPayload, http.StatusBadRequest},
+		{"upload oversized text graph", "POST", "/v1/graphs", "text/plain", []byte("nodes 3000000\nattrs 0\n"), http.StatusBadRequest},
+		{"upload text graph past the ID space", "POST", "/v1/graphs", "text/plain", []byte("nodes 4294967296\nattrs 0\n"), http.StatusBadRequest},
 		{"upload overwide graph", "POST", "/v1/graphs", "application/json", widePayload, http.StatusBadRequest},
 		{"get unknown graph", "GET", "/v1/graphs/deadbeef", "", nil, http.StatusNotFound},
 		{"get graph bad format", "GET", "/v1/graphs/" + graphID + "?format=yaml", "", nil, http.StatusBadRequest},

@@ -81,11 +81,12 @@ func (f FCL) GenerateBuilder(rng *rand.Rand, n int, params Params, filter *EdgeF
 //
 // The multi-stream merge stays deterministic despite concurrent execution:
 // worker i draws from its own rand.Rand seeded by the i-th value taken from
-// the parent rng up front and collects its edges into a private list. The
-// lists are packed into builder rows in worker order with Builder.AddEdge,
-// which drops cross-worker duplicates, and a sequential top-up pass (with its
-// own pre-drawn seed) then fills any shortfall those duplicates caused. The
-// streams share the sampler, the filter and the pair sampler built from
+// the parent rng up front and collects its edges into a private list.
+// graph.PackEdges packs all the lists into sorted builder rows at once, in
+// O(n + m), dropping cross-worker duplicates; the rows hold the edge set that
+// adding the edges one at a time would give. A sequential top-up pass (with
+// its own pre-drawn seed) then fills any shortfall those duplicates caused.
+// The streams share the sampler, the filter and the pair sampler built from
 // them, none of which a generator modifies.
 func GenerateCL(rng *rand.Rand, n int, sampler *NodeSampler, targetEdges int, filter *EdgeFilter, workers int) *graph.Graph {
 	return generateCLBuilder(rng, n, sampler, targetEdges, filter, workers).Finalize()
@@ -95,26 +96,22 @@ func GenerateCL(rng *rand.Rand, n int, sampler *NodeSampler, targetEdges int, fi
 // TriCycLe generators keep rewiring the result, so they take the still-mutable
 // Builder and finalize once at the very end.
 func generateCLBuilder(rng *rand.Rand, n int, sampler *NodeSampler, targetEdges int, filter *EdgeFilter, workers int) *graph.Builder {
-	b := graph.NewBuilder(n, 0)
 	if sampler.Empty() || targetEdges <= 0 {
-		return b
+		return graph.NewBuilder(n, 0)
 	}
 	pairs := newPairSampler(sampler, filter)
 	if pairs.empty() {
-		return b
+		return graph.NewBuilder(n, 0)
 	}
 	workers = parallel.Resolve(workers)
 	if workers <= 1 || targetEdges < minParallelEdges {
+		b := graph.NewBuilder(n, 0)
 		addCLEdges(rng, b, pairs, targetEdges)
 		return b
 	}
 
 	lists, topUpSeed := proposeEdgesParallel(rng, pairs, targetEdges, workers)
-	for _, edges := range lists {
-		for _, e := range edges {
-			b.AddEdge(e.U, e.V)
-		}
-	}
+	b := graph.PackEdges(n, 0, lists...)
 	// Top-up: cross-worker duplicates leave the merged rows slightly short of
 	// the target; finish sequentially with the same proposal budget per edge
 	// as the sequential loop.
