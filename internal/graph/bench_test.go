@@ -126,7 +126,7 @@ func BenchmarkPackEdgesShuffled(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if graph.PackEdges(benchNodes, 0, edges[:half], edges[half:]).NumEdges() != len(edges) {
+		if graph.PackEdges(benchNodes, edges[:half], edges[half:]).NumEdges() != len(edges) {
 			b.Fatal("edge count mismatch")
 		}
 	}

@@ -35,18 +35,18 @@ func NewBuilder(n, w int) *Builder {
 	}
 }
 
-// PackEdges returns a Builder with n nodes, w attributes per node and every
-// edge of the given lists. Duplicate edges, within a list or across lists and
+// PackEdges returns a Builder with n nodes, no attributes and every edge of
+// the given lists. Duplicate edges, within a list or across lists and
 // in either orientation, and self loops are dropped, so the rows and the edge
 // count equal those of a Builder fed the same edges one AddEdge at a time,
 // at O(n + m) cost with no comparison sort (see packRows). PackEdges panics
-// on an endpoint outside [0, n) and, like NewBuilder, on a bad n or w.
+// on an endpoint outside [0, n) and, like NewBuilder, on a bad n.
 //
 // The rows are slices of one shared array, each capped at its own slots, so
 // a later AddEdge that outgrows a row moves it instead of writing into the
 // next row.
-func PackEdges(n, w int, lists ...[]Edge) *Builder {
-	b := NewBuilder(n, w)
+func PackEdges(n int, lists ...[]Edge) *Builder {
+	b := NewBuilder(n, 0)
 	adj, end, deg, m := packRows(n, lists)
 	for u := range b.rows {
 		b.rows[u] = adj[end[u] : end[u]+int64(deg[u]) : end[u+1]]

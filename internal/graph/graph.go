@@ -289,22 +289,29 @@ func (g *Graph) CloneStructure() *Graph {
 // FromEdges builds a graph with n nodes and w attributes from an edge list.
 // Duplicate edges and self loops are silently dropped; an endpoint outside
 // [0, n) panics. The list is packed into sorted rows in O(n + m), whatever
-// its order, by the packer PackEdges uses, and the rows become the CSR
-// arrays in place. The loaders and the server's uploads build their graphs
+// its order, by the packer PackEdges uses. Without duplicates the rows
+// become the CSR arrays in place. With them, the rows move to an array of
+// exactly 2·m entries: the packing array keeps a slot for every duplicate,
+// and the byte-budget caches charge a graph its MemoryBytes, which counts
+// only its edges. The loaders and the server's uploads build their graphs
 // here.
 func FromEdges(n, w int, edges []Edge) *Graph {
 	checkDims(n, w)
 	adj, end, deg, m := packRows(n, [][]Edge{edges})
-	// Dropped duplicates leave empty slots behind their rows; shift the rows
-	// down over them, so end becomes the CSR offsets.
+	neighbors := adj
+	if 2*m < len(adj) {
+		neighbors = make([]int32, 2*m)
+	}
+	// Close the gaps the dropped duplicates left behind their rows, so end
+	// becomes the CSR offsets.
 	next := int64(0)
 	for u := 0; u < n; u++ {
 		lo := end[u]
 		end[u] = next
-		next += int64(copy(adj[next:], adj[lo:lo+int64(deg[u])]))
+		next += int64(copy(neighbors[next:], adj[lo:lo+int64(deg[u])]))
 	}
 	end[n] = next
-	return &Graph{w: w, m: m, offsets: end, neighbors: adj[:next:next], attrs: make([]AttrVector, n)}
+	return &Graph{w: w, m: m, offsets: end, neighbors: neighbors, attrs: make([]AttrVector, n)}
 }
 
 // CommonNeighbors returns |Γ(i) ∩ Γ(j)|, the number of common neighbours of i

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 )
@@ -99,7 +100,7 @@ func TestPackEdgesMatchesAddEdge(t *testing.T) {
 		n := int(seed % 40)
 		lists := randomEdgeLists(rng, n)
 		want := addEdgeReference(n, lists)
-		if diff := sameBuilder(PackEdges(n, 0, lists...), want); diff != "" {
+		if diff := sameBuilder(PackEdges(n, lists...), want); diff != "" {
 			t.Fatalf("seed %d, n = %d: %s", seed, n, diff)
 		}
 		var joined []Edge
@@ -123,7 +124,7 @@ func TestPackEdgesRowsStayInTheirSlots(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(30)
 		lists := randomEdgeLists(rng, n)
-		got, want := PackEdges(n, 0, lists...), addEdgeReference(n, lists)
+		got, want := PackEdges(n, lists...), addEdgeReference(n, lists)
 		step := func(what string, u, v int, add bool) {
 			t.Helper()
 			if add {
@@ -151,6 +152,59 @@ func TestPackEdgesRowsStayInTheirSlots(t *testing.T) {
 	}
 }
 
+// TestFromEdgesHoldsOnlyItsEdges checks that a graph built from a list with
+// duplicates keeps no room for them: the heap it retains matches
+// MemoryBytes, which byte-budget caches charge, and that figure equals the
+// one for the same graph built without the duplicates. The packing array has
+// a slot for every endpoint of the input, duplicates included; a graph that
+// kept it would retain far more than it is charged.
+func TestFromEdgesHoldsOnlyItsEdges(t *testing.T) {
+	const n = 1 << 17
+	path := make([]Edge, n-1)
+	for i := range path {
+		path[i] = Edge{U: i, V: i + 1}
+	}
+	bothWays := slices.Clone(path)
+	for _, e := range path {
+		bothWays = append(bothWays, Edge{U: e.V, V: e.U})
+	}
+	repeated := make([]Edge, 1<<18)
+	for i := range repeated {
+		repeated[i] = Edge{U: 0, V: 1}
+	}
+	for _, tc := range []struct {
+		name  string
+		edges []Edge
+		want  []Edge
+	}{
+		{"distinct", path, path},
+		{"both orientations", bothWays, path},
+		{"one edge repeated", repeated, repeated[:1]},
+	} {
+		g, retained := retainedBytes(func() *Graph { return FromEdges(n, 0, tc.edges) })
+		runtime.KeepAlive(tc.edges)
+		want := FromEdges(n, 0, tc.want)
+		if !g.Equal(want) || g.MemoryBytes() != want.MemoryBytes() {
+			t.Fatalf("%s: graph or MemoryBytes %d differs from the one built without duplicates (%d)",
+				tc.name, g.MemoryBytes(), want.MemoryBytes())
+		}
+		if slack := retained - g.MemoryBytes(); slack > 128<<10 {
+			t.Fatalf("%s: graph retains %d heap bytes, MemoryBytes = %d", tc.name, retained, g.MemoryBytes())
+		}
+	}
+}
+
+// retainedBytes returns build's graph and the live heap it added.
+func retainedBytes(build func() *Graph) (*Graph, int64) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	g := build()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	return g, int64(after.HeapAlloc) - int64(before.HeapAlloc)
+}
+
 // TestFromEdgesPanicsOutOfRange checks that FromEdges and PackEdges refuse
 // an endpoint outside [0, n), in either position and in any list.
 func TestFromEdgesPanicsOutOfRange(t *testing.T) {
@@ -169,7 +223,7 @@ func TestFromEdgesPanicsOutOfRange(t *testing.T) {
 					t.Fatal("no panic")
 				}
 			}()
-			PackEdges(4, 0, []Edge{{0, 1}}, nil, []Edge{{2, 3}, e})
+			PackEdges(4, []Edge{{0, 1}}, nil, []Edge{{2, 3}, e})
 		})
 	}
 }

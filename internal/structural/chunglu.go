@@ -111,7 +111,7 @@ func generateCLBuilder(rng *rand.Rand, n int, sampler *NodeSampler, targetEdges 
 	}
 
 	lists, topUpSeed := proposeEdgesParallel(rng, pairs, targetEdges, workers)
-	b := graph.PackEdges(n, 0, lists...)
+	b := graph.PackEdges(n, lists...)
 	// Top-up: cross-worker duplicates leave the merged rows slightly short of
 	// the target; finish sequentially with the same proposal budget per edge
 	// as the sequential loop.
