@@ -82,7 +82,8 @@ func LoadGraph(path string) (*Graph, error) { return graph.LoadGraph(path) }
 func SaveGraph(g *Graph, path string) error { return graph.SaveGraph(g, path) }
 
 // LoadEdgeList reads a plain whitespace-separated edge list (without
-// attributes) from a file.
+// attributes) from a file. A node ID the int32 ID space cannot hold is an
+// error, not an allocation.
 func LoadEdgeList(path string) (*Graph, error) { return graph.LoadEdgeList(path) }
 
 // SaveGraphBinary writes an attributed graph to a file as a binary CSR
@@ -116,9 +117,11 @@ func structuralModel(kind ModelKind, parallelism int) (structural.Model, error) 
 }
 
 // SetParallelism sets the process-wide default worker count used by every
-// parallel code path in the library — the sharded graph analytics, the
-// sensitivity scans, and the structural generators' Chung–Lu proposal
-// streams. Values ≤ 0 restore the built-in default of runtime.GOMAXPROCS(0);
+// parallel code path in the library — the sharded graph analytics, the fit's
+// measurement passes and sensitivity scans, and the structural generators'
+// Chung–Lu proposal streams when Options.Parallelism is ≤ 0. It is the only
+// setting for the analytics and the fit. Values ≤ 0 restore the built-in
+// default of runtime.GOMAXPROCS(0);
 // 1 forces every auto-resolved path sequential, which makes generator output
 // byte-for-byte reproducible across machines with different core counts.
 //
@@ -145,11 +148,11 @@ type Options struct {
 	// sampling. Runs with equal seeds and inputs are reproducible.
 	Seed int64
 	// Parallelism is the number of concurrent streams used by the structural
-	// generators and the fitting pipeline's measurement passes: ≤ 0 means
-	// "auto" (the process default, see SetParallelism), 1 forces sequential
-	// execution. Fitted models are bit-identical for every worker count;
-	// sampling output is deterministic per (Seed, resolved worker count)
-	// pair.
+	// generators: ≤ 0 means "auto" (the process default, see SetParallelism),
+	// 1 forces sequential execution. Sampling output is deterministic per
+	// (Seed, resolved worker count) pair. The fitting pipeline's measurement
+	// passes run on the process default, and fitted models are bit-identical
+	// for every worker count.
 	Parallelism int
 }
 
@@ -167,7 +170,6 @@ func Fit(g *Graph, opts Options) (*FittedModel, error) {
 		Epsilon:     opts.Epsilon,
 		TruncationK: opts.TruncationK,
 		Model:       model,
-		Parallelism: opts.Parallelism,
 	})
 }
 
@@ -183,7 +185,7 @@ func FitNonPrivate(g *Graph, kind ModelKind) (*FittedModel, error) {
 	if err != nil {
 		return nil, err
 	}
-	return core.FitWith(g, model, 0), nil
+	return core.Fit(g, model), nil
 }
 
 // Sample draws one synthetic attributed graph from a fitted model. By the
@@ -212,7 +214,6 @@ func Synthesize(g *Graph, opts Options) (*Graph, *FittedModel, error) {
 		Epsilon:     opts.Epsilon,
 		TruncationK: opts.TruncationK,
 		Model:       model,
-		Parallelism: opts.Parallelism,
 	}, core.SampleOptions{Iterations: opts.SampleIterations, Model: model})
 }
 

@@ -81,6 +81,7 @@ import (
 	"agmdp/internal/engine"
 	"agmdp/internal/graphstore"
 	"agmdp/internal/jobs"
+	"agmdp/internal/parallel"
 	"agmdp/internal/registry"
 	"agmdp/internal/server"
 	"agmdp/internal/tenant"
@@ -122,7 +123,7 @@ func run(args []string, stdout io.Writer, ready func(addr string, stop func())) 
 		jobsDir       = fs.String("jobs-dir", "", "finished-job metadata directory (empty = <graph-store>/jobs, or in-memory when no graph store)")
 		workers       = fs.Int("workers", 0, "sampling workers (0 = GOMAXPROCS)")
 		queue         = fs.Int("queue", 0, "job queue bound (0 = 4x workers)")
-		parallelism   = fs.Int("parallelism", 0, "intra-job sampling streams and fit-pipeline workers (0 = auto/GOMAXPROCS, 1 = sequential)")
+		parallelism   = fs.Int("parallelism", 0, "intra-job sampling streams and the process's fit and metric workers (0 = auto/GOMAXPROCS, 1 = sequential)")
 		seed          = fs.Int64("seed", 1, "base seed for the per-worker RNG streams")
 		maxModels     = fs.Int("max-models", 0, "max resident models, oldest evicted first (0 = unbounded)")
 		maxGraphs     = fs.Int("max-graphs", 0, "max resident graphs, oldest evicted first (0 = unbounded)")
@@ -156,6 +157,9 @@ func run(args []string, stdout io.Writer, ready func(addr string, stop func())) 
 	// The default logger backs the per-request lines and the package-level
 	// error paths (stream aborts, job-persistence failures).
 	slog.SetDefault(logger)
+	// The fit and metric passes shard on the process-default worker count;
+	// their results are the same at every count.
+	defer parallel.SetParallelism(parallel.SetParallelism(*parallelism))
 
 	reg, err := registry.Open(registry.Options{Dir: *store, TableDir: *tableDir, MaxModels: *maxModels})
 	if err != nil {
@@ -179,10 +183,9 @@ func run(args []string, stdout io.Writer, ready func(addr string, stop func())) 
 	// restarts; without a graph-store directory the bundle cache is
 	// memory-only, like the graphs themselves.
 	metrics, err := analytics.NewCache(analytics.Options{
-		Source:      graphs,
-		Dir:         *graphStore,
-		MaxEntries:  *metricsCache,
-		Parallelism: *parallelism,
+		Source:     graphs,
+		Dir:        *graphStore,
+		MaxEntries: *metricsCache,
 	})
 	if err != nil {
 		return err
@@ -244,16 +247,15 @@ func run(args []string, stdout io.Writer, ready func(addr string, stop func())) 
 	}
 
 	srv, err := server.New(server.Config{
-		Registry:       reg,
-		Engine:         eng,
-		Graphs:         graphs,
-		Jobs:           jobMgr,
-		Analytics:      metrics,
-		MaxJobSamples:  *maxJobSamples,
-		FitParallelism: *parallelism,
-		Logger:         logger,
-		Pprof:          *pprofFlag,
-		Tenants:        tenants,
+		Registry:      reg,
+		Engine:        eng,
+		Graphs:        graphs,
+		Jobs:          jobMgr,
+		Analytics:     metrics,
+		MaxJobSamples: *maxJobSamples,
+		Logger:        logger,
+		Pprof:         *pprofFlag,
+		Tenants:       tenants,
 	})
 	if err != nil {
 		return err

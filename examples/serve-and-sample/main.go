@@ -113,7 +113,8 @@ func run() error {
 	// fit result. This is the only step that spends privacy budget; the
 	// same graph ID could be fitted again at other settings without
 	// re-uploading. The fit pipeline shards its measurement passes over the
-	// worker pool; the fitted model is bit-identical at every parallelism.
+	// server's worker pool (agmdp-serve -parallelism); the fitted model is
+	// bit-identical at every worker count, so the body names none.
 	fitStart := time.Now()
 	fitBody := fmt.Sprintf(`{"graph_id":%q,"epsilon":1.0,"model":"tricycle","seed":7,"async":true}`, uploaded.ID)
 	resp, err = http.Post(base+"/v1/fit", "application/json", bytes.NewReader([]byte(fitBody)))

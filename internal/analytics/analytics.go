@@ -57,12 +57,11 @@ type Bundle struct {
 	DegreeHistogram    []DegreeBucket `json:"degree_histogram"`
 }
 
-// Compute builds the metric bundle for a graph. workers bounds the sharded
-// analytics passes (≤ 0 selects the process default); the result is
-// bit-identical for every worker count. observe, when non-nil, receives the
-// wall-clock duration of each compute stage ("degrees", "structure",
-// "components").
-func Compute(id string, g *graph.Graph, workers int, observe func(stage string, d time.Duration)) *Bundle {
+// Compute builds the metric bundle for a graph. Its passes shard on the
+// process-default worker count and the result is bit-identical for every
+// count. observe, when non-nil, receives the wall-clock duration of each
+// compute stage ("degrees", "structure", "components").
+func Compute(id string, g *graph.Graph, observe func(stage string, d time.Duration)) *Bundle {
 	mark := func(stage string, start time.Time) time.Time {
 		now := time.Now()
 		if observe != nil {
@@ -72,31 +71,16 @@ func Compute(id string, g *graph.Graph, workers int, observe func(stage string, 
 	}
 
 	start := time.Now()
-	hist := g.DegreeHistogramWith(workers)
+	hist := g.DegreeHistogram()
 	buckets := make([]DegreeBucket, 0, len(hist))
 	for d, c := range hist {
 		buckets = append(buckets, DegreeBucket{Degree: d, Count: c})
 	}
 	sort.Slice(buckets, func(i, j int) bool { return buckets[i].Degree < buckets[j].Degree })
-	maxDeg := g.MaxDegree()
-	avgDeg := g.AverageDegree()
 	start = mark("degrees", start)
 
-	tri := g.TrianglesWith(workers)
-	wedges := g.WedgesWith(workers)
-	cc := g.LocalClusteringAllWith(workers)
-	avgCC := 0.0
-	if len(cc) > 0 {
-		sum := 0.0
-		for _, c := range cc {
-			sum += c
-		}
-		avgCC = sum / float64(len(cc))
-	}
-	globalCC := 0.0
-	if wedges > 0 {
-		globalCC = 3 * float64(tri) / float64(wedges)
-	}
+	s := g.Summarize()
+	wedges := g.Wedges()
 	start = mark("structure", start)
 
 	comps := g.ConnectedComponents()
@@ -109,15 +93,15 @@ func Compute(id string, g *graph.Graph, workers int, observe func(stage string, 
 	return &Bundle{
 		GraphID:            id,
 		Version:            BundleVersion,
-		Nodes:              g.NumNodes(),
-		Edges:              g.NumEdges(),
-		Attributes:         g.NumAttributes(),
-		MaxDegree:          maxDeg,
-		AverageDegree:      avgDeg,
-		Triangles:          tri,
+		Nodes:              s.Nodes,
+		Edges:              s.Edges,
+		Attributes:         s.Attributes,
+		MaxDegree:          s.MaxDegree,
+		AverageDegree:      s.AverageDegree,
+		Triangles:          s.Triangles,
 		Wedges:             wedges,
-		AvgLocalClustering: avgCC,
-		GlobalClustering:   globalCC,
+		AvgLocalClustering: s.AvgLocalClustering,
+		GlobalClustering:   s.GlobalClustering,
 		Components:         len(comps),
 		LargestComponent:   largest,
 		DegreeHistogram:    buckets,
@@ -139,9 +123,9 @@ type UtilityMetrics struct {
 }
 
 // Compare computes the utility metrics of a synthetic graph against its
-// original at an explicit worker count (≤ 0 selects the process default).
-func Compare(original, synthetic *graph.Graph, workers int) UtilityMetrics {
-	return fromGraphMetrics(experiments.CompareGraphsWith(original, synthetic, workers))
+// original.
+func Compare(original, synthetic *graph.Graph) UtilityMetrics {
+	return fromGraphMetrics(experiments.CompareGraphs(original, synthetic))
 }
 
 // fromGraphMetrics converts the experiments struct (no JSON tags, column-name

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"agmdp/internal/graph"
+	"agmdp/internal/parallel"
 )
 
 // testGraph builds a deterministic attributed graph keyed by seed.
@@ -43,7 +44,7 @@ func (m mapSource) Get(id string) (*graph.Graph, bool) {
 
 func TestComputeMatchesPrimitives(t *testing.T) {
 	g := testGraph(1)
-	b := Compute("gid", g, 0, nil)
+	b := Compute("gid", g, nil)
 	if b.GraphID != "gid" || b.Version != BundleVersion {
 		t.Fatalf("identity = (%q, %d)", b.GraphID, b.Version)
 	}
@@ -82,13 +83,15 @@ func TestComputeMatchesPrimitives(t *testing.T) {
 }
 
 func TestComputeDeterministicAcrossWorkers(t *testing.T) {
+	defer parallel.SetParallelism(parallel.SetParallelism(1))
 	g := testGraph(2)
-	base, err := json.Marshal(Compute("gid", g, 1, nil))
+	base, err := json.Marshal(Compute("gid", g, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{0, 2, 3, 7} {
-		got, err := json.Marshal(Compute("gid", g, workers, nil))
+		parallel.SetParallelism(workers)
+		got, err := json.Marshal(Compute("gid", g, nil))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,7 +104,7 @@ func TestComputeDeterministicAcrossWorkers(t *testing.T) {
 func TestComputeObservesStages(t *testing.T) {
 	g := testGraph(3)
 	seen := map[string]int{}
-	Compute("gid", g, 0, func(stage string, _ time.Duration) { seen[stage]++ })
+	Compute("gid", g, func(stage string, _ time.Duration) { seen[stage]++ })
 	for _, stage := range []string{"degrees", "structure", "components"} {
 		if seen[stage] != 1 {
 			t.Fatalf("stage %q observed %d times: %v", stage, seen[stage], seen)
@@ -111,17 +114,19 @@ func TestComputeObservesStages(t *testing.T) {
 
 func TestCompareSelfIsZero(t *testing.T) {
 	g := testGraph(4)
-	u := Compare(g, g, 0)
+	u := Compare(g, g)
 	if u != (UtilityMetrics{}) {
 		t.Fatalf("self-comparison is non-zero: %+v", u)
 	}
 }
 
 func TestCompareDeterministicAcrossWorkers(t *testing.T) {
+	defer parallel.SetParallelism(parallel.SetParallelism(1))
 	a, b := testGraph(5), testGraph(6)
-	base := Compare(a, b, 1)
+	base := Compare(a, b)
 	for _, workers := range []int{0, 2, 5} {
-		if got := Compare(a, b, workers); got != base {
+		parallel.SetParallelism(workers)
+		if got := Compare(a, b); got != base {
 			t.Fatalf("metrics at %d workers = %+v, want %+v", workers, got, base)
 		}
 	}

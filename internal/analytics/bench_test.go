@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"agmdp/internal/graph"
+	"agmdp/internal/parallel"
 	"agmdp/internal/structural"
 )
 
@@ -125,21 +126,22 @@ func BenchmarkMetricsBundleWarm(b *testing.B) {
 // against itself with a single worker — the per-sample core of an evaluate
 // job without parallelism.
 func BenchmarkEvaluateSequential(b *testing.B) {
+	defer parallel.SetParallelism(parallel.SetParallelism(1))
 	g := analyticsBenchFixture(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Compare(g, g, 1)
+		Compare(g, g)
 	}
 }
 
 // BenchmarkEvaluateParallel is the same comparison fanned across all cores.
 func BenchmarkEvaluateParallel(b *testing.B) {
+	defer parallel.SetParallelism(parallel.SetParallelism(runtime.GOMAXPROCS(0)))
 	g := analyticsBenchFixture(b)
-	workers := runtime.GOMAXPROCS(0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Compare(g, g, workers)
+		Compare(g, g)
 	}
 }

@@ -60,10 +60,6 @@ type Options struct {
 	// request reloads instead of recomputing). 0 means DefaultMaxEntries;
 	// negative means unbounded.
 	MaxEntries int
-	// Parallelism bounds the workers of each sharded compute pass (≤ 0
-	// selects the process default). Bundles are bit-identical at every
-	// setting.
-	Parallelism int
 }
 
 // entry is one cached bundle. raw/bundle are guarded by Cache.mu; computeMu
@@ -204,7 +200,7 @@ func (c *Cache) loadOrCompute(id string) ([]byte, *Bundle, error) {
 		return nil, nil, ErrNotFound
 	}
 	cacheComputes.Inc()
-	b := Compute(id, g, c.opts.Parallelism, func(stage string, d time.Duration) {
+	b := Compute(id, g, func(stage string, d time.Duration) {
 		stageDurations.With(stage).ObserveDuration(d)
 	})
 	start := time.Now()

@@ -61,20 +61,6 @@ func PairConfig(a, b int) int {
 	return b*(b+1)/2 + a
 }
 
-// EdgeConfigPair inverts EdgeConfig: it returns the (sorted) pair of node
-// configuration indices encoded by an edge-configuration index.
-func EdgeConfigPair(idx, w int) (int, int) {
-	if idx < 0 || idx >= NumEdgeConfigs(w) {
-		panic(fmt.Sprintf("attrs: edge configuration index %d out of range for w=%d", idx, w))
-	}
-	b := 0
-	for (b+1)*(b+2)/2 <= idx {
-		b++
-	}
-	a := idx - b*(b+1)/2
-	return a, b
-}
-
 // ConfigToVector converts a node configuration index back into an attribute
 // vector (the inverse of NodeConfig).
 func ConfigToVector(idx, w int) graph.AttrVector {

@@ -73,21 +73,6 @@ func TestEdgeConfigBijectiveOnUnorderedPairs(t *testing.T) {
 	}
 }
 
-func TestEdgeConfigPairRoundTrip(t *testing.T) {
-	w := 2
-	for a := 0; a < NumNodeConfigs(w); a++ {
-		for b := a; b < NumNodeConfigs(w); b++ {
-			idx := EdgeConfig(graph.AttrVector(a), graph.AttrVector(b), w)
-			ga, gb := EdgeConfigPair(idx, w)
-			if ga != a || gb != b {
-				t.Fatalf("EdgeConfigPair(%d) = (%d,%d), want (%d,%d)", idx, ga, gb, a, b)
-			}
-		}
-	}
-	mustPanic(t, func() { EdgeConfigPair(-1, 2) }, "negative index")
-	mustPanic(t, func() { EdgeConfigPair(NumEdgeConfigs(2), 2) }, "index too large")
-}
-
 func TestConfigToVectorRoundTrip(t *testing.T) {
 	w := 4
 	for idx := 0; idx < NumNodeConfigs(w); idx++ {

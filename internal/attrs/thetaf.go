@@ -7,18 +7,33 @@ import (
 
 	"agmdp/internal/dp"
 	"agmdp/internal/graph"
+	"agmdp/internal/parallel"
 )
 
 // EdgeConfigCounts returns Q_F, the number of edges connecting each unordered
-// pair of node attribute configurations, indexed by EdgeConfig.
+// pair of node attribute configurations, indexed by EdgeConfig. Graphs with
+// at least parallel.MinShardEdges edges are counted in shards on the
+// process-default worker count, like NodeConfigCounts. Node ranges are split
+// by degree weight (the CSR offsets are the prefix sum SplitWeighted wants),
+// so a hub-heavy shard cannot dominate the wall clock on skewed graphs. The
+// counts are bit-identical for every worker count.
 func EdgeConfigCounts(g *graph.Graph) []float64 {
 	w := g.NumAttributes()
-	counts := make([]float64, NumEdgeConfigs(w))
-	g.ForEachEdge(func(u, v int) bool {
-		counts[EdgeConfig(g.Attr(u), g.Attr(v), w)]++
-		return true
+	shards := parallel.SplitWeighted(g.RowOffsets(), parallel.Workers(g.NumEdges(), parallel.MinShardEdges))
+	partial := make([][]float64, len(shards))
+	parallel.Do(len(shards), func(s int) {
+		counts := make([]float64, NumEdgeConfigs(w))
+		for u := shards[s].Lo; u < shards[s].Hi; u++ {
+			au := g.Attr(u)
+			for _, v := range g.NeighborsView(u) {
+				if int(v) > u {
+					counts[EdgeConfig(au, g.Attr(int(v)), w)]++
+				}
+			}
+		}
+		partial[s] = counts
 	})
-	return counts
+	return sumCounts(partial, NumEdgeConfigs(w))
 }
 
 // TrueThetaF returns the exact attribute–edge correlation distribution ΘF of

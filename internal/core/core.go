@@ -91,14 +91,6 @@ type Config struct {
 	// four-way split for TriCycLe, and ½ for S plus ¼ each for ΘX and ΘF for
 	// FCL.
 	BudgetSplit []float64
-	// Parallelism is the worker count for the fitting pipeline's measurement
-	// passes (degree extraction, node- and edge-configuration histograms,
-	// triangle and common-neighbour counting): ≤ 0 means "auto" (the process
-	// default, see parallel.SetParallelism), 1 forces sequential fitting.
-	// Every measurement pass is bit-identical for all worker counts and the
-	// noise draws stay sequential on the caller's rng, so a fitted model
-	// depends only on (graph, Config, rng seed) — never on Parallelism.
-	Parallelism int
 	// Observe, when non-nil, receives the wall-clock duration of each fitting
 	// stage as it completes: "attrs" (Θ̃X), "correlations" (Θ̃F), "degrees"
 	// (S̃) and, for TriCycLe, "triangles" (ñ∆). The callback only reads the
@@ -125,30 +117,21 @@ func (c Config) normalizedModel() structural.Model {
 
 // Fit learns exact (non-private) AGM parameters from g for the given
 // structural model. It is the baseline the paper reports as AGM-FCL /
-// AGM-TriCL. The measurement passes run at the process-default parallelism;
-// see FitWith for an explicit worker count (results are identical either
-// way).
+// AGM-TriCL. The measurement passes shard on the process-default worker
+// count and are bit-identical for every count, so the fitted model depends
+// only on the input graph and the model choice.
 func Fit(g *graph.Graph, model structural.Model) *FittedModel {
-	return FitWith(g, model, 0)
-}
-
-// FitWith is Fit with an explicit worker count for the measurement passes
-// (degree extraction, attribute histograms, triangle counting): ≤ 0 selects
-// the process default, 1 forces sequential fitting. Every pass is
-// bit-identical for all worker counts, so the fitted model depends only on
-// the input graph and the model choice.
-func FitWith(g *graph.Graph, model structural.Model, parallelism int) *FittedModel {
 	// A background context never cancels, so the error is statically nil.
-	m, _ := fitWithObserved(context.Background(), g, model, parallelism, nil)
+	m, _ := fitObserved(context.Background(), g, model, nil)
 	return m
 }
 
-// fitWithObserved is FitWith with a cancellation context and an optional
-// stage observer; it reports the same stage names as FitDP so synchronous and
+// fitObserved is Fit with a cancellation context and an optional stage
+// observer; it reports the same stage names as FitDP so synchronous and
 // private fits share one timing vocabulary, and it checks ctx at the same
 // stage boundaries so cancellable serving paths behave identically whether or
 // not a fit is private.
-func fitWithObserved(ctx context.Context, g *graph.Graph, model structural.Model, parallelism int, observe func(string, time.Duration)) (*FittedModel, error) {
+func fitObserved(ctx context.Context, g *graph.Graph, model structural.Model, observe func(string, time.Duration)) (*FittedModel, error) {
 	if model == nil {
 		model = structural.TriCycLe{}
 	}
@@ -156,7 +139,7 @@ func fitWithObserved(ctx context.Context, g *graph.Graph, model structural.Model
 		return nil, err
 	}
 	start := time.Now()
-	params := structural.Params{Degrees: g.DegreeSequenceWith(parallelism)}
+	params := structural.Params{Degrees: g.DegreeSequence()}
 	observeStage(observe, "degrees", start)
 	switch model.(type) {
 	case structural.TriCycLe:
@@ -164,7 +147,7 @@ func fitWithObserved(ctx context.Context, g *graph.Graph, model structural.Model
 			return nil, err
 		}
 		start = time.Now()
-		params.Triangles = g.TrianglesWith(parallelism)
+		params.Triangles = g.Triangles()
 		observeStage(observe, "triangles", start)
 	case structural.TCL:
 		params.Rho = structural.FitRho(g, 0)
@@ -173,13 +156,13 @@ func fitWithObserved(ctx context.Context, g *graph.Graph, model structural.Model
 		return nil, err
 	}
 	start = time.Now()
-	thetaX := attrs.TrueThetaXWith(g, parallelism)
+	thetaX := attrs.TrueThetaX(g)
 	observeStage(observe, "attrs", start)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	start = time.Now()
-	thetaF := attrs.TrueThetaFWith(g, parallelism)
+	thetaF := attrs.TrueThetaF(g)
 	observeStage(observe, "correlations", start)
 	return &FittedModel{
 		N:          g.NumNodes(),
@@ -193,7 +176,7 @@ func fitWithObserved(ctx context.Context, g *graph.Graph, model structural.Model
 
 // FitModel runs the fit a Config describes end to end: the differentially
 // private pipeline (FitDP) when cfg.Epsilon > 0, the exact non-private
-// baseline (FitWith) otherwise. It is the single fit entry point shared by
+// baseline (Fit) otherwise. It is the single fit entry point shared by
 // the synchronous HTTP handler and the asynchronous fit jobs, so the two
 // paths cannot drift apart — an async fit registers exactly the model the
 // synchronous fit would have.
@@ -204,7 +187,7 @@ func FitModel(ctx context.Context, rng *rand.Rand, g *graph.Graph, cfg Config) (
 	if cfg.Epsilon > 0 {
 		return FitDP(ctx, rng, g, cfg)
 	}
-	return fitWithObserved(ctx, g, cfg.normalizedModel(), cfg.Parallelism, cfg.Observe)
+	return fitObserved(ctx, g, cfg.normalizedModel(), cfg.Observe)
 }
 
 // FitDP (lines 2–5 of Algorithm 3) learns ε-differentially private AGM
@@ -262,8 +245,8 @@ func FitDP(ctx context.Context, rng *rand.Rand, g *graph.Graph, cfg Config) (*Fi
 
 	// The learning procedures below interleave two kinds of work: exact
 	// measurements of the input graph (histograms, degrees, triangle and
-	// common-neighbour counts), which shard onto the worker pool at
-	// cfg.Parallelism and are bit-identical for every worker count, and the
+	// common-neighbour counts), which shard onto the worker pool at the
+	// process default and are bit-identical for every worker count, and the
 	// privacy-critical noise draws, which stay sequential on rng in a fixed
 	// order. A private fit is therefore reproducible per (graph, cfg, rng
 	// seed) no matter how many workers measure the graph.
@@ -276,7 +259,7 @@ func FitDP(ctx context.Context, rng *rand.Rand, g *graph.Graph, cfg Config) (*Fi
 		return nil, err
 	}
 	start := time.Now()
-	thetaX := attrs.LearnAttributesDPWith(rng, g, epsX, cfg.Parallelism)
+	thetaX := attrs.LearnAttributesDP(rng, g, epsX)
 	observeStage(cfg.Observe, "attrs", start)
 
 	// Θ̃F — LearnCorrelationsDP (Algorithm 4, edge truncation).
@@ -287,7 +270,7 @@ func FitDP(ctx context.Context, rng *rand.Rand, g *graph.Graph, cfg Config) (*Fi
 		return nil, err
 	}
 	start = time.Now()
-	thetaF := attrs.LearnCorrelationsDPWith(rng, g, epsF, k, cfg.Parallelism)
+	thetaF := attrs.LearnCorrelationsDP(rng, g, epsF, k)
 	observeStage(cfg.Observe, "correlations", start)
 
 	// Θ̃M — FitTriCycLeDP (Algorithm 6) or the FCL degree sequence.
@@ -298,7 +281,7 @@ func FitDP(ctx context.Context, rng *rand.Rand, g *graph.Graph, cfg Config) (*Fi
 		return nil, err
 	}
 	start = time.Now()
-	params := structural.Params{Degrees: degrees.PrivateSequenceWith(rng, g, epsS, cfg.Parallelism)}
+	params := structural.Params{Degrees: degrees.PrivateSequence(rng, g, epsS)}
 	observeStage(cfg.Observe, "degrees", start)
 	if _, ok := model.(structural.TriCycLe); ok {
 		if err := ctx.Err(); err != nil {
@@ -308,7 +291,7 @@ func FitDP(ctx context.Context, rng *rand.Rand, g *graph.Graph, cfg Config) (*Fi
 			return nil, err
 		}
 		start = time.Now()
-		params.Triangles = triangles.PrivateCountWith(rng, g, epsTri, cfg.Parallelism)
+		params.Triangles = triangles.PrivateCount(rng, g, epsTri)
 		observeStage(cfg.Observe, "triangles", start)
 	}
 

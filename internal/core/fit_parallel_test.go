@@ -30,14 +30,20 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// fitFixture builds an attributed heavy-tailed graph big enough to clear the
-// sharding threshold (m >= parallel.MinShardEdges), so the parallel fit paths
-// genuinely fan out instead of taking their sequential fallbacks.
+// determinismWorkers are the process-default worker counts the per-count
+// determinism tests select; the first, 1, is the sequential reference.
+var determinismWorkers = []int{1, 2, 3, 5, 8}
+
+// fitFixture builds an attributed heavy-tailed graph big enough to clear
+// every measurement pass's sharding threshold (n >= 2^14 nodes for the
+// per-node passes, m >= parallel.MinShardEdges for the edge passes), so the
+// parallel fit paths genuinely fan out instead of taking their sequential
+// fallbacks.
 func fitFixture(tb testing.TB, n int) *graph.Graph {
 	tb.Helper()
 	rng := rand.New(rand.NewSource(42))
-	edges := make([]graph.Edge, 0, 6*n)
-	for i := 0; i < 6*n; i++ {
+	edges := make([]graph.Edge, 0, 3*n)
+	for i := 0; i < 3*n; i++ {
 		// Square one endpoint's draw toward low IDs for a skewed degree profile.
 		u := int(float64(n) * rng.Float64() * rng.Float64())
 		v := rng.Intn(n)
@@ -49,8 +55,8 @@ func fitFixture(tb testing.TB, n int) *graph.Graph {
 		attrs[i] = graph.AttrVector(rng.Uint64() & 3)
 	}
 	g = g.WithAttributes(2, attrs)
-	if g.NumEdges() < parallel.MinShardEdges {
-		tb.Fatalf("fixture has %d edges, below the sharding threshold %d", g.NumEdges(), parallel.MinShardEdges)
+	if g.NumNodes() < 1<<14 || g.NumEdges() < parallel.MinShardEdges {
+		tb.Fatalf("fixture has %d nodes and %d edges, below the sharding thresholds", g.NumNodes(), g.NumEdges())
 	}
 	return g
 }
@@ -67,16 +73,18 @@ func marshalOrDie(t *testing.T, m *FittedModel) []byte {
 }
 
 // TestFitWithParallelMatchesSequential pins the determinism contract of the
-// exact fitting pipeline: for every worker count the fitted model is
-// byte-identical to the sequential fit.
+// exact fitting pipeline: at every process-default worker count the fitted
+// model is byte-identical to the sequential fit.
 func TestFitWithParallelMatchesSequential(t *testing.T) {
-	g := fitFixture(t, 2000)
+	defer parallel.SetParallelism(parallel.SetParallelism(1))
+	g := fitFixture(t, 1<<14)
 	for _, model := range []structural.Model{structural.TriCycLe{}, structural.FCL{}} {
-		want := marshalOrDie(t, FitWith(g, model, 1))
-		for _, workers := range []int{2, 3, 5, 8} {
-			got := marshalOrDie(t, FitWith(g, model, workers))
-			if !bytes.Equal(want, got) {
-				t.Errorf("%s: FitWith(%d workers) differs from sequential fit", model.Name(), workers)
+		parallel.SetParallelism(1)
+		want := marshalOrDie(t, Fit(g, model))
+		for _, workers := range determinismWorkers[1:] {
+			parallel.SetParallelism(workers)
+			if got := marshalOrDie(t, Fit(g, model)); !bytes.Equal(want, got) {
+				t.Errorf("%s: Fit at %d workers differs from sequential fit", model.Name(), workers)
 			}
 		}
 	}
@@ -86,21 +94,19 @@ func TestFitWithParallelMatchesSequential(t *testing.T) {
 // pipeline: the noise draws stay sequential on the rng, so equal seeds give
 // byte-identical private models at every worker count.
 func TestFitDPParallelMatchesSequential(t *testing.T) {
-	g := fitFixture(t, 2000)
+	defer parallel.SetParallelism(parallel.SetParallelism(1))
+	g := fitFixture(t, 1<<14)
 	for _, model := range []structural.Model{structural.TriCycLe{}, structural.FCL{}} {
 		fit := func(workers int) []byte {
-			m, err := FitDP(context.Background(), rand.New(rand.NewSource(7)), g, Config{
-				Epsilon:     1.0,
-				Model:       model,
-				Parallelism: workers,
-			})
+			parallel.SetParallelism(workers)
+			m, err := FitDP(context.Background(), rand.New(rand.NewSource(7)), g, Config{Epsilon: 1.0, Model: model})
 			if err != nil {
 				t.Fatalf("%s: FitDP(%d workers): %v", model.Name(), workers, err)
 			}
 			return marshalOrDie(t, m)
 		}
 		want := fit(1)
-		for _, workers := range []int{2, 3, 5, 8} {
+		for _, workers := range determinismWorkers[1:] {
 			if got := fit(workers); !bytes.Equal(want, got) {
 				t.Errorf("%s: FitDP at %d workers differs from sequential", model.Name(), workers)
 			}
@@ -108,13 +114,15 @@ func TestFitDPParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestFitAutoParallelismMatchesExplicit guards the knob resolution: the auto
-// default (Parallelism <= 0) must produce the same model as any explicit
-// worker count.
+// TestFitAutoParallelismMatchesExplicit guards the default's resolution: the
+// built-in default (SetParallelism(0), GOMAXPROCS workers) must produce the
+// same model as the sequential fit.
 func TestFitAutoParallelismMatchesExplicit(t *testing.T) {
-	g := fitFixture(t, 2000)
-	auto := marshalOrDie(t, FitWith(g, structural.TriCycLe{}, 0))
-	seq := marshalOrDie(t, FitWith(g, structural.TriCycLe{}, 1))
+	defer parallel.SetParallelism(parallel.SetParallelism(0))
+	g := fitFixture(t, 1<<14)
+	auto := marshalOrDie(t, Fit(g, structural.TriCycLe{}))
+	parallel.SetParallelism(1)
+	seq := marshalOrDie(t, Fit(g, structural.TriCycLe{}))
 	if !bytes.Equal(auto, seq) {
 		t.Error("auto-parallel fit differs from sequential fit")
 	}

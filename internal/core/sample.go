@@ -83,7 +83,7 @@ func freezeStructure(src graph.RowSource) *graph.Graph {
 // sampleRefined runs lines 6–18 of Algorithm 3 and additionally returns the
 // converged acceptance table A(y) of the final round (nil when no refinement
 // round produced one). The table is what the acceptance cache stores so later
-// samples can skip the refinement entirely (SampleWithTable).
+// samples can skip the refinement entirely (SampleSourceWithTable).
 //
 // The returned source is the final round's structure with the attribute
 // vectors overlaid: the builder itself for a StreamModel — the final round is
@@ -147,7 +147,7 @@ func sampleRefined(rng *rand.Rand, m *FittedModel, opts SampleOptions) (graph.Ro
 // generation, so the table is a pure function of the model parameters: the
 // same on every host regardless of core count or the parallelism carried by
 // opts.Model — and returns the converged table. Sampling with the table
-// (SampleWithTable) then needs a single structural generation instead of
+// (SampleSourceWithTable) then needs a single structural generation instead of
 // 1+Iterations, which is the hot-path saving the registry's acceptance cache
 // exists for. The table never touches the sensitive input graph, so caching
 // it is post-processing and consumes no privacy budget. Because the table is
@@ -181,22 +181,13 @@ func FitAcceptanceTable(m *FittedModel, opts SampleOptions) ([]float64, error) {
 	return table, nil
 }
 
-// SampleWithTable draws one synthetic attributed graph using a pre-fitted
-// acceptance table instead of per-sample refinement: fresh attributes from
-// Θ̃X, then a single structural generation filtered by A(y). Output is
-// deterministic per (rng seed, model, table, structural parallelism).
-// opts.Iterations is ignored — the refinement already happened when the table
-// was fitted.
-func SampleWithTable(rng *rand.Rand, m *FittedModel, table []float64, opts SampleOptions) (*graph.Graph, error) {
-	src, err := SampleSourceWithTable(rng, m, table, opts)
-	if err != nil {
-		return nil, err
-	}
-	return graph.Materialize(src), nil
-}
-
-// SampleSourceWithTable is SampleWithTable returning a streaming row-level
-// view; see SampleSource for the contract. With a pre-fitted table the single
+// SampleSourceWithTable draws one synthetic attributed graph using a
+// pre-fitted acceptance table instead of per-sample refinement: fresh
+// attributes from Θ̃X, then a single structural generation filtered by A(y).
+// Output is deterministic per (rng seed, model, table, structural
+// parallelism). opts.Iterations is ignored — the refinement already happened
+// when the table was fitted. It returns a streaming row-level view; see
+// SampleSource for the contract. With a pre-fitted table the single
 // structural generation is the final one, so for a StreamModel nothing in the
 // whole call packs a CSR array.
 func SampleSourceWithTable(rng *rand.Rand, m *FittedModel, table []float64, opts SampleOptions) (graph.RowSource, error) {

@@ -52,35 +52,6 @@ func TestSampleSourceMatchesSample(t *testing.T) {
 	}
 }
 
-// TestSampleSourceWithTableMatchesSampleWithTable is the same byte-identity
-// contract for the acceptance-table fast path (the engine's cache hit path).
-func TestSampleSourceWithTableMatchesSampleWithTable(t *testing.T) {
-	g := testInputGraph(31)
-	m := Fit(g, structural.TriCycLe{})
-	table, err := FitAcceptanceTable(m, SampleOptions{})
-	if err != nil {
-		t.Fatalf("FitAcceptanceTable: %v", err)
-	}
-	want, err := SampleWithTable(dp.NewRand(7), m, table, SampleOptions{})
-	if err != nil {
-		t.Fatalf("SampleWithTable: %v", err)
-	}
-	src, err := SampleSourceWithTable(dp.NewRand(7), m, table, SampleOptions{})
-	if err != nil {
-		t.Fatalf("SampleSourceWithTable: %v", err)
-	}
-	if !graph.Materialize(src).Equal(want) {
-		t.Fatal("materialized table source differs from SampleWithTable")
-	}
-	var mono bytes.Buffer
-	if err := graph.WriteBinaryTo(&mono, want); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(mono.Bytes(), encodeSource(t, src)) {
-		t.Fatal("streamed table encoding differs from monolithic")
-	}
-}
-
 // TestSampleSourceStaysUnpacked asserts the perf point of the streaming path:
 // for a streaming structural model the final round is never packed, so the
 // returned source must be builder-backed, not a materialized graph.

@@ -137,9 +137,6 @@ func (p Profile) Scaled(factor float64) Profile {
 	return out
 }
 
-// DefaultScaled returns the profile scaled by its DefaultScale.
-func (p Profile) DefaultScaled() Profile { return p.Scaled(p.DefaultScale) }
-
 func clampMin(v, lo int) int {
 	if v < lo {
 		return lo

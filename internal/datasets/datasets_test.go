@@ -91,11 +91,11 @@ func TestScaled(t *testing.T) {
 
 func TestDefaultScaled(t *testing.T) {
 	p, _ := ByName("lastfm")
-	if p.DefaultScaled().Nodes != p.Nodes {
+	if p.Scaled(p.DefaultScale).Nodes != p.Nodes {
 		t.Fatal("lastfm default scale should be full size")
 	}
 	pk, _ := ByName("pokec")
-	if pk.DefaultScaled().Nodes >= pk.Nodes {
+	if pk.Scaled(pk.DefaultScale).Nodes >= pk.Nodes {
 		t.Fatal("pokec default scale should shrink the dataset")
 	}
 }

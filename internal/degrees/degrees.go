@@ -123,18 +123,12 @@ func PrivateSequenceFromDegrees(rng *rand.Rand, degs []int, n int, epsilon float
 }
 
 // PrivateSequence releases an ε-differentially private estimate of graph g's
-// sorted degree sequence with the paper's default options.
-func PrivateSequence(rng *rand.Rand, g *graph.Graph, epsilon float64) []int {
-	return PrivateSequenceWith(rng, g, epsilon, 0)
-}
-
-// PrivateSequenceWith is PrivateSequence with an explicit worker count for
-// the degree-extraction pass (≤ 0 selects the process default). Degree
-// extraction is bit-identical for every worker count and the noise draws stay
+// sorted degree sequence with the paper's default options. Degree extraction
+// is bit-identical for every worker count and the noise draws stay
 // sequential on rng, so the released sequence depends only on (graph,
 // epsilon, rng state).
-func PrivateSequenceWith(rng *rand.Rand, g *graph.Graph, epsilon float64, workers int) []int {
-	est := PrivateSequenceFromDegrees(rng, g.DegreesWith(workers), g.NumNodes(), epsilon, DefaultOptions())
+func PrivateSequence(rng *rand.Rand, g *graph.Graph, epsilon float64) []int {
+	est := PrivateSequenceFromDegrees(rng, g.Degrees(), g.NumNodes(), epsilon, DefaultOptions())
 	out := make([]int, len(est))
 	for i, v := range est {
 		out[i] = int(v)
@@ -150,10 +144,4 @@ func SequenceSum(seq []int) int {
 		sum += d
 	}
 	return sum
-}
-
-// ImpliedEdges returns the number of edges implied by a degree sequence,
-// rounding down when the sum is odd (which can happen for noisy sequences).
-func ImpliedEdges(seq []int) int {
-	return SequenceSum(seq) / 2
 }

@@ -232,14 +232,8 @@ func TestSequenceSumAndImpliedEdges(t *testing.T) {
 	if SequenceSum(seq) != 10 {
 		t.Fatalf("SequenceSum = %d, want 10", SequenceSum(seq))
 	}
-	if ImpliedEdges(seq) != 5 {
-		t.Fatalf("ImpliedEdges = %d, want 5", ImpliedEdges(seq))
-	}
-	if ImpliedEdges([]int{1, 2}) != 1 {
-		t.Fatalf("ImpliedEdges odd sum should floor")
-	}
-	if ImpliedEdges(nil) != 0 {
-		t.Fatal("ImpliedEdges(nil) != 0")
+	if SequenceSum(nil) != 0 {
+		t.Fatal("SequenceSum(nil) != 0")
 	}
 }
 

@@ -29,13 +29,6 @@ func NewBudget(epsilon float64) *Budget {
 	return &Budget{total: epsilon}
 }
 
-// Total returns the total budget the accountant was created with.
-func (b *Budget) Total() float64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.total
-}
-
 // Spent returns the privacy budget consumed so far.
 func (b *Budget) Spent() float64 {
 	b.mu.Lock()

@@ -9,8 +9,8 @@ import (
 
 func TestBudgetAccounting(t *testing.T) {
 	b := NewBudget(1.0)
-	if b.Total() != 1.0 || b.Spent() != 0 || b.Remaining() != 1.0 {
-		t.Fatalf("fresh budget state: total=%v spent=%v remaining=%v", b.Total(), b.Spent(), b.Remaining())
+	if b.Spent() != 0 || b.Remaining() != 1.0 {
+		t.Fatalf("fresh budget state: spent=%v remaining=%v", b.Spent(), b.Remaining())
 	}
 	if err := b.Spend(0.4); err != nil {
 		t.Fatalf("Spend(0.4): %v", err)

@@ -67,37 +67,6 @@ func LaplaceVector(rng *rand.Rand, values []float64, sensitivity, epsilon float6
 	return out
 }
 
-// TwoSidedGeometric draws a sample from the two-sided geometric (discrete
-// Laplace) distribution with parameter alpha = exp(−epsilon/sensitivity),
-// i.e. Pr[X = k] ∝ alpha^|k|. Adding such noise to an integer-valued query
-// with the given L1 sensitivity satisfies ε-differential privacy and keeps the
-// output integral.
-func TwoSidedGeometric(rng *rand.Rand, sensitivity, epsilon float64) int64 {
-	if epsilon <= 0 || sensitivity <= 0 {
-		panic(fmt.Sprintf("dp: invalid geometric parameters sensitivity=%v epsilon=%v", sensitivity, epsilon))
-	}
-	alpha := math.Exp(-epsilon / sensitivity)
-	// Sample magnitude from a geometric distribution and a symmetric sign,
-	// handling the atom at zero which has mass (1-alpha)/(1+alpha).
-	u := rng.Float64()
-	p0 := (1 - alpha) / (1 + alpha)
-	if u < p0 {
-		return 0
-	}
-	// Remaining mass split evenly between the positive and negative tails.
-	u = rng.Float64()
-	sign := int64(1)
-	if rng.Float64() < 0.5 {
-		sign = -1
-	}
-	// Geometric tail: Pr[|X| = k | |X| ≥ 1] ∝ alpha^(k-1).
-	k := int64(1 + math.Floor(math.Log(u)/math.Log(alpha)))
-	if k < 1 {
-		k = 1
-	}
-	return sign * k
-}
-
 // Clamp restricts x to the closed interval [lo, hi]. It is the post-processing
 // step the paper applies to noisy counts before normalisation; clamping noisy
 // outputs never affects the privacy guarantee.

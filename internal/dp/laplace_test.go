@@ -141,37 +141,6 @@ func TestLaplaceVector(t *testing.T) {
 	mustPanic(t, func() { LaplaceVector(rng, in, 1, 0) }, "zero epsilon")
 }
 
-func TestTwoSidedGeometricIsIntegerAndSymmetric(t *testing.T) {
-	rng := NewRand(6)
-	var pos, neg, zero int
-	const n = 100000
-	for i := 0; i < n; i++ {
-		v := TwoSidedGeometric(rng, 1, 1)
-		switch {
-		case v > 0:
-			pos++
-		case v < 0:
-			neg++
-		default:
-			zero++
-		}
-	}
-	if zero == 0 {
-		t.Fatal("two-sided geometric never produced zero")
-	}
-	balance := math.Abs(float64(pos-neg)) / float64(pos+neg)
-	if balance > 0.03 {
-		t.Fatalf("positive/negative imbalance = %v", balance)
-	}
-	// With alpha = e^-1 the zero atom has mass (1-α)/(1+α) ≈ 0.462.
-	zeroFrac := float64(zero) / n
-	if math.Abs(zeroFrac-0.462) > 0.02 {
-		t.Fatalf("zero mass = %v, want ≈ 0.462", zeroFrac)
-	}
-	mustPanic(t, func() { TwoSidedGeometric(rng, 0, 1) }, "zero sensitivity")
-	mustPanic(t, func() { TwoSidedGeometric(rng, 1, 0) }, "zero epsilon")
-}
-
 func TestClamp(t *testing.T) {
 	cases := []struct{ x, lo, hi, want float64 }{
 		{5, 0, 10, 5},

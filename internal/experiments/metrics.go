@@ -40,54 +40,25 @@ type GraphMetrics struct {
 }
 
 // CompareGraphs computes the Table 2–5 error columns for a synthetic graph
-// against its input graph.
+// against its input graph. The triangle count and both clustering
+// coefficients come from one Summarize per graph, so each graph's triangles
+// are counted once.
 func CompareGraphs(original, synthetic *graph.Graph) GraphMetrics {
-	return CompareGraphsWith(original, synthetic, 0)
-}
-
-// CompareGraphsWith is CompareGraphs with an explicit worker count for the
-// measurement passes on both graphs (≤ 0 selects the process default). The
-// metrics are bit-identical for every worker count — the sharded analytics
-// carry that contract — so the knob trades wall-clock only.
-func CompareGraphsWith(original, synthetic *graph.Graph, workers int) GraphMetrics {
-	origTheta := attrs.TrueThetaFWith(original, workers)
-	synthTheta := attrs.TrueThetaFWith(synthetic, workers)
-	origDegrees := original.DegreeSequenceWith(workers)
-	synthDegrees := synthetic.DegreeSequenceWith(workers)
+	origTheta := attrs.TrueThetaF(original)
+	synthTheta := attrs.TrueThetaF(synthetic)
+	origDegrees := original.DegreeSequence()
+	synthDegrees := synthetic.DegreeSequence()
+	orig, synth := original.Summarize(), synthetic.Summarize()
 	return GraphMetrics{
 		MREThetaF:           stats.MeanAbsoluteError(origTheta, synthTheta),
 		HellingerThetaF:     stats.HellingerDistance(origTheta, synthTheta),
 		KSDegree:            stats.DegreeKS(origDegrees, synthDegrees),
 		HellingerDegree:     stats.DegreeHellinger(origDegrees, synthDegrees),
-		MRETriangles:        stats.RelativeError(float64(original.TrianglesWith(workers)), float64(synthetic.TrianglesWith(workers))),
-		MREAvgClustering:    stats.RelativeError(averageLocalClusteringWith(original, workers), averageLocalClusteringWith(synthetic, workers)),
-		MREGlobalClustering: stats.RelativeError(globalClusteringWith(original, workers), globalClusteringWith(synthetic, workers)),
+		MRETriangles:        stats.RelativeError(float64(orig.Triangles), float64(synth.Triangles)),
+		MREAvgClustering:    stats.RelativeError(orig.AvgLocalClustering, synth.AvgLocalClustering),
+		MREGlobalClustering: stats.RelativeError(orig.GlobalClustering, synth.GlobalClustering),
 		MREEdges:            stats.RelativeError(float64(original.NumEdges()), float64(synthetic.NumEdges())),
 	}
-}
-
-// averageLocalClusteringWith is Graph.AverageLocalClustering at an explicit
-// worker count for the shared edge pass.
-func averageLocalClusteringWith(g *graph.Graph, workers int) float64 {
-	if g.NumNodes() == 0 {
-		return 0
-	}
-	cc := g.LocalClusteringAllWith(workers)
-	sum := 0.0
-	for _, c := range cc {
-		sum += c
-	}
-	return sum / float64(len(cc))
-}
-
-// globalClusteringWith is Graph.GlobalClustering at an explicit worker count
-// for the triangle and wedge passes.
-func globalClusteringWith(g *graph.Graph, workers int) float64 {
-	w := g.WedgesWith(workers)
-	if w == 0 {
-		return 0
-	}
-	return 3 * float64(g.TrianglesWith(workers)) / float64(w)
 }
 
 // average returns the element-wise mean of a set of metric rows.

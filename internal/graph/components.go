@@ -80,15 +80,6 @@ func (g *Graph) LargestComponent() []int {
 	return comps[0]
 }
 
-// IsConnected reports whether the graph consists of a single connected
-// component (the empty graph and the single-node graph are connected).
-func (g *Graph) IsConnected() bool {
-	if len(g.attrs) <= 1 {
-		return true
-	}
-	return len(g.LargestComponent()) == len(g.attrs)
-}
-
 // OrphanedNodes returns all nodes that are not part of the largest connected
 // component, in ascending order. This is the notion of "orphaned" used by the
 // TriCycLe post-processing step (Algorithm 2 of the paper): the input graph is
@@ -127,12 +118,4 @@ func (g *Graph) InducedSubgraph(nodes []int) (*Graph, []int) {
 	}
 	sub := FromEdges(len(orig), g.w, edges).WithAttributes(g.w, vecs)
 	return sub, orig
-}
-
-// RelabelToLargestComponent returns a new graph containing only the largest
-// connected component, with node IDs compacted to 0..k-1, plus the mapping
-// back to original IDs. This mirrors the paper's preprocessing, which keeps
-// only the main connected component of each dataset.
-func (g *Graph) RelabelToLargestComponent() (*Graph, []int) {
-	return g.InducedSubgraph(g.LargestComponent())
 }

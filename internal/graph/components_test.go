@@ -86,21 +86,6 @@ func TestLargestComponentMembers(t *testing.T) {
 	}
 }
 
-func TestIsConnected(t *testing.T) {
-	if !buildTriangleWithTail().IsConnected() {
-		t.Fatal("connected graph reported as disconnected")
-	}
-	if twoComponents().IsConnected() {
-		t.Fatal("disconnected graph reported as connected")
-	}
-	if !New(0, 0).IsConnected() || !New(1, 0).IsConnected() {
-		t.Fatal("trivial graphs should be connected")
-	}
-	if New(2, 0).IsConnected() {
-		t.Fatal("two isolated nodes should not be connected")
-	}
-}
-
 func TestOrphanedNodes(t *testing.T) {
 	g := twoComponents()
 	orphans := g.OrphanedNodes()
@@ -154,28 +139,6 @@ func TestInducedSubgraphCollapsesDuplicates(t *testing.T) {
 	}
 }
 
-func TestRelabelToLargestComponent(t *testing.T) {
-	b := twoComponentsB()
-	b.SetAttr(2, 1)
-	main, orig := b.Finalize().RelabelToLargestComponent()
-	if main.NumNodes() != 4 || main.NumEdges() != 4 {
-		t.Fatalf("main component has %d nodes / %d edges, want 4 / 4", main.NumNodes(), main.NumEdges())
-	}
-	if !main.IsConnected() {
-		t.Fatal("relabelled main component is not connected")
-	}
-	// Attribute of original node 2 must survive.
-	found := false
-	for newID, old := range orig {
-		if old == 2 && main.Attr(newID) == 1 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("attribute lost during relabelling")
-	}
-}
-
 // Property: component sizes always sum to the node count, and every component
 // is internally connected.
 func TestComponentsPartitionProperty(t *testing.T) {
@@ -187,7 +150,7 @@ func TestComponentsPartitionProperty(t *testing.T) {
 		for _, c := range comps {
 			total += len(c)
 			sub, _ := g.InducedSubgraph(c)
-			if !sub.IsConnected() {
+			if len(sub.ConnectedComponents()) != 1 {
 				return false
 			}
 		}

@@ -274,18 +274,6 @@ func (g *Graph) Clone() *Graph {
 	return &c
 }
 
-// CloneStructure returns a copy of the graph with the same nodes and edges but
-// with all attribute vectors reset to zero. The topology arrays are shared.
-func (g *Graph) CloneStructure() *Graph {
-	return &Graph{
-		w:         g.w,
-		m:         g.m,
-		offsets:   g.offsets,
-		neighbors: g.neighbors,
-		attrs:     make([]AttrVector, len(g.attrs)),
-	}
-}
-
 // FromEdges builds a graph with n nodes and w attributes from an edge list.
 // Duplicate edges and self loops are silently dropped; an endpoint outside
 // [0, n) panics. The list is packed into sorted rows in O(n + m), whatever

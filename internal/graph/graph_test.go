@@ -254,22 +254,6 @@ func TestFinalizedGraphImmuneToBuilderMutation(t *testing.T) {
 	}
 }
 
-func TestCloneStructureClearsAttributes(t *testing.T) {
-	b := buildTriangleWithTailB()
-	b.SetAttr(0, 3)
-	b.SetAttr(4, 1)
-	g := b.Finalize()
-	c := g.CloneStructure()
-	if c.NumEdges() != g.NumEdges() {
-		t.Fatalf("CloneStructure edges = %d, want %d", c.NumEdges(), g.NumEdges())
-	}
-	for i := 0; i < c.NumNodes(); i++ {
-		if c.Attr(i) != 0 {
-			t.Fatalf("CloneStructure kept attribute on node %d", i)
-		}
-	}
-}
-
 func TestFromEdgesDropsDuplicatesAndLoops(t *testing.T) {
 	g := FromEdges(4, 1, []Edge{{0, 1}, {1, 0}, {2, 2}, {2, 3}})
 	if g.NumEdges() != 2 {

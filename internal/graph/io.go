@@ -32,21 +32,14 @@ import (
 //	node <id> <bit0> <bit1> ...
 //	edge <u> <v>
 
-// WriteEdgeList writes the graph's edges to w, one "u v" pair per line in
-// canonical order.
-func (g *Graph) WriteEdgeList(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "# agmdp edge list: %d nodes, %d edges\n", g.NumNodes(), g.NumEdges())
-	for _, e := range g.Edges() {
-		fmt.Fprintf(bw, "%d %d\n", e.U, e.V)
-	}
-	return bw.Flush()
-}
-
-// ReadEdgeList parses a whitespace-separated edge list. Node IDs may be
-// arbitrary non-negative integers; the resulting graph has max(ID)+1 nodes and
-// zero attributes. Lines starting with '#' or '%' are ignored.
-func ReadEdgeList(r io.Reader) (*Graph, error) {
+// ReadEdgeList parses a whitespace-separated edge list. Node IDs are
+// non-negative integers; the resulting graph has max(ID)+1 nodes and zero
+// attributes. Lines starting with '#' or '%' are ignored. An ID that would
+// make the graph larger than maxNodes, or than the int32 ID space, is refused
+// at its line, before anything is sized by it: the graph allocates per-node
+// state for every ID below the largest one.
+func ReadEdgeList(r io.Reader, maxNodes int) (*Graph, error) {
+	maxNodes = min(maxNodes, math.MaxInt32)
 	var pairs []Edge
 	maxID := -1
 	sc := bufio.NewScanner(r)
@@ -73,12 +66,10 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 		if u < 0 || v < 0 {
 			return nil, fmt.Errorf("graph: edge list line %d: negative node ID", line)
 		}
-		if u > maxID {
-			maxID = u
+		if id := max(u, v); id >= maxNodes {
+			return nil, fmt.Errorf("graph: edge list line %d: node ID %d needs %d nodes, limit is %d", line, id, id+1, maxNodes)
 		}
-		if v > maxID {
-			maxID = v
-		}
+		maxID = max(maxID, u, v)
 		pairs = append(pairs, Edge{U: u, V: v})
 	}
 	if err := sc.Err(); err != nil {
@@ -240,12 +231,13 @@ func LoadGraph(path string) (*Graph, error) {
 	return ReadGraph(f, math.MaxInt32)
 }
 
-// LoadEdgeList reads an edge-list file from disk.
+// LoadEdgeList reads an edge-list file from disk, accepting any node count
+// the int32 ID space holds.
 func LoadEdgeList(path string) (*Graph, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("graph: %w", err)
 	}
 	defer f.Close()
-	return ReadEdgeList(f)
+	return ReadEdgeList(f, math.MaxInt32)
 }

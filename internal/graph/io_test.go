@@ -12,11 +12,8 @@ import (
 
 func TestEdgeListRoundTrip(t *testing.T) {
 	g := buildTriangleWithTail()
-	var buf bytes.Buffer
-	if err := g.WriteEdgeList(&buf); err != nil {
-		t.Fatalf("WriteEdgeList: %v", err)
-	}
-	back, err := ReadEdgeList(&buf)
+	in := "# triangle with tail\n0 1\n0 2\n1 2\n2 3\n3 4\n"
+	back, err := ReadEdgeList(strings.NewReader(in), math.MaxInt32)
 	if err != nil {
 		t.Fatalf("ReadEdgeList: %v", err)
 	}
@@ -34,7 +31,7 @@ func TestEdgeListRoundTrip(t *testing.T) {
 
 func TestReadEdgeListSkipsCommentsAndBlankLines(t *testing.T) {
 	in := "# comment\n% another comment\n\n0 1\n1 2 extra-ignored\n"
-	g, err := ReadEdgeList(strings.NewReader(in))
+	g, err := ReadEdgeList(strings.NewReader(in), math.MaxInt32)
 	if err != nil {
 		t.Fatalf("ReadEdgeList: %v", err)
 	}
@@ -44,19 +41,26 @@ func TestReadEdgeListSkipsCommentsAndBlankLines(t *testing.T) {
 }
 
 func TestReadEdgeListErrors(t *testing.T) {
+	if g, err := ReadEdgeList(strings.NewReader("0 4\n"), 5); err != nil || g.NumNodes() != 5 {
+		t.Fatalf("IDs at the limit: graph %v, error %v", g, err)
+	}
 	cases := []struct {
 		name  string
 		input string
+		limit int
 	}{
-		{"single field", "0\n"},
-		{"non numeric", "a b\n"},
-		{"negative id", "-1 2\n"},
-		{"non numeric second", "1 x\n"},
+		{"single field", "0\n", math.MaxInt32},
+		{"non numeric", "a b\n", math.MaxInt32},
+		{"negative id", "-1 2\n", math.MaxInt32},
+		{"non numeric second", "1 x\n", math.MaxInt32},
+		{"id past a small limit", "0 1\n5 0\n", 5},
+		{"id past the limit", "0 3000000\n", 2000000},
+		{"id past the int32 ID space", "0 2147483647\n", math.MaxInt},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := ReadEdgeList(strings.NewReader(tc.input)); err == nil {
-				t.Fatalf("ReadEdgeList(%q) succeeded, want error", tc.input)
+			if _, err := ReadEdgeList(strings.NewReader(tc.input), tc.limit); err == nil {
+				t.Fatalf("ReadEdgeList(%q, %d) succeeded, want error", tc.input, tc.limit)
 			}
 		})
 	}
@@ -160,16 +164,7 @@ func TestSaveAndLoadGraphFiles(t *testing.T) {
 func TestLoadEdgeListFile(t *testing.T) {
 	dir := t.TempDir()
 	p := filepath.Join(dir, "edges.txt")
-	g := complete(4)
-	writeEdges := func() error {
-		file, err := os.Create(p)
-		if err != nil {
-			return err
-		}
-		defer file.Close()
-		return g.WriteEdgeList(file)
-	}
-	if err := writeEdges(); err != nil {
+	if err := os.WriteFile(p, []byte("0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n"), 0o644); err != nil {
 		t.Fatalf("writing edge list: %v", err)
 	}
 	back, err := LoadEdgeList(p)

@@ -88,22 +88,6 @@ func TestTrianglesKnownGraphs(t *testing.T) {
 	}
 }
 
-func TestTrianglesAt(t *testing.T) {
-	g := buildTriangleWithTail()
-	wants := []int64{1, 1, 1, 0, 0}
-	for i, want := range wants {
-		if got := g.TrianglesAt(i); got != want {
-			t.Fatalf("TrianglesAt(%d) = %d, want %d", i, got, want)
-		}
-	}
-	k4 := complete(4)
-	for i := 0; i < 4; i++ {
-		if got := k4.TrianglesAt(i); got != 3 {
-			t.Fatalf("K4 TrianglesAt(%d) = %d, want 3", i, got)
-		}
-	}
-}
-
 func TestWedges(t *testing.T) {
 	// Star S_n has C(n-1, 2) wedges centred at the hub.
 	g := star(6)
@@ -117,17 +101,35 @@ func TestWedges(t *testing.T) {
 }
 
 func TestLocalClustering(t *testing.T) {
-	g := buildTriangleWithTail()
-	if got := g.LocalClustering(0); !almostEqual(got, 1.0, 1e-12) {
-		t.Fatalf("LocalClustering(0) = %v, want 1", got)
+	all := buildTriangleWithTail().LocalClusteringAll()
+	if got := all[0]; !almostEqual(got, 1.0, 1e-12) {
+		t.Fatalf("clustering of node 0 = %v, want 1", got)
 	}
 	// Node 2 has neighbours {0,1,3}; only {0,1} is connected → 1/3.
-	if got := g.LocalClustering(2); !almostEqual(got, 1.0/3.0, 1e-12) {
-		t.Fatalf("LocalClustering(2) = %v, want 1/3", got)
+	if got := all[2]; !almostEqual(got, 1.0/3.0, 1e-12) {
+		t.Fatalf("clustering of node 2 = %v, want 1/3", got)
 	}
-	if got := g.LocalClustering(4); got != 0 {
-		t.Fatalf("LocalClustering(4) = %v, want 0 for degree-1 node", got)
+	if got := all[4]; got != 0 {
+		t.Fatalf("clustering of node 4 = %v, want 0 for degree-1 node", got)
 	}
+}
+
+// pairClustering is the brute-force C_i: the share of node i's neighbour
+// pairs that are adjacent.
+func pairClustering(g *Graph, i int) float64 {
+	nb := g.Neighbors(i)
+	if len(nb) < 2 {
+		return 0
+	}
+	closed := 0
+	for a := range nb {
+		for b := a + 1; b < len(nb); b++ {
+			if g.HasEdge(nb[a], nb[b]) {
+				closed++
+			}
+		}
+	}
+	return 2 * float64(closed) / float64(len(nb)*(len(nb)-1))
 }
 
 func TestLocalClusteringAllMatchesPerNode(t *testing.T) {
@@ -135,8 +137,8 @@ func TestLocalClusteringAllMatchesPerNode(t *testing.T) {
 	g := randomGraph(rng, 60, 0.12, 0)
 	all := g.LocalClusteringAll()
 	for i := 0; i < g.NumNodes(); i++ {
-		if !almostEqual(all[i], g.LocalClustering(i), 1e-12) {
-			t.Fatalf("LocalClusteringAll[%d] = %v, LocalClustering = %v", i, all[i], g.LocalClustering(i))
+		if want := pairClustering(g, i); !almostEqual(all[i], want, 1e-12) {
+			t.Fatalf("LocalClusteringAll[%d] = %v, brute force %v", i, all[i], want)
 		}
 	}
 }

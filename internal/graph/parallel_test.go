@@ -8,8 +8,12 @@ import (
 	"agmdp/internal/parallel"
 )
 
+// determinismWorkers are the process-default worker counts the per-count
+// determinism tests select; the first, 1, is the sequential reference.
+var determinismWorkers = []int{1, 2, 3, 5, 8}
+
 // randomTestGraph builds a Chung–Lu-flavoured random graph with a heavy-
-// tailed degree profile, large enough to clear the sharding thresholds.
+// tailed degree profile.
 func randomTestGraph(t testing.TB, seed int64, n, edgeFactor int) *Graph {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -26,42 +30,56 @@ func randomTestGraph(t testing.TB, seed int64, n, edgeFactor int) *Graph {
 	return FromEdges(n, 0, edges)
 }
 
+// analytics is every sharded pass's result on one graph.
+type analytics struct {
+	tri    int64
+	cc     []float64
+	wedges int64
+	hist   map[int]int
+	degs   []int
+}
+
+func measureAll(g *Graph) analytics {
+	return analytics{g.Triangles(), g.LocalClusteringAll(), g.Wedges(), g.DegreeHistogram(), g.Degrees()}
+}
+
+// TestParallelAnalyticsMatchSequential runs every sharded pass at each
+// process-default worker count, on graphs above both sharding thresholds,
+// and requires bit-identical results.
 func TestParallelAnalyticsMatchSequential(t *testing.T) {
+	defer parallel.SetParallelism(parallel.SetParallelism(1))
 	for _, seed := range []int64{1, 2, 3} {
-		g := randomTestGraph(t, seed, 4000, 4)
-		if g.NumEdges() < minShardEdges {
-			t.Fatalf("fixture too small to engage sharding: %d edges", g.NumEdges())
+		g := randomTestGraph(t, seed, 20000, 2)
+		if g.NumEdges() < minShardEdges || g.NumNodes() < minShardNodes {
+			t.Fatalf("fixture too small to engage sharding: %d nodes, %d edges", g.NumNodes(), g.NumEdges())
 		}
-		wantTri := g.TrianglesWith(1)
-		wantCC := g.LocalClusteringAllWith(1)
-		wantWedges := g.wedgesSeq()
-		wantHist := g.degreeHistogramSeq()
-		for _, workers := range []int{2, 3, 8, 64} {
-			if got := g.TrianglesWith(workers); got != wantTri {
-				t.Fatalf("seed %d workers %d: Triangles = %d, want %d", seed, workers, got, wantTri)
+		parallel.SetParallelism(1)
+		want := measureAll(g)
+		for _, workers := range determinismWorkers[1:] {
+			parallel.SetParallelism(workers)
+			got := measureAll(g)
+			if got.tri != want.tri {
+				t.Fatalf("seed %d workers %d: Triangles = %d, want %d", seed, workers, got.tri, want.tri)
 			}
-			got := g.LocalClusteringAllWith(workers)
-			for i := range wantCC {
-				if got[i] != wantCC[i] {
+			for i := range want.cc {
+				if got.cc[i] != want.cc[i] {
 					t.Fatalf("seed %d workers %d: clustering[%d] = %v, want %v (must be bit-identical)",
-						seed, workers, i, got[i], wantCC[i])
+						seed, workers, i, got.cc[i], want.cc[i])
 				}
 			}
-			if got := g.WedgesWith(workers); got != wantWedges {
-				t.Fatalf("seed %d workers %d: Wedges = %d, want %d", seed, workers, got, wantWedges)
+			if got.wedges != want.wedges {
+				t.Fatalf("seed %d workers %d: Wedges = %d, want %d", seed, workers, got.wedges, want.wedges)
 			}
-			hist := g.DegreeHistogramWith(workers)
-			if len(hist) != len(wantHist) {
-				t.Fatalf("seed %d workers %d: histogram size %d, want %d", seed, workers, len(hist), len(wantHist))
+			if len(got.hist) != len(want.hist) {
+				t.Fatalf("seed %d workers %d: histogram size %d, want %d", seed, workers, len(got.hist), len(want.hist))
 			}
-			for d, c := range wantHist {
-				if hist[d] != c {
-					t.Fatalf("seed %d workers %d: histogram[%d] = %d, want %d", seed, workers, d, hist[d], c)
+			for d, c := range want.hist {
+				if got.hist[d] != c {
+					t.Fatalf("seed %d workers %d: histogram[%d] = %d, want %d", seed, workers, d, got.hist[d], c)
 				}
 			}
-			degs := g.DegreesWith(workers)
-			for i := range degs {
-				if degs[i] != int(g.offsets[i+1]-g.offsets[i]) {
+			for i := range got.degs {
+				if got.degs[i] != int(g.offsets[i+1]-g.offsets[i]) {
 					t.Fatalf("seed %d workers %d: degree[%d] wrong", seed, workers, i)
 				}
 			}
@@ -70,19 +88,21 @@ func TestParallelAnalyticsMatchSequential(t *testing.T) {
 }
 
 func TestSummarizeWithMatchesSequentialParts(t *testing.T) {
-	g := randomTestGraph(t, 5, 4000, 4)
+	defer parallel.SetParallelism(parallel.SetParallelism(1))
+	g := randomTestGraph(t, 5, 20000, 2)
 	seq := Summary{
 		Nodes:              g.NumNodes(),
 		Edges:              g.NumEdges(),
 		MaxDegree:          g.MaxDegree(),
 		AverageDegree:      g.AverageDegree(),
-		Triangles:          g.TrianglesWith(1),
-		AvgLocalClustering: mean(g.LocalClusteringAllWith(1)),
-		GlobalClustering:   3 * float64(g.TrianglesWith(1)) / float64(g.wedgesSeq()),
+		Triangles:          g.Triangles(),
+		AvgLocalClustering: mean(g.LocalClusteringAll()),
+		GlobalClustering:   3 * float64(g.Triangles()) / float64(g.Wedges()),
 		Attributes:         g.NumAttributes(),
 	}
-	for _, workers := range []int{1, 4} {
-		got := g.SummarizeWith(workers)
+	for _, workers := range determinismWorkers {
+		parallel.SetParallelism(workers)
+		got := g.Summarize()
 		if got.Triangles != seq.Triangles || got.Nodes != seq.Nodes || got.Edges != seq.Edges ||
 			got.MaxDegree != seq.MaxDegree || got.Attributes != seq.Attributes {
 			t.Fatalf("workers %d: summary counts diverged: %+v vs %+v", workers, got, seq)
@@ -107,20 +127,24 @@ func mean(xs []float64) float64 {
 }
 
 func TestParallelAnalyticsSmallAndEmptyGraphs(t *testing.T) {
+	defer parallel.SetParallelism(parallel.SetParallelism(8))
 	empty := New(0, 0)
-	if empty.TrianglesWith(8) != 0 || empty.WedgesWith(8) != 0 {
+	if empty.Triangles() != 0 || empty.Wedges() != 0 {
 		t.Fatal("empty graph analytics must be zero")
 	}
-	if got := empty.LocalClusteringAllWith(8); len(got) != 0 {
+	if got := empty.LocalClusteringAll(); len(got) != 0 {
 		t.Fatal("empty graph clustering must be empty")
 	}
-	// A triangle plus a pendant: small enough for the sequential fallback but
-	// still asserting the With API gives exact answers.
+	if got := empty.DegreeHistogram(); len(got) != 0 {
+		t.Fatal("empty graph histogram must be empty")
+	}
+	// A triangle plus a pendant: small enough for the sequential fallback
+	// however many workers the process default allows.
 	g := FromEdges(4, 0, []Edge{{0, 1}, {1, 2}, {0, 2}, {2, 3}})
-	if got := g.TrianglesWith(8); got != 1 {
+	if got := g.Triangles(); got != 1 {
 		t.Fatalf("Triangles = %d, want 1", got)
 	}
-	if got := g.WedgesWith(8); got != 1+1+3 {
+	if got := g.Wedges(); got != 1+1+3 {
 		t.Fatalf("Wedges = %d, want 5", got)
 	}
 }
@@ -154,7 +178,10 @@ func TestDegreeWeightedShardsBalanceSkewedGraph(t *testing.T) {
 		}
 	}
 	// And the sharded analytics still agree on this pathological shape.
-	if seq, par := g.TrianglesWith(1), g.TrianglesWith(8); seq != par {
+	defer parallel.SetParallelism(parallel.SetParallelism(1))
+	seq := g.Triangles()
+	parallel.SetParallelism(8)
+	if par := g.Triangles(); seq != par {
 		t.Fatalf("hub graph: parallel triangles %d != sequential %d", par, seq)
 	}
 }

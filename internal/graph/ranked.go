@@ -71,15 +71,13 @@ func (v *rankedView) row(r int) []int32 { return v.nbrs[v.offsets[r]:v.offsets[r
 const rankChunk = 256
 
 // forChunks runs work over the ranks [0, n) in rank-ordered chunks claimed
-// from a shared cursor. Each of the workers calls newWorker once for its
-// private state and stops when the ranks run out or work returns false.
-// Graphs below the sharding threshold run on one worker, inline.
-func (v *rankedView) forChunks(workers int, newWorker func() func(lo, hi int) bool) {
+// from a shared cursor, on the process-default worker count. Each worker
+// calls newWorker once for its private state and stops when the ranks run
+// out or work returns false. Graphs below the sharding threshold run on one
+// worker, inline.
+func (v *rankedView) forChunks(newWorker func() func(lo, hi int) bool) {
 	n := len(v.offsets) - 1
-	workers = parallel.Resolve(workers)
-	if len(v.nbrs)/2 < minShardEdges {
-		workers = 1
-	}
+	workers := parallel.Workers(len(v.nbrs)/2, minShardEdges)
 	if chunks := (n + rankChunk - 1) / rankChunk; workers > chunks {
 		workers = chunks
 	}
@@ -99,9 +97,9 @@ func (v *rankedView) forChunks(workers int, newWorker func() func(lo, hi int) bo
 // u's heavier neighbours, then probes the heavier prefix of each marked
 // neighbour's row for marks. Per-worker partial counts are integers, so the
 // sum is the same for every worker count and schedule.
-func (v *rankedView) triangles(workers int) int64 {
+func (v *rankedView) triangles() int64 {
 	var total atomic.Int64
-	v.forChunks(workers, func() func(lo, hi int) bool {
+	v.forChunks(func() func(lo, hi int) bool {
 		mark := make([]int32, len(v.offsets)-1)
 		return func(lo, hi int) bool {
 			var t int64
@@ -142,9 +140,9 @@ func (v *rankedView) triangles(workers int) int64 {
 // best only ever holds a pair's true count, so a source is skipped only when
 // it cannot beat the maximum: the result is exact, and identical for every
 // worker count and schedule.
-func (v *rankedView) maxCommonNeighbors(workers int) int {
+func (v *rankedView) maxCommonNeighbors() int {
 	var best atomic.Int32
-	v.forChunks(workers, func() func(lo, hi int) bool {
+	v.forChunks(func() func(lo, hi int) bool {
 		counts := make([]int32, len(v.offsets)-1)
 		return func(lo, hi int) bool {
 			for u := lo; u < hi; u++ {
@@ -188,35 +186,30 @@ func (v *rankedView) maxCommonNeighbors(workers int) int {
 	return int(best.Load())
 }
 
-// TrianglesWith is Triangles with an explicit worker count (≤ 0 selects the
-// process default). Workers claim rank-ordered chunks of the degree-ranked
-// view and sum integer partial counts, so the result is the same for every
-// worker count.
-func (g *Graph) TrianglesWith(workers int) int64 {
+// Triangles returns n∆, the number of distinct triangles in the graph. Nodes
+// are ranked by (degree descending, ID ascending) and each triangle is found
+// exactly once, at its lightest corner u: u's heavier neighbours are marked,
+// and the heavier prefix of each marked neighbour's row is probed for marks.
+// A node's heavier neighbours number O(√m), so the probes cost O(m^{3/2})
+// total even on heavy-tailed graphs where hub rows would otherwise dominate,
+// and no sorted merge is needed. Workers claim rank-ordered chunks of the
+// degree-ranked view and sum integer partial counts, so the result is the
+// same for every worker count.
+func (g *Graph) Triangles() int64 {
 	if g.m == 0 {
 		return 0
 	}
-	return g.ranked().triangles(workers)
+	return g.ranked().triangles()
 }
 
-// MaxCommonNeighbors returns the maximum, over all node pairs u ≠ v, of
-// |Γ(u) ∩ Γ(v)|, using up to workers workers (≤ 0 selects the process
-// default). It is the local sensitivity of the triangle count under edge
-// adjacency. The scan runs on the degree-ranked view and is exact for every
-// worker count.
-func (g *Graph) MaxCommonNeighbors(workers int) int {
-	if g.m == 0 {
-		return 0
-	}
-	return g.ranked().maxCommonNeighbors(workers)
-}
-
-// TrianglesAndMaxCommonNeighbors returns TrianglesWith(workers) and
-// MaxCommonNeighbors(workers) from one degree-ranked view, built once.
-func (g *Graph) TrianglesAndMaxCommonNeighbors(workers int) (int64, int) {
+// TrianglesAndMaxCommonNeighbors returns the triangle count and the maximum,
+// over all node pairs u ≠ v, of |Γ(u) ∩ Γ(v)| — the local sensitivity of the
+// triangle count under edge adjacency — from one degree-ranked view, built
+// once. Both scans are exact for every worker count.
+func (g *Graph) TrianglesAndMaxCommonNeighbors() (int64, int) {
 	if g.m == 0 {
 		return 0, 0
 	}
 	v := g.ranked()
-	return v.triangles(workers), v.maxCommonNeighbors(workers)
+	return v.triangles(), v.maxCommonNeighbors()
 }

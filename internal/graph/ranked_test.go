@@ -6,8 +6,9 @@ package graph_test
 // heavier prefix of the middle node's row misses), K₂,ₙ (one dominant pair),
 // cliques joined by bridges, many equal-degree nodes (rank ties), isolated
 // nodes, tiny and edgeless graphs, and hub-heavy random graphs above the
-// sharding threshold. Every case runs at several worker counts, so the shared
-// best and chunk cursor are exercised under the race detector too.
+// sharding threshold. Every case runs at several process-default worker
+// counts, so the shared best and chunk cursor are exercised under the race
+// detector too.
 
 import (
 	"fmt"
@@ -18,8 +19,9 @@ import (
 	"agmdp/internal/parallel"
 )
 
-// measurementWorkers are the worker counts every measurement is checked at.
-var measurementWorkers = []int{1, 2, 3, 8}
+// measurementWorkers are the process-default worker counts every
+// measurement is checked at.
+var measurementWorkers = []int{1, 2, 3, 5, 8}
 
 // bruteMaxCommonNeighbors is the all-pairs CommonNeighbors maximum.
 func bruteMaxCommonNeighbors(g *graph.Graph) int {
@@ -129,6 +131,7 @@ func measurementShapes() map[string]*graph.Graph {
 }
 
 func TestMeasurementsMatchBruteForce(t *testing.T) {
+	defer parallel.SetParallelism(parallel.SetParallelism(1))
 	for name, g := range measurementShapes() {
 		t.Run(name, func(t *testing.T) {
 			wantTri, wantCN := mapTriangles(g), bruteMaxCommonNeighbors(g)
@@ -136,13 +139,11 @@ func TestMeasurementsMatchBruteForce(t *testing.T) {
 				t.Errorf("Builder().Triangles = %d, want %d", got, wantTri)
 			}
 			for _, w := range measurementWorkers {
-				if got := g.TrianglesWith(w); got != wantTri {
-					t.Errorf("workers %d: TrianglesWith = %d, want %d", w, got, wantTri)
+				parallel.SetParallelism(w)
+				if got := g.Triangles(); got != wantTri {
+					t.Errorf("workers %d: Triangles = %d, want %d", w, got, wantTri)
 				}
-				if got := g.MaxCommonNeighbors(w); got != wantCN {
-					t.Errorf("workers %d: MaxCommonNeighbors = %d, want %d", w, got, wantCN)
-				}
-				tri, cn := g.TrianglesAndMaxCommonNeighbors(w)
+				tri, cn := g.TrianglesAndMaxCommonNeighbors()
 				if tri != wantTri || cn != wantCN {
 					t.Errorf("workers %d: TrianglesAndMaxCommonNeighbors = (%d, %d), want (%d, %d)",
 						w, tri, cn, wantTri, wantCN)

@@ -203,7 +203,7 @@ func TestBuilderMatchesMapAdjacencyReferenceProperty(t *testing.T) {
 		if g.Triangles() != ref.triangles() {
 			return false
 		}
-		if g.MaxCommonNeighbors(0) != ref.maxCommonNeighbors() {
+		if tri, cn := g.TrianglesAndMaxCommonNeighbors(); tri != ref.triangles() || cn != ref.maxCommonNeighbors() {
 			return false
 		}
 		u, v := rng.Intn(n), rng.Intn(n)

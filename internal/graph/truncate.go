@@ -48,22 +48,3 @@ func (g *Graph) ForEachTruncatedEdge(k int, fn func(u, v int)) {
 		}
 	}
 }
-
-// IsDegreeBounded reports whether every node has degree at most k.
-func (g *Graph) IsDegreeBounded(k int) bool {
-	for i := range g.attrs {
-		if g.Degree(i) > k {
-			return false
-		}
-	}
-	return true
-}
-
-// TruncationLoss returns the number of edges removed by Truncate(k), without
-// materialising the truncated graph. It is a convenience for tuning the
-// truncation parameter in non-private analyses and tests.
-func (g *Graph) TruncationLoss(k int) int {
-	kept := 0
-	g.ForEachTruncatedEdge(k, func(int, int) { kept++ })
-	return g.m - kept
-}

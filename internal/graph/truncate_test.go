@@ -11,7 +11,7 @@ func TestTruncateBoundsDegrees(t *testing.T) {
 	g := randomGraph(rng, 80, 0.15, 0)
 	for _, k := range []int{1, 2, 3, 5, 10, 1000} {
 		tr := g.Truncate(k)
-		if !tr.IsDegreeBounded(k) {
+		if tr.MaxDegree() > k {
 			t.Fatalf("Truncate(%d) produced a node with degree > %d (max %d)", k, k, tr.MaxDegree())
 		}
 	}
@@ -95,11 +95,11 @@ func TestTruncatePanicsOnNegativeK(t *testing.T) {
 
 func TestTruncationLoss(t *testing.T) {
 	g := star(10)
-	if got := g.TruncationLoss(3); got != 6 {
-		t.Fatalf("TruncationLoss(3) = %d, want 6", got)
+	if got := g.NumEdges() - g.Truncate(3).NumEdges(); got != 6 {
+		t.Fatalf("Truncate(3) removed %d edges, want 6", got)
 	}
-	if got := g.TruncationLoss(9); got != 0 {
-		t.Fatalf("TruncationLoss(9) = %d, want 0", got)
+	if got := g.NumEdges() - g.Truncate(9).NumEdges(); got != 0 {
+		t.Fatalf("Truncate(9) removed %d edges, want 0", got)
 	}
 }
 

@@ -50,7 +50,7 @@ type EvalSpec struct {
 	// job, so an evaluation is reproducible against the batch it scores.
 	Seed int64
 	// Iterations, ModelKind and Parallelism are passed through to each engine
-	// request; Parallelism additionally bounds the metric passes.
+	// request; Parallelism is the sample's stream count.
 	Iterations  int
 	ModelKind   string
 	Parallelism int
@@ -152,8 +152,8 @@ func (m *Manager) SubmitEvaluate(spec EvalSpec) (string, error) {
 }
 
 // runEvaluate executes one evaluate job: samples run sequentially (each
-// sample's generation and metric passes are internally parallel at the spec's
-// parallelism), the running average updates after every success, and
+// sample's generation runs the spec's streams and its metric passes shard on
+// the process default), the running average updates after every success, and
 // cancellation is honoured between samples.
 func (m *Manager) runEvaluate(ctx context.Context, j *job) {
 	defer m.wg.Done()
@@ -235,14 +235,14 @@ func (m *Manager) evalSample(ctx context.Context, j *job, spec EvalSpec, i int) 
 	}
 
 	start := time.Now()
-	u := analytics.Compare(spec.Source, synthetic, spec.Parallelism)
+	u := analytics.Compare(spec.Source, synthetic)
 	recordStage(j, KindEvaluate, "compare", time.Since(start))
 	if ctx.Err() != nil {
 		return nil
 	}
 	sample.Nodes = synthetic.NumNodes()
 	sample.Edges = synthetic.NumEdges()
-	sample.Triangles = synthetic.TrianglesWith(spec.Parallelism)
+	sample.Triangles = synthetic.Triangles()
 	sample.Metrics = &u
 	return sample
 }

@@ -3,7 +3,7 @@ package jobs
 // Fit jobs: the asynchronous counterpart of the service's synchronous fit.
 // A fit job runs the full (optionally differentially private) fitting
 // pipeline in the background — sharded onto the shared worker pool at the
-// spec's parallelism — registers the fitted model in the model store, and
+// process default — registers the fitted model in the model store, and
 // concurrently pre-fits the model's acceptance table so the first sample of
 // the new model pays no refinement cost. The job's terminal Info carries the
 // fitted model's content-addressed ID.
@@ -39,12 +39,8 @@ type FitSpec struct {
 	// selects TriCycLe.
 	ModelKind string
 	// Seed seeds the private fit's noise draws; fits with equal seeds and
-	// inputs are bit-identical regardless of Parallelism.
+	// inputs are bit-identical at every worker count.
 	Seed int64
-	// Parallelism is the worker count for the fit pipeline's measurement
-	// passes (≤ 0 = auto, 1 = sequential). It affects wall-clock only, never
-	// the fitted model.
-	Parallelism int
 	// WarmAcceptance additionally fits the model's acceptance table
 	// (concurrently with registering the model) and caches it in the model
 	// store, so the first default-shaped sample skips the refinement rounds.
@@ -196,7 +192,7 @@ func (m *Manager) fitOnce(ctx context.Context, spec FitSpec, j *job) (*FitResult
 	if ctx.Err() != nil {
 		return nil, true
 	}
-	model, err := structural.ByName(spec.ModelKind, spec.Parallelism)
+	model, err := structural.ByName(spec.ModelKind, 0)
 	if err != nil {
 		return &FitResult{Error: err.Error()}, true
 	}
@@ -210,7 +206,6 @@ func (m *Manager) fitOnce(ctx context.Context, spec FitSpec, j *job) (*FitResult
 		Epsilon:     spec.Epsilon,
 		TruncationK: spec.TruncationK,
 		Model:       model,
-		Parallelism: spec.Parallelism,
 		Observe: func(stage string, d time.Duration) {
 			recordStage(j, KindFit, stage, d)
 		},

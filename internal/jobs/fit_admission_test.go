@@ -145,7 +145,7 @@ func TestFitJobCancelRunningPromptly(t *testing.T) {
 
 	donec := make(chan string, 1)
 	id, err := m.SubmitFit(FitSpec{
-		Graph: g, Epsilon: 1, Seed: 3, Parallelism: 1,
+		Graph: g, Epsilon: 1, Seed: 3,
 		OnDone: func(modelID string) { donec <- modelID },
 	})
 	if err != nil {

@@ -81,10 +81,10 @@ func TestFitJobRegistersModel(t *testing.T) {
 
 // TestFitJobMatchesSynchronousFit pins the acceptance criterion: the async
 // fit registers a model whose content address equals the synchronous fit at
-// the same seed, at every parallelism.
+// the same seed.
 func TestFitJobMatchesSynchronousFit(t *testing.T) {
 	g := fixtureGraph(t)
-	sync, err := core.FitDP(context.Background(), dp.NewRand(11), g, core.Config{Epsilon: 0.8, Parallelism: 1})
+	sync, err := core.FitDP(context.Background(), dp.NewRand(11), g, core.Config{Epsilon: 0.8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,19 +92,17 @@ func TestFitJobMatchesSynchronousFit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, par := range []int{1, 3} {
-		m, _ := newFitManager(t, "")
-		id, err := m.SubmitFit(FitSpec{Graph: g, Epsilon: 0.8, Seed: 11, Parallelism: par})
-		if err != nil {
-			t.Fatal(err)
-		}
-		info := wait(t, m, id)
-		if info.Status != StatusDone {
-			t.Fatalf("parallelism %d: fit job ended %v (%+v)", par, info.Status, info.Fit)
-		}
-		if info.Fit.ModelID != wantID {
-			t.Errorf("parallelism %d: async fit registered %s, synchronous fit is %s", par, info.Fit.ModelID, wantID)
-		}
+	m, _ := newFitManager(t, "")
+	id, err := m.SubmitFit(FitSpec{Graph: g, Epsilon: 0.8, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	info := wait(t, m, id)
+	if info.Status != StatusDone {
+		t.Fatalf("fit job ended %v (%+v)", info.Status, info.Fit)
+	}
+	if info.Fit.ModelID != wantID {
+		t.Errorf("async fit registered %s, synchronous fit is %s", info.Fit.ModelID, wantID)
 	}
 }
 

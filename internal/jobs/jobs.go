@@ -25,7 +25,7 @@
 // of synchronous requests; unseeded jobs draw per-sample seeds from the
 // engine's worker streams and report them in the results. A fit job with
 // seed s produces the same model as the synchronous fit at seed s — the fit
-// pipeline is bit-identical for every parallelism.
+// pipeline is bit-identical for every worker count.
 //
 // Finished jobs are retained (bounded, oldest evicted first) so clients can
 // fetch results after completion; with Options.Dir set, finished-job

@@ -33,7 +33,10 @@
 // Resolve maps a caller-supplied worker count to an effective one: values
 // above zero are taken as-is, values ≤ 0 mean "auto" — the process default
 // set with SetParallelism, which itself defaults to runtime.GOMAXPROCS(0).
-// The knob is process-wide and re-exported by the agmdp facade.
+// The exact measurement passes (graph analytics, fit histograms, the Ladder's
+// scans) take no count at all: Workers gives each the process default, or 1
+// below its size threshold. The knob is process-wide and re-exported by the
+// agmdp facade.
 package parallel
 
 import (
@@ -81,15 +84,18 @@ func init() {
 var defaultParallelism atomic.Int64
 
 // SetParallelism sets the process-wide default worker count used when a
-// caller passes a parallelism ≤ 0 ("auto"). Values ≤ 0 restore the built-in
-// default of runtime.GOMAXPROCS(0). Pass 1 to force every auto-resolved code
-// path sequential (useful for debugging and for byte-for-byte reproducibility
-// across machines with different core counts).
-func SetParallelism(n int) {
+// caller passes a parallelism ≤ 0 ("auto"), and by every exact measurement
+// pass (the graph analytics, the fit histograms, the Ladder's scans). Values
+// ≤ 0 restore the built-in default of runtime.GOMAXPROCS(0). Pass 1 to force
+// every auto-resolved code path sequential (useful for debugging and for
+// byte-for-byte reproducibility across machines with different core counts).
+// It returns the previous setting (0 for the built-in default), so a caller
+// can restore it.
+func SetParallelism(n int) int {
 	if n < 0 {
 		n = 0
 	}
-	defaultParallelism.Store(int64(n))
+	return int(defaultParallelism.Swap(int64(n)))
 }
 
 // Parallelism returns the resolved process default worker count: the value

@@ -25,7 +25,12 @@ func TestResolveAndSetParallelism(t *testing.T) {
 	if got := Resolve(7); got != 7 {
 		t.Fatalf("explicit count must win over the default: Resolve(7) = %d", got)
 	}
-	SetParallelism(-1) // restore auto
+	if prev := SetParallelism(-1); prev != 2 { // restore auto
+		t.Fatalf("SetParallelism(-1) returned %d, want the previous setting 2", prev)
+	}
+	if prev := SetParallelism(0); prev != 0 {
+		t.Fatalf("SetParallelism(0) returned %d, want 0 for the built-in default", prev)
+	}
 	if got := Resolve(0); got != runtime.GOMAXPROCS(0) {
 		t.Fatalf("SetParallelism(-1) did not restore auto: Resolve(0) = %d", got)
 	}

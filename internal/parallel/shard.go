@@ -7,6 +7,16 @@ package parallel
 // itself. One constant, one retuning point.
 const MinShardEdges = 4096
 
+// Workers returns the worker count for a pass over size items: the process
+// default (SetParallelism), or 1 when size is below the pass's threshold,
+// where fan-out and merge would cost more than the work itself.
+func Workers(size, threshold int) int {
+	if size < threshold {
+		return 1
+	}
+	return Parallelism()
+}
+
 // Range is a half-open shard [Lo, Hi) of a node (or item) index space.
 type Range struct {
 	Lo, Hi int

@@ -50,7 +50,8 @@ func (s *Server) handleGraphMetrics(w http.ResponseWriter, r *http.Request) {
 // or ModelID (draw Count fresh samples from that model and measure each) must
 // be set. Seed, Iterations, Model and Count apply to model mode only and
 // follow the sample-job conventions (sample i runs with seed Seed+i; 0 means
-// unseeded). Parallelism bounds the sampling and metric passes of either mode.
+// unseeded). Parallelism, also model mode only, is each sample's stream
+// count; the metric passes run on the process-default worker count.
 type evaluateRequest struct {
 	SourceGraphID    string `json:"source_graph_id"`
 	SyntheticGraphID string `json:"synthetic_graph_id,omitempty"`
@@ -96,15 +97,14 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	}
 
 	spec := jobs.EvalSpec{
-		Source:      source,
-		SourceID:    req.SourceGraphID,
-		Parallelism: req.Parallelism,
+		Source:   source,
+		SourceID: req.SourceGraphID,
 	}
 	if req.SyntheticGraphID != "" {
 		// Pair mode takes no sampling parameters; reject them instead of
 		// silently ignoring, like the job-kind validation does.
-		if req.Count != 0 || req.Seed != 0 || req.Iterations != 0 || req.Model != "" {
-			writeError(w, http.StatusBadRequest, "count, seed, iterations and model apply to model_id evaluation only")
+		if req.Count != 0 || req.Seed != 0 || req.Iterations != 0 || req.Model != "" || req.Parallelism != 0 {
+			writeError(w, http.StatusBadRequest, "count, seed, iterations, model and parallelism apply to model_id evaluation only")
 			return
 		}
 		if !s.canAccess(r, tenant.ResourceGraph, req.SyntheticGraphID) {
@@ -154,6 +154,7 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		spec.Seed = req.Seed
 		spec.Iterations = req.Iterations
 		spec.ModelKind = req.Model
+		spec.Parallelism = req.Parallelism
 	}
 
 	id, err := s.cfg.Jobs.SubmitEvaluate(spec)

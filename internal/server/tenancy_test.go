@@ -412,7 +412,7 @@ func TestTenancyCancelledFitRefundsBudget(t *testing.T) {
 	payload := map[string]any{"n": n, "w": 1, "edges": payloadEdges, "attrs": make([]uint64, n)}
 
 	resp := doAuthed(t, "POST", ts.URL+"/v1/fit", "alpha-key", map[string]any{
-		"graph": payload, "epsilon": 1.0, "seed": 3, "parallelism": 1, "async": true,
+		"graph": payload, "epsilon": 1.0, "seed": 3, "async": true,
 	})
 	if resp.StatusCode != http.StatusAccepted {
 		b, _ := io.ReadAll(resp.Body)

@@ -343,34 +343,30 @@ func TestFitByGraphID(t *testing.T) {
 	}
 }
 
-func TestFitParallelismField(t *testing.T) {
+// TestFitRejectsParallelismField checks that a fit body naming a worker
+// count is refused as an unknown field on every fit path: the fit's
+// measurement passes run on the process default and take no per-request
+// count.
+func TestFitRejectsParallelismField(t *testing.T) {
 	ts, _ := newV1TestServer(t)
-	// parallelism 1 pins the sequential path; the fit must succeed and be
-	// reproducible (same content-addressed model ID for equal inputs).
-	fit := func(par int) string {
-		resp := postJSON(t, ts.URL+"/v1/fit", map[string]any{
-			"dataset": map[string]any{"name": "lastfm", "scale": 0.1, "seed": 1},
-			"epsilon": 1.0, "seed": 3, "parallelism": par,
-		})
-		if resp.StatusCode != http.StatusOK {
-			b, _ := io.ReadAll(resp.Body)
-			t.Fatalf("fit: status %d: %s", resp.StatusCode, b)
-		}
-		var fr fitResponse
-		decode(t, resp, &fr)
-		return fr.ID
+	fit := map[string]any{"dataset": map[string]any{"name": "lastfm", "scale": 0.1, "seed": 1}, "epsilon": 1.0, "seed": 3, "parallelism": 1}
+	async := map[string]any{"async": true}
+	for k, v := range fit {
+		async[k] = v
 	}
-	if fit(1) != fit(1) {
-		t.Fatal("sequential fits of the same input differ")
-	}
-	// Negative parallelism is rejected, on the legacy alias too.
-	for _, path := range []string{"/v1/fit", "/v1/fit"} {
-		resp := postJSON(t, ts.URL+path, map[string]any{
-			"dataset": map[string]any{"name": "lastfm", "scale": 0.1}, "parallelism": -1,
-		})
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("%s negative parallelism: status %d, want 400", path, resp.StatusCode)
+	for _, tc := range []struct {
+		name, path string
+		body       map[string]any
+	}{
+		{"sync", "/v1/fit", fit},
+		{"async", "/v1/fit", async},
+		{"fit job", "/v1/jobs", map[string]any{"kind": "fit", "fit": fit}},
+	} {
+		resp := postJSON(t, ts.URL+tc.path, tc.body)
+		var e struct{ Error string }
+		decode(t, resp, &e)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, `unknown field "parallelism"`) {
+			t.Errorf("%s: status %d error %q, want 400 naming the parallelism field", tc.name, resp.StatusCode, e.Error)
 		}
 	}
 }

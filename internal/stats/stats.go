@@ -43,21 +43,6 @@ func MeanAbsoluteError(a, b []float64) float64 {
 	return total / float64(len(a))
 }
 
-// MeanRelativeError returns the mean of RelativeError over paired slices.
-func MeanRelativeError(truth, estimate []float64) float64 {
-	if len(truth) != len(estimate) {
-		panic(fmt.Sprintf("stats: MRE over slices of different lengths %d, %d", len(truth), len(estimate)))
-	}
-	if len(truth) == 0 {
-		panic("stats: MRE over empty slices")
-	}
-	total := 0.0
-	for i := range truth {
-		total += RelativeError(truth[i], estimate[i])
-	}
-	return total / float64(len(truth))
-}
-
 // HellingerDistance returns the Hellinger distance between two discrete
 // probability distributions over the same index set:
 //
@@ -194,18 +179,6 @@ func CCDF(samples []float64) []CCDFPoint {
 		i = j
 	}
 	return points
-}
-
-// Mean returns the arithmetic mean of a sample (0 for an empty sample).
-func Mean(samples []float64) float64 {
-	if len(samples) == 0 {
-		return 0
-	}
-	total := 0.0
-	for _, v := range samples {
-		total += v
-	}
-	return total / float64(len(samples))
 }
 
 // Quantile returns the q-quantile (0 ≤ q ≤ 1) of a sample using the

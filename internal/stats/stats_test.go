@@ -33,14 +33,6 @@ func TestMeanAbsoluteError(t *testing.T) {
 	mustPanic(t, func() { MeanAbsoluteError(nil, nil) }, "empty")
 }
 
-func TestMeanRelativeError(t *testing.T) {
-	if got := MeanRelativeError([]float64{10, 20}, []float64{12, 18}); !approx(got, 0.15, 1e-12) {
-		t.Fatalf("MRE = %v, want 0.15", got)
-	}
-	mustPanic(t, func() { MeanRelativeError([]float64{1}, []float64{1, 2}) }, "length mismatch")
-	mustPanic(t, func() { MeanRelativeError(nil, nil) }, "empty")
-}
-
 func TestHellingerDistanceBasics(t *testing.T) {
 	p := []float64{0.5, 0.5}
 	if got := HellingerDistance(p, p); !approx(got, 0, 1e-12) {
@@ -205,15 +197,6 @@ func TestCCDFMonotoneProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestMean(t *testing.T) {
-	if got := Mean([]float64{1, 2, 3, 4}); !approx(got, 2.5, 1e-12) {
-		t.Fatalf("Mean = %v, want 2.5", got)
-	}
-	if got := Mean(nil); got != 0 {
-		t.Fatalf("Mean(nil) = %v, want 0", got)
 	}
 }
 

@@ -191,23 +191,3 @@ func sumDegrees(degrees []int) int {
 	}
 	return total
 }
-
-// ErdosRenyi generates a G(n, m) random graph with exactly m edges (or as many
-// as fit) chosen uniformly at random. It serves as a structure-free baseline
-// in tests and examples; it is not used by AGM-DP itself.
-func ErdosRenyi(rng *rand.Rand, n, m int) *graph.Graph {
-	b := graph.NewBuilder(n, 0)
-	maxEdges := n * (n - 1) / 2
-	if m > maxEdges {
-		m = maxEdges
-	}
-	for b.NumEdges() < m {
-		u := rng.Intn(n)
-		v := rng.Intn(n)
-		if u == v {
-			continue
-		}
-		b.AddEdge(u, v)
-	}
-	return b.Finalize()
-}

@@ -183,18 +183,6 @@ func TestGenerateCLEmptySamplerAndZeroTarget(t *testing.T) {
 	}
 }
 
-func TestErdosRenyiEdgeCount(t *testing.T) {
-	g := ErdosRenyi(dp.NewRand(1), 50, 100)
-	if g.NumEdges() != 100 {
-		t.Fatalf("edges = %d, want 100", g.NumEdges())
-	}
-	// Requesting more edges than possible caps at the maximum.
-	g = ErdosRenyi(dp.NewRand(2), 5, 100)
-	if g.NumEdges() != 10 {
-		t.Fatalf("edges = %d, want 10 (complete graph)", g.NumEdges())
-	}
-}
-
 func TestFCLGenerateProducesTargetEdges(t *testing.T) {
 	rng := dp.NewRand(3)
 	n := 250
@@ -260,7 +248,13 @@ func TestFitRhoRange(t *testing.T) {
 func TestFitRhoHigherForClusteredGraphs(t *testing.T) {
 	rng := dp.NewRand(6)
 	clustered := clusteredTestGraph(rng, 150, 7, 30)
-	random := ErdosRenyi(dp.NewRand(7), 150, clustered.NumEdges())
+	// A Chung–Lu graph over equal weights is a structure-free baseline of the
+	// same size.
+	uniform := make([]int, 150)
+	for i := range uniform {
+		uniform[i] = 1
+	}
+	random := GenerateCL(dp.NewRand(7), 150, NewNodeSampler(uniform, nil), clustered.NumEdges(), nil, 1)
 	rhoClustered := FitRho(clustered, 30)
 	rhoRandom := FitRho(random, 30)
 	if rhoClustered <= rhoRandom {

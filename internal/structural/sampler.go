@@ -128,10 +128,6 @@ func (s *NodeSampler) byClass(class []int, k int) []NodeSampler {
 // nodes excluded).
 func (s *NodeSampler) Empty() bool { return s.total == 0 }
 
-// PoolSize returns the total mass of the distribution, i.e. the sum of the
-// included degrees (the length the classic repeated-ID pool would have had).
-func (s *NodeSampler) PoolSize() int { return int(s.total) }
-
 // Sample draws one node with probability proportional to its degree: a
 // uniform draw r in [0, total) selects the first node whose inclusive prefix
 // sum exceeds r. It panics on an empty sampler.

@@ -136,8 +136,8 @@ var sampleSink int
 func TestNodeSamplerProportionalToDegree(t *testing.T) {
 	degrees := []int{1, 2, 3, 4}
 	s := NewNodeSampler(degrees, nil)
-	if s.PoolSize() != 10 {
-		t.Fatalf("pool size = %d, want 10", s.PoolSize())
+	if s.total != 10 {
+		t.Fatalf("pool size = %d, want 10", s.total)
 	}
 	rng := dp.NewRand(1)
 	counts := make([]float64, len(degrees))
@@ -190,16 +190,16 @@ func TestNodeSamplerSkewedMemory(t *testing.T) {
 	if len(s.nodes) != 2 || len(s.cum) != 2 {
 		t.Fatalf("sampler stores %d/%d entries, want 2/2", len(s.nodes), len(s.cum))
 	}
-	if s.PoolSize() != 10000001 {
-		t.Fatalf("PoolSize = %d, want 10000001", s.PoolSize())
+	if s.total != 10000001 {
+		t.Fatalf("pool size = %d, want 10000001", s.total)
 	}
 }
 
 func TestNodeSamplerExcludesNodes(t *testing.T) {
 	degrees := []int{5, 1, 1, 5}
 	s := NewNodeSampler(degrees, func(i int) bool { return degrees[i] == 1 })
-	if s.PoolSize() != 10 {
-		t.Fatalf("pool size = %d, want 10 (degree-one nodes excluded)", s.PoolSize())
+	if s.total != 10 {
+		t.Fatalf("pool size = %d, want 10 (degree-one nodes excluded)", s.total)
 	}
 	rng := dp.NewRand(2)
 	for i := 0; i < 1000; i++ {

@@ -16,40 +16,6 @@ import (
 	"agmdp/internal/graph"
 )
 
-// Count returns the exact number of triangles in g. It is a thin wrapper over
-// the graph package, provided so that callers of this package never need to
-// mix exact and private counting APIs.
-func Count(g *graph.Graph) int64 {
-	return g.Triangles()
-}
-
-// MaxCommonNeighbors returns the maximum, over all node pairs (u, v) with
-// u ≠ v, of the number of common neighbours |Γ(u) ∩ Γ(v)|. This is the local
-// sensitivity of triangle counting under edge adjacency: toggling the edge
-// {u, v} changes the triangle count by exactly |Γ(u) ∩ Γ(v)|.
-//
-// It is a thin wrapper over graph.MaxCommonNeighbors, which counts each pair
-// at its lighter endpoint on a degree-ranked view and stops once no remaining
-// node's degree can beat the best count found. On graphs above the sharding
-// threshold the scan runs on the shared worker pool (MaxCommonNeighborsWith)
-// and returns the identical maximum.
-func MaxCommonNeighbors(g *graph.Graph) int {
-	return g.MaxCommonNeighbors(0)
-}
-
-// MaxCommonNeighborsWith is MaxCommonNeighbors with an explicit worker count
-// (≤ 0 selects the process default, parallel.Resolve). The result is the same
-// for every worker count.
-func MaxCommonNeighborsWith(g *graph.Graph, workers int) int {
-	return g.MaxCommonNeighbors(workers)
-}
-
-// LocalSensitivity returns LS(G), the local sensitivity of the triangle count
-// at G, which equals MaxCommonNeighbors(g).
-func LocalSensitivity(g *graph.Graph) int {
-	return MaxCommonNeighbors(g)
-}
-
 // LocalSensitivityAtDistance returns an upper bound on the local sensitivity
 // of triangle counting at distance t from g:
 //
@@ -106,22 +72,16 @@ type LadderOptions struct {
 //
 // The mechanism's two exact measurements — f(G) and the maximum common-
 // neighbour count behind LS_t(G) — are computed together from one
-// degree-ranked view of g (graph.TrianglesAndMaxCommonNeighbors).
+// degree-ranked view of g (graph.TrianglesAndMaxCommonNeighbors). Both are
+// the same for every worker count and the mechanism's random draws stay
+// sequential on rng, so the released estimate depends only on (graph,
+// epsilon, opts, rng state).
 func LadderCount(rng *rand.Rand, g *graph.Graph, epsilon float64, opts LadderOptions) int64 {
-	return LadderCountWith(rng, g, epsilon, opts, 0)
-}
-
-// LadderCountWith is LadderCount with an explicit worker count (≤ 0 selects
-// the process default) for the two exact measurements the mechanism centres
-// on. Both are the same for every worker count and the mechanism's random
-// draws stay sequential on rng, so the released estimate depends only on
-// (graph, epsilon, opts, rng state).
-func LadderCountWith(rng *rand.Rand, g *graph.Graph, epsilon float64, opts LadderOptions, workers int) int64 {
 	if epsilon <= 0 {
 		panic(fmt.Sprintf("triangles: non-positive epsilon %v", epsilon))
 	}
 	n := g.NumNodes()
-	tri, maxCN := g.TrianglesAndMaxCommonNeighbors(workers)
+	tri, maxCN := g.TrianglesAndMaxCommonNeighbors()
 	trueCount := float64(tri)
 
 	maxRungs := opts.MaxRungs
@@ -211,10 +171,4 @@ func NaiveLaplaceCount(rng *rand.Rand, g *graph.Graph, epsilon float64) int64 {
 // with automatic rung selection.
 func PrivateCount(rng *rand.Rand, g *graph.Graph, epsilon float64) int64 {
 	return LadderCount(rng, g, epsilon, LadderOptions{})
-}
-
-// PrivateCountWith is PrivateCount with an explicit worker count for the
-// exact measurements; see LadderCountWith.
-func PrivateCountWith(rng *rand.Rand, g *graph.Graph, epsilon float64, workers int) int64 {
-	return LadderCountWith(rng, g, epsilon, LadderOptions{}, workers)
 }

@@ -33,16 +33,15 @@ func randomGraph(seed int64, n int, p float64) *graph.Graph {
 	return b.Finalize()
 }
 
-func TestCountMatchesGraphPackage(t *testing.T) {
-	g := randomGraph(1, 60, 0.1)
-	if Count(g) != g.Triangles() {
-		t.Fatalf("Count = %d, graph.Triangles = %d", Count(g), g.Triangles())
-	}
+// maxCommonNeighbors is the maximum common-neighbour count the Ladder reads.
+func maxCommonNeighbors(g *graph.Graph) int {
+	_, cn := g.TrianglesAndMaxCommonNeighbors()
+	return cn
 }
 
 func TestMaxCommonNeighborsKnownGraphs(t *testing.T) {
 	// K5: every pair shares the other 3 nodes.
-	if got := MaxCommonNeighbors(complete(5)); got != 3 {
+	if got := maxCommonNeighbors(complete(5)); got != 3 {
 		t.Fatalf("K5 MaxCommonNeighbors = %d, want 3", got)
 	}
 	// A star: all leaf pairs share exactly the hub.
@@ -50,18 +49,18 @@ func TestMaxCommonNeighborsKnownGraphs(t *testing.T) {
 	for i := 1; i < 6; i++ {
 		starB.AddEdge(0, i)
 	}
-	if got := MaxCommonNeighbors(starB.Finalize()); got != 1 {
+	if got := maxCommonNeighbors(starB.Finalize()); got != 1 {
 		t.Fatalf("star MaxCommonNeighbors = %d, want 1", got)
 	}
 	// A path of length 2: the endpoints share the middle node.
 	pb := graph.NewBuilder(3, 0)
 	pb.AddEdge(0, 1)
 	pb.AddEdge(1, 2)
-	if got := MaxCommonNeighbors(pb.Finalize()); got != 1 {
+	if got := maxCommonNeighbors(pb.Finalize()); got != 1 {
 		t.Fatalf("path MaxCommonNeighbors = %d, want 1", got)
 	}
 	// No edges → no pair has a common neighbour.
-	if got := MaxCommonNeighbors(graph.New(4, 0)); got != 0 {
+	if got := maxCommonNeighbors(graph.New(4, 0)); got != 0 {
 		t.Fatalf("empty graph MaxCommonNeighbors = %d, want 0", got)
 	}
 }
@@ -83,7 +82,7 @@ func bruteMaxCN(g *graph.Graph) int {
 func TestMaxCommonNeighborsMatchesBruteForceProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		g := randomGraph(seed, 35, 0.15)
-		return MaxCommonNeighbors(g) == bruteMaxCN(g)
+		return maxCommonNeighbors(g) == bruteMaxCN(g)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
@@ -329,7 +328,7 @@ func TestLadderFunctionExhaustive(t *testing.T) {
 			}
 		}
 		type node struct{ mask, attrs int }
-		// maxCN[mask][attrs] is MaxCommonNeighbors of the graph on the pairs in
+		// maxCN[mask][attrs] is the maximum common-neighbour count of the graph on the pairs in
 		// mask whose node i has attribute bit i of attrs.
 		maxCN := make([][]int, 1<<len(pairs))
 		for mask := range maxCN {
@@ -344,7 +343,7 @@ func TestLadderFunctionExhaustive(t *testing.T) {
 				for i := 0; i < n; i++ {
 					b.SetAttr(i, graph.AttrVector(attrs>>i&1))
 				}
-				maxCN[mask][attrs] = MaxCommonNeighbors(b.Finalize())
+				maxCN[mask][attrs] = maxCommonNeighbors(b.Finalize())
 			}
 		}
 		neighbours := func(g node) []node {
