@@ -6,10 +6,13 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"agmdp/internal/atomicfile"
 )
 
 // startService runs the serve command on an ephemeral port and returns its
@@ -352,4 +355,79 @@ func TestServeBadFlags(t *testing.T) {
 	if err := run([]string{"-definitely-not-a-flag"}, &buf, nil); err == nil {
 		t.Fatal("bad flag accepted")
 	}
+}
+
+// TestServeSweepsLeftoverTempFiles simulates a crash between staging a file
+// and renaming it into place, in every store directory: after a restart the
+// staged temp files are gone, while every stored file and a foreign file
+// survive.
+func TestServeSweepsLeftoverTempFiles(t *testing.T) {
+	graphs, models := t.TempDir(), t.TempDir()
+	dirs := []string{graphs, models, filepath.Join(graphs, "jobs")}
+	base, shutdown := startService(t, "-graph-store", graphs, "-store", models)
+	call := func(method, path, body string, want int) map[string]any {
+		t.Helper()
+		req, err := http.NewRequest(method, base+path, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var out map[string]any
+		json.NewDecoder(resp.Body).Decode(&out)
+		if resp.StatusCode != want {
+			t.Fatalf("%s %s: %d %v", method, path, resp.StatusCode, out)
+		}
+		return out
+	}
+	// Fill every directory: a graph snapshot and its metric bundle, a model
+	// and its acceptance table, a finished job's record and the ID mark.
+	gid := call("POST", "/v1/graphs", `{"n":6,"w":0,"edges":[[0,1],[1,2],[2,3],[3,4],[4,5],[5,0]]}`, http.StatusCreated)["id"].(string)
+	call("GET", "/v1/graphs/"+gid+"/metrics", "", http.StatusOK)
+	job := call("POST", "/v1/fit", fmt.Sprintf(`{"graph_id":%q,"epsilon":1.0,"seed":3,"async":true}`, gid), http.StatusAccepted)["id"].(string)
+	for deadline := time.Now().Add(time.Minute); call("GET", "/v1/jobs/"+job, "", http.StatusOK)["status"] != "done"; {
+		if time.Now().After(deadline) {
+			t.Fatalf("fit job %s did not finish", job)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	shutdown()
+
+	want := make([][]string, len(dirs))
+	for i, dir := range dirs {
+		if err := os.WriteFile(filepath.Join(dir, "notes.txt"), []byte("not ours"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		want[i] = dirNames(t, dir)
+		if _, err := atomicfile.Stage(dir, func(w io.Writer) error {
+			_, err := io.WriteString(w, "written before the crash")
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, shutdown2 := startService(t, "-graph-store", graphs, "-store", models)
+	defer shutdown2()
+	for i, dir := range dirs {
+		if got := dirNames(t, dir); strings.Join(got, " ") != strings.Join(want[i], " ") {
+			t.Errorf("%s after restart holds %v, want %v", dir, got, want[i])
+		}
+	}
+}
+
+// dirNames lists the names in dir, sorted.
+func dirNames(t *testing.T, dir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := make([]string, len(entries))
+	for i, e := range entries {
+		names[i] = e.Name()
+	}
+	return names
 }

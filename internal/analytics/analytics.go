@@ -123,9 +123,10 @@ type UtilityMetrics struct {
 }
 
 // Compare computes the utility metrics of a synthetic graph against its
-// original.
-func Compare(original, synthetic *graph.Graph) UtilityMetrics {
-	return fromGraphMetrics(experiments.CompareGraphs(original, synthetic))
+// original, each measured by experiments.Measure: a job that scores many
+// samples against one original measures the original once.
+func Compare(original, synthetic experiments.Measurement) UtilityMetrics {
+	return fromGraphMetrics(original.Compare(synthetic))
 }
 
 // fromGraphMetrics converts the experiments struct (no JSON tags, column-name

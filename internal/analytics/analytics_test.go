@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"agmdp/internal/experiments"
 	"agmdp/internal/graph"
 	"agmdp/internal/parallel"
 )
@@ -114,7 +115,7 @@ func TestComputeObservesStages(t *testing.T) {
 
 func TestCompareSelfIsZero(t *testing.T) {
 	g := testGraph(4)
-	u := Compare(g, g)
+	u := Compare(experiments.Measure(g), experiments.Measure(g))
 	if u != (UtilityMetrics{}) {
 		t.Fatalf("self-comparison is non-zero: %+v", u)
 	}
@@ -123,10 +124,10 @@ func TestCompareSelfIsZero(t *testing.T) {
 func TestCompareDeterministicAcrossWorkers(t *testing.T) {
 	defer parallel.SetParallelism(parallel.SetParallelism(1))
 	a, b := testGraph(5), testGraph(6)
-	base := Compare(a, b)
+	base := Compare(experiments.Measure(a), experiments.Measure(b))
 	for _, workers := range []int{0, 2, 5} {
 		parallel.SetParallelism(workers)
-		if got := Compare(a, b); got != base {
+		if got := Compare(experiments.Measure(a), experiments.Measure(b)); got != base {
 			t.Fatalf("metrics at %d workers = %+v, want %+v", workers, got, base)
 		}
 	}

@@ -13,6 +13,7 @@ import (
 	"sync"
 	"testing"
 
+	"agmdp/internal/experiments"
 	"agmdp/internal/graph"
 	"agmdp/internal/parallel"
 	"agmdp/internal/structural"
@@ -122,16 +123,17 @@ func BenchmarkMetricsBundleWarm(b *testing.B) {
 	}
 }
 
-// BenchmarkEvaluateSequential is one utility comparison of the fixture
-// against itself with a single worker — the per-sample core of an evaluate
-// job without parallelism.
+// BenchmarkEvaluateSequential measures the fixture and compares it against
+// its own premeasured copy with a single worker — the per-sample core of an
+// evaluate job without parallelism.
 func BenchmarkEvaluateSequential(b *testing.B) {
 	defer parallel.SetParallelism(parallel.SetParallelism(1))
 	g := analyticsBenchFixture(b)
+	source := experiments.Measure(g)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Compare(g, g)
+		Compare(source, experiments.Measure(g))
 	}
 }
 
@@ -139,9 +141,10 @@ func BenchmarkEvaluateSequential(b *testing.B) {
 func BenchmarkEvaluateParallel(b *testing.B) {
 	defer parallel.SetParallelism(parallel.SetParallelism(runtime.GOMAXPROCS(0)))
 	g := analyticsBenchFixture(b)
+	source := experiments.Measure(g)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Compare(g, g)
+		Compare(source, experiments.Measure(g))
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"agmdp/internal/atomicfile"
 	"agmdp/internal/graph"
 	"agmdp/internal/obs"
 )
@@ -50,7 +51,7 @@ type Options struct {
 	// Source resolves graph IDs to graphs. Required.
 	Source GraphSource
 	// Dir, when non-empty, enables persistence: every computed bundle is
-	// written to <id>.metrics inside Dir (atomically, temp file + rename) and
+	// written to <id>.metrics inside Dir (through atomicfile) and
 	// reloaded verbatim on the next cold request — typically the graph
 	// store's own directory, so bundles live next to the .csr snapshots they
 	// describe.
@@ -90,7 +91,8 @@ type Cache struct {
 // cannot grow it without bound.
 const maxCacheWarnings = 100
 
-// NewCache builds a bundle cache over a graph source.
+// NewCache builds a bundle cache over a graph source. With a Dir, temp files
+// a crash left mid-write in it are removed first.
 func NewCache(opts Options) (*Cache, error) {
 	if opts.Source == nil {
 		return nil, errors.New("analytics: Options.Source is required")
@@ -102,6 +104,7 @@ func NewCache(opts Options) (*Cache, error) {
 		if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 			return nil, fmt.Errorf("analytics: creating cache dir: %w", err)
 		}
+		atomicfile.Sweep(opts.Dir)
 	}
 	return &Cache{
 		opts:    opts,
@@ -254,9 +257,9 @@ func (c *Cache) loadFile(id string) ([]byte, *Bundle, bool) {
 	return []byte(env.Bundle), &b, true
 }
 
-// persist writes the encoded bundle to <id>.metrics atomically (temp file in
-// the same directory, then rename). Persistence is best-effort: a failure is
-// recorded as a warning and the request is still served from memory.
+// persist writes the encoded bundle to <id>.metrics through atomicfile.
+// Persistence is best-effort: a failure is recorded as a warning and the
+// request is still served from memory.
 func (c *Cache) persist(id string, raw []byte) {
 	if c.opts.Dir == "" {
 		return
@@ -266,26 +269,7 @@ func (c *Cache) persist(id string, raw []byte) {
 		c.warn("encoding metrics envelope for %s: %v", id, err)
 		return
 	}
-	path := c.metricsPath(id)
-	tmp, err := os.CreateTemp(c.opts.Dir, "."+id+".metrics.tmp*")
-	if err != nil {
-		c.warn("persisting metrics for %s: %v", id, err)
-		return
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(env); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		c.warn("persisting metrics for %s: %v", id, err)
-		return
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		c.warn("persisting metrics for %s: %v", id, err)
-		return
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
+	if err := atomicfile.Write(c.metricsPath(id), env); err != nil {
 		c.warn("persisting metrics for %s: %v", id, err)
 	}
 }

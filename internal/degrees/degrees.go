@@ -135,13 +135,3 @@ func PrivateSequence(rng *rand.Rand, g *graph.Graph, epsilon float64) []int {
 	}
 	return out
 }
-
-// SequenceSum returns the sum of a degree sequence; half of it is the implied
-// edge count of a graph realising the sequence.
-func SequenceSum(seq []int) int {
-	sum := 0
-	for _, d := range seq {
-		sum += d
-	}
-	return sum
-}

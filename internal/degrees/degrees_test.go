@@ -227,16 +227,6 @@ func TestPrivateSequenceFromDegreesPanics(t *testing.T) {
 	}()
 }
 
-func TestSequenceSumAndImpliedEdges(t *testing.T) {
-	seq := []int{1, 1, 2, 2, 4}
-	if SequenceSum(seq) != 10 {
-		t.Fatalf("SequenceSum = %d, want 10", SequenceSum(seq))
-	}
-	if SequenceSum(nil) != 0 {
-		t.Fatal("SequenceSum(nil) != 0")
-	}
-}
-
 // Property: output of the default estimator is always a sorted sequence of
 // integers in [0, n-1], for random degree multisets.
 func TestPrivateSequenceValidityProperty(t *testing.T) {

@@ -39,6 +39,7 @@ func RunAblationBudgetSplit(datasetName string, epsilon float64, opts Options) (
 		"structure-heavy":   {0.15, 0.15, 0.35, 0.35},
 		"correlation-heavy": {0.15, 0.45, 0.20, 0.20},
 	}
+	measured := Measure(input)
 	result := &BudgetSplitResult{Dataset: datasetName, Epsilon: epsilon, Splits: map[string]GraphMetrics{}}
 	for label, weights := range splits {
 		var all []GraphMetrics
@@ -53,7 +54,7 @@ func RunAblationBudgetSplit(datasetName string, epsilon float64, opts Options) (
 			if err != nil {
 				return nil, err
 			}
-			all = append(all, CompareGraphs(input, synth))
+			all = append(all, measured.Compare(Measure(synth)))
 		}
 		result.Splits[label] = average(all)
 	}

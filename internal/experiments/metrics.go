@@ -39,26 +39,43 @@ type GraphMetrics struct {
 	MREEdges float64
 }
 
-// CompareGraphs computes the Table 2–5 error columns for a synthetic graph
-// against its input graph. The triangle count and both clustering
-// coefficients come from one Summarize per graph, so each graph's triangles
-// are counted once.
-func CompareGraphs(original, synthetic *graph.Graph) GraphMetrics {
-	origTheta := attrs.TrueThetaF(original)
-	synthTheta := attrs.TrueThetaF(synthetic)
-	origDegrees := original.DegreeSequence()
-	synthDegrees := synthetic.DegreeSequence()
-	orig, synth := original.Summarize(), synthetic.Summarize()
+// Measurement holds what CompareGraphs measures of one graph. Measuring an
+// input once and comparing every synthetic graph against that measurement
+// gives bit-for-bit the same metrics as CompareGraphs on each pair.
+type Measurement struct {
+	thetaF  []float64
+	degrees []int
+	// Summary carries the graph's size, triangle count and both clustering
+	// coefficients.
+	Summary graph.Summary
+}
+
+// Measure takes the measurements of g that the error columns compare: Θ_F,
+// the degree sequence, and one Summarize, so g's triangles are counted once.
+func Measure(g *graph.Graph) Measurement {
+	return Measurement{thetaF: attrs.TrueThetaF(g), degrees: g.DegreeSequence(), Summary: g.Summarize()}
+}
+
+// Compare computes the Table 2–5 error columns of a synthetic graph's
+// measurement against this (the input graph's) measurement.
+func (orig Measurement) Compare(synth Measurement) GraphMetrics {
+	o, s := orig.Summary, synth.Summary
 	return GraphMetrics{
-		MREThetaF:           stats.MeanAbsoluteError(origTheta, synthTheta),
-		HellingerThetaF:     stats.HellingerDistance(origTheta, synthTheta),
-		KSDegree:            stats.DegreeKS(origDegrees, synthDegrees),
-		HellingerDegree:     stats.DegreeHellinger(origDegrees, synthDegrees),
-		MRETriangles:        stats.RelativeError(float64(orig.Triangles), float64(synth.Triangles)),
-		MREAvgClustering:    stats.RelativeError(orig.AvgLocalClustering, synth.AvgLocalClustering),
-		MREGlobalClustering: stats.RelativeError(orig.GlobalClustering, synth.GlobalClustering),
-		MREEdges:            stats.RelativeError(float64(original.NumEdges()), float64(synthetic.NumEdges())),
+		MREThetaF:           stats.MeanAbsoluteError(orig.thetaF, synth.thetaF),
+		HellingerThetaF:     stats.HellingerDistance(orig.thetaF, synth.thetaF),
+		KSDegree:            stats.DegreeKS(orig.degrees, synth.degrees),
+		HellingerDegree:     stats.DegreeHellinger(orig.degrees, synth.degrees),
+		MRETriangles:        stats.RelativeError(float64(o.Triangles), float64(s.Triangles)),
+		MREAvgClustering:    stats.RelativeError(o.AvgLocalClustering, s.AvgLocalClustering),
+		MREGlobalClustering: stats.RelativeError(o.GlobalClustering, s.GlobalClustering),
+		MREEdges:            stats.RelativeError(float64(o.Edges), float64(s.Edges)),
 	}
+}
+
+// CompareGraphs computes the Table 2–5 error columns for a synthetic graph
+// against its input graph.
+func CompareGraphs(original, synthetic *graph.Graph) GraphMetrics {
+	return Measure(original).Compare(Measure(synthetic))
 }
 
 // average returns the element-wise mean of a set of metric rows.

@@ -103,10 +103,12 @@ func RunTable(datasetName string, opts Options) (*TableResult, error) {
 	}
 	rng := dp.NewRand(opts.Seed)
 	input := datasets.Generate(rng, profile)
+	// Every cell compares against the same input: measure it once.
+	measured := Measure(input)
 
 	result := &TableResult{
 		Dataset:      datasetName,
-		InputSummary: input.Summarize(),
+		InputSummary: measured.Summary,
 	}
 
 	models := []struct {
@@ -119,7 +121,7 @@ func RunTable(datasetName string, opts Options) (*TableResult, error) {
 
 	// Non-private reference rows (AGM-FCL, AGM-TriCL).
 	for _, m := range models {
-		metrics, err := averageNonPrivate(rng, input, m.model, opts)
+		metrics, err := averageNonPrivate(rng, input, measured, m.model, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -134,7 +136,7 @@ func RunTable(datasetName string, opts Options) (*TableResult, error) {
 	sort.Sort(sort.Reverse(sort.Float64Slice(sorted)))
 	for _, eps := range sorted {
 		for _, m := range models {
-			metrics, err := averagePrivate(rng, input, m.model, eps, opts)
+			metrics, err := averagePrivate(rng, input, measured, m.model, eps, opts)
 			if err != nil {
 				return nil, err
 			}
@@ -148,22 +150,22 @@ func RunTable(datasetName string, opts Options) (*TableResult, error) {
 }
 
 // averageNonPrivate synthesizes opts.Trials graphs with the exact AGM
-// parameters and averages the comparison metrics.
-func averageNonPrivate(rng *rand.Rand, input *graph.Graph, model structural.Model, opts Options) (GraphMetrics, error) {
+// parameters and averages their metrics against the measured input.
+func averageNonPrivate(rng *rand.Rand, input *graph.Graph, measured Measurement, model structural.Model, opts Options) (GraphMetrics, error) {
 	var all []GraphMetrics
 	for trial := 0; trial < opts.Trials; trial++ {
 		synth, _, err := core.SynthesizeNonPrivate(rng, input, model, core.SampleOptions{Iterations: opts.SampleIterations})
 		if err != nil {
 			return GraphMetrics{}, err
 		}
-		all = append(all, CompareGraphs(input, synth))
+		all = append(all, measured.Compare(Measure(synth)))
 	}
 	return average(all), nil
 }
 
-// averagePrivate synthesizes opts.Trials graphs under ε-DP and averages the
-// comparison metrics.
-func averagePrivate(rng *rand.Rand, input *graph.Graph, model structural.Model, epsilon float64, opts Options) (GraphMetrics, error) {
+// averagePrivate synthesizes opts.Trials graphs under ε-DP and averages
+// their metrics against the measured input.
+func averagePrivate(rng *rand.Rand, input *graph.Graph, measured Measurement, model structural.Model, epsilon float64, opts Options) (GraphMetrics, error) {
 	var all []GraphMetrics
 	for trial := 0; trial < opts.Trials; trial++ {
 		synth, _, err := core.Synthesize(rng, input, core.Config{Epsilon: epsilon, Model: model},
@@ -171,7 +173,7 @@ func averagePrivate(rng *rand.Rand, input *graph.Graph, model structural.Model, 
 		if err != nil {
 			return GraphMetrics{}, err
 		}
-		all = append(all, CompareGraphs(input, synth))
+		all = append(all, measured.Compare(Measure(synth)))
 	}
 	return average(all), nil
 }

@@ -70,16 +70,6 @@ func (g *Graph) ConnectedComponents() [][]int {
 	return connectedComponents(len(g.attrs), g.row)
 }
 
-// LargestComponent returns the node IDs of the largest connected component.
-// For an empty graph it returns an empty slice.
-func (g *Graph) LargestComponent() []int {
-	comps := g.ConnectedComponents()
-	if len(comps) == 0 {
-		return nil
-	}
-	return comps[0]
-}
-
 // OrphanedNodes returns all nodes that are not part of the largest connected
 // component, in ascending order. This is the notion of "orphaned" used by the
 // TriCycLe post-processing step (Algorithm 2 of the paper): the input graph is

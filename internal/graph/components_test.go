@@ -72,20 +72,6 @@ func TestConnectedComponentsSizesAndOrder(t *testing.T) {
 	}
 }
 
-func TestLargestComponentMembers(t *testing.T) {
-	g := twoComponents()
-	main := g.LargestComponent()
-	want := map[int]bool{0: true, 1: true, 2: true, 3: true}
-	if len(main) != 4 {
-		t.Fatalf("LargestComponent = %v, want the 4-cycle", main)
-	}
-	for _, v := range main {
-		if !want[v] {
-			t.Fatalf("LargestComponent contains unexpected node %d", v)
-		}
-	}
-}
-
 func TestOrphanedNodes(t *testing.T) {
 	g := twoComponents()
 	orphans := g.OrphanedNodes()

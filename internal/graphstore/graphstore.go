@@ -39,6 +39,7 @@ import (
 	"sync"
 	"time"
 
+	"agmdp/internal/atomicfile"
 	"agmdp/internal/graph"
 	"agmdp/internal/obs"
 )
@@ -135,8 +136,9 @@ type Store struct {
 }
 
 // Open creates a store. If opts.Dir is non-empty the directory is created
-// when missing and any previously persisted snapshots in it are indexed by
-// header — their CSR arrays are not decoded until first Get.
+// when missing, temp files a crash left mid-write are removed, and any
+// previously persisted snapshots in it are indexed by header — their CSR
+// arrays are not decoded until first Get.
 func Open(opts Options) (*Store, error) {
 	clock := opts.Clock
 	if clock == nil {
@@ -161,6 +163,7 @@ func Open(opts Options) (*Store, error) {
 		if err := os.MkdirAll(s.dir, 0o755); err != nil {
 			return nil, fmt.Errorf("graphstore: creating store directory: %w", err)
 		}
+		atomicfile.Sweep(s.dir)
 		if err := s.loadDir(); err != nil {
 			return nil, err
 		}
@@ -288,10 +291,10 @@ func openSnapshot(path string) (*snap, graph.SnapshotStat, string, error) {
 
 // Put stores a graph and returns its content-addressed ID. Storing a graph
 // that is already resident is a no-op that returns the existing ID. When
-// persistence is enabled the snapshot is written to disk before Put returns
-// and the file (not the encode buffer) becomes the entry's backing store;
-// the just-encoded decoded graph is admitted to the cache so an immediate
-// Get does not re-decode.
+// persistence is enabled the snapshot is written and fsync'd before the store
+// lock is taken, committed under it, and the file (not the encode buffer)
+// becomes the entry's backing store; the just-encoded decoded graph is
+// admitted to the cache so an immediate Get does not re-decode.
 func (s *Store) Put(g *graph.Graph) (string, error) {
 	var buf bytes.Buffer
 	buf.Grow(int(graph.SourceBinarySize(g)))
@@ -300,20 +303,8 @@ func (s *Store) Put(g *graph.Graph) (string, error) {
 	}
 	data := buf.Bytes()
 	id := IDFromBytes(data)
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.entries[id]; ok {
+	if _, ok := s.Stat(id); ok {
 		return id, nil
-	}
-	var sn *snap
-	if s.dir != "" {
-		if err := s.persist(id, data); err != nil {
-			return "", err
-		}
-		sn = openFileSnap(filepath.Join(s.dir, id+".csr"), int64(len(data)))
-	} else {
-		sn = &snap{size: int64(len(data)), data: data}
 	}
 	stat := graph.SnapshotStat{
 		Nodes:      g.NumNodes(),
@@ -321,12 +312,18 @@ func (s *Store) Put(g *graph.Graph) (string, error) {
 		Attributes: g.NumAttributes(),
 		Size:       int64(len(data)),
 	}
-	s.insertLocked(id, sn, stat, s.clock())
-	s.admitLocked(s.entries[id], g)
-	for s.max > 0 && len(s.order) > s.max {
-		s.evictLocked(s.order[0])
+	var staged *atomicfile.Staged
+	if s.dir != "" {
+		var err error
+		staged, err = atomicfile.Stage(s.dir, func(w io.Writer) error {
+			_, err := w.Write(data)
+			return err
+		})
+		if err != nil {
+			return "", fmt.Errorf("graphstore: %w", err)
+		}
 	}
-	return id, nil
+	return s.add(id, stat, staged, data, g)
 }
 
 // PutSource stores the graph a streaming row source describes and returns
@@ -334,7 +331,7 @@ func (s *Store) Put(g *graph.Graph) (string, error) {
 // graph, because the encoding is canonical. A *graph.Graph source delegates
 // to Put (which also admits the decoded graph). Any other source — typically
 // a sampler's builder — is encoded incrementally: with persistence enabled
-// the snapshot streams straight to a temp file while being hashed, so
+// the snapshot streams straight to a staged temp file while being hashed, so
 // store-back of a sampled graph never materialises the packed CSR arrays or
 // a whole-snapshot encode buffer; the first Get decodes lazily from the file
 // like any other cold entry. Without a directory the snapshot must live on
@@ -350,59 +347,53 @@ func (s *Store) PutSource(src graph.RowSource) (string, error) {
 		Attributes: src.NumAttributes(),
 		Size:       graph.SourceBinarySize(src),
 	}
-	if s.dir != "" {
-		return s.putSourceFile(src, stat)
+	if s.dir == "" {
+		var buf bytes.Buffer
+		buf.Grow(int(stat.Size))
+		if err := graph.WriteBinaryTo(&buf, src); err != nil {
+			return "", fmt.Errorf("graphstore: encoding graph: %w", err)
+		}
+		data := buf.Bytes()
+		return s.add(IDFromBytes(data), stat, nil, data, nil)
 	}
-	var buf bytes.Buffer
-	buf.Grow(int(stat.Size))
-	if err := graph.WriteBinaryTo(&buf, src); err != nil {
-		return "", fmt.Errorf("graphstore: encoding graph: %w", err)
-	}
-	data := buf.Bytes()
-	id := IDFromBytes(data)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.entries[id]; ok {
-		return id, nil
-	}
-	s.insertLocked(id, &snap{size: int64(len(data)), data: data}, stat, s.clock())
-	for s.max > 0 && len(s.order) > s.max {
-		s.evictLocked(s.order[0])
-	}
-	return id, nil
-}
-
-// putSourceFile streams a row source's snapshot into the store directory:
-// encode to a temp file and the content hash in one pass, then rename to the
-// content-addressed name under the store lock (discarding the temp copy if a
-// concurrent put of the same graph won the race). Peak heap is the encoder's
-// bounded staging buffer, independent of graph size.
-func (s *Store) putSourceFile(src graph.RowSource, stat graph.SnapshotStat) (string, error) {
-	tmp, err := os.CreateTemp(s.dir, "src.tmp*")
+	// The ID is known only once the snapshot is encoded, so a graph that is
+	// already stored is staged too, then discarded by add. Peak heap is the
+	// encoder's bounded staging buffer, independent of graph size.
+	h := sha256.New()
+	staged, err := atomicfile.Stage(s.dir, func(w io.Writer) error {
+		return graph.WriteBinaryTo(io.MultiWriter(w, h), src)
+	})
 	if err != nil {
 		return "", fmt.Errorf("graphstore: %w", err)
 	}
-	defer os.Remove(tmp.Name()) // no-op once the file is renamed into place
-	h := sha256.New()
-	if err := graph.WriteBinaryTo(io.MultiWriter(tmp, h), src); err != nil {
-		tmp.Close()
-		return "", fmt.Errorf("graphstore: encoding graph: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return "", fmt.Errorf("graphstore: %w", err)
-	}
-	id := hex.EncodeToString(h.Sum(nil)[:16])
+	return s.add(hex.EncodeToString(h.Sum(nil)[:16]), stat, staged, nil, nil)
+}
 
+// add indexes a new entry under id. With persistence the staged snapshot is
+// committed as <id>.csr and backs the entry; otherwise data does. A
+// concurrent put that stored the same graph first keeps its entry, and the
+// staged copy is discarded. A non-nil g is admitted to the decoded cache.
+// Only the commit (a rename and a directory fsync) runs under the store
+// lock: the snapshot was written and fsync'd by the caller.
+func (s *Store) add(id string, stat graph.SnapshotStat, staged *atomicfile.Staged, data []byte, g *graph.Graph) (string, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.entries[id]; ok {
+		staged.Discard()
 		return id, nil
 	}
-	final := filepath.Join(s.dir, id+".csr")
-	if err := os.Rename(tmp.Name(), final); err != nil {
-		return "", fmt.Errorf("graphstore: %w", err)
+	sn := &snap{size: stat.Size, data: data}
+	if staged != nil {
+		final := filepath.Join(s.dir, id+".csr")
+		if err := staged.Commit(final); err != nil {
+			return "", fmt.Errorf("graphstore: %w", err)
+		}
+		sn = openFileSnap(final, stat.Size)
 	}
-	s.insertLocked(id, openFileSnap(final, stat.Size), stat, s.clock())
+	s.insertLocked(id, sn, stat, s.clock())
+	if g != nil {
+		s.admitLocked(s.entries[id], g)
+	}
 	for s.max > 0 && len(s.order) > s.max {
 		s.evictLocked(s.order[0])
 	}
@@ -421,30 +412,6 @@ func openFileSnap(path string, size int64) *snap {
 		return &snap{path: path, size: size, data: data, mapped: true}
 	}
 	return &snap{path: path, size: size}
-}
-
-// persist atomically writes one snapshot file (write to a temp name, then
-// rename) so a crashed or concurrent process never observes a torn file.
-func (s *Store) persist(id string, data []byte) error {
-	final := filepath.Join(s.dir, id+".csr")
-	tmp, err := os.CreateTemp(s.dir, id+".tmp*")
-	if err != nil {
-		return fmt.Errorf("graphstore: %w", err)
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("graphstore: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("graphstore: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), final); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("graphstore: %w", err)
-	}
-	return nil
 }
 
 // insertLocked adds an entry (decoded graph not yet resident) to the

@@ -232,30 +232,52 @@ func TestReloadPreservesInsertionOrderForEviction(t *testing.T) {
 	}
 }
 
+// TestConcurrentAccess races puts of the same graphs (so concurrent stages
+// of one snapshot meet at the commit), reads and evictions, in memory and on
+// disk; on disk every resident graph keeps its snapshot file and no staged
+// temp file is left.
 func TestConcurrentAccess(t *testing.T) {
-	s, err := Open(Options{MaxGraphs: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			for j := 0; j < 20; j++ {
-				id, err := s.Put(testGraph(seed))
-				if err != nil {
-					t.Error(err)
-					return
+	for _, dir := range []string{"", t.TempDir()} {
+		s, err := Open(Options{MaxGraphs: 8, Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for i := 0; i < 8; i++ {
+			wg.Add(1)
+			go func(seed int64) {
+				defer wg.Done()
+				for j := 0; j < 20; j++ {
+					id, err := s.Put(testGraph(seed))
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					s.Get(id)
+					s.Stat(id)
+					s.List()
+					if j%5 == 4 {
+						s.Evict(id)
+					}
 				}
-				s.Get(id)
-				s.Stat(id)
-				s.List()
-				if j%5 == 4 {
-					s.Evict(id)
-				}
+			}(int64(i % 4))
+		}
+		wg.Wait()
+		if dir == "" {
+			continue
+		}
+		files, err := filepath.Glob(filepath.Join(dir, "*"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(files) != s.Len() {
+			t.Errorf("store holds %d graphs but its directory %v", s.Len(), files)
+		}
+		for _, info := range s.List() {
+			if _, err := os.Stat(filepath.Join(dir, info.ID+".csr")); err != nil {
+				t.Error(err)
 			}
-		}(int64(i % 4))
+		}
+		s.Close()
 	}
-	wg.Wait()
 }

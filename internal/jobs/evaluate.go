@@ -17,8 +17,8 @@ import (
 	"agmdp/internal/analytics"
 	"agmdp/internal/core"
 	"agmdp/internal/engine"
+	"agmdp/internal/experiments"
 	"agmdp/internal/graph"
-	"agmdp/internal/obs"
 )
 
 // EvalSpec describes one asynchronous utility evaluation.
@@ -110,45 +110,18 @@ func (m *Manager) SubmitEvaluate(spec EvalSpec) (string, error) {
 		return "", errors.New("jobs: evaluate spec needs a synthetic graph or a model")
 	}
 
-	ctx, cancel := context.WithCancel(context.Background())
-	j := &job{
-		eval:   spec,
-		stages: obs.NewStageTimer(),
-		cancel: cancel,
-		done:   make(chan struct{}),
-	}
-
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		cancel()
-		return "", ErrClosed
-	}
-	m.seq++
-	m.persistSeqLocked()
-	id := fmt.Sprintf("job-%06d", m.seq)
-	j.info = Info{
-		ID:        id,
-		Kind:      KindEvaluate,
-		ModelID:   spec.ModelID,
-		GraphID:   spec.SourceID,
-		Status:    StatusQueued,
-		Count:     spec.Count,
-		CreatedAt: m.opts.Clock(),
+	return m.register(&job{eval: spec}, Info{
+		Kind:    KindEvaluate,
+		ModelID: spec.ModelID,
+		GraphID: spec.SourceID,
+		Count:   spec.Count,
 		Eval: &EvalResult{
 			SourceGraphID:    spec.SourceID,
 			SyntheticGraphID: spec.SyntheticID,
 			ModelID:          spec.ModelID,
 			Samples:          []EvalSample{},
 		},
-	}
-	m.jobs[id] = j
-	m.order = append(m.order, id)
-	m.wg.Add(1)
-	m.mu.Unlock()
-
-	go m.runEvaluate(ctx, j)
-	return id, nil
+	}, m.runEvaluate)
 }
 
 // runEvaluate executes one evaluate job: samples run sequentially (each
@@ -166,9 +139,14 @@ func (m *Manager) runEvaluate(ctx context.Context, j *job) {
 	count := j.info.Count
 	j.mu.Unlock()
 
+	// Every sample is compared against the same source: measure it once.
+	start := time.Now()
+	source := experiments.Measure(spec.Source)
+	recordStage(j, KindEvaluate, "compare", time.Since(start))
+
 	var metrics []analytics.UtilityMetrics
 	for i := 0; i < count && ctx.Err() == nil; i++ {
-		sample := m.evalSample(ctx, j, spec, i)
+		sample := m.evalSample(ctx, j, spec, source, i)
 		if sample == nil { // cancelled mid-sample
 			break
 		}
@@ -197,9 +175,10 @@ func (m *Manager) runEvaluate(ctx context.Context, j *job) {
 	})
 }
 
-// evalSample produces and scores sample i of an evaluate job. It returns nil
-// only when the context was cancelled before a result could be recorded.
-func (m *Manager) evalSample(ctx context.Context, j *job, spec EvalSpec, i int) *EvalSample {
+// evalSample produces and scores sample i of an evaluate job against the
+// measured source. It returns nil only when the context was cancelled before
+// a result could be recorded.
+func (m *Manager) evalSample(ctx context.Context, j *job, spec EvalSpec, source experiments.Measurement, i int) *EvalSample {
 	sample := &EvalSample{Index: i}
 	synthetic := spec.Synthetic
 	if synthetic == nil {
@@ -235,14 +214,15 @@ func (m *Manager) evalSample(ctx context.Context, j *job, spec EvalSpec, i int) 
 	}
 
 	start := time.Now()
-	u := analytics.Compare(spec.Source, synthetic)
+	measured := experiments.Measure(synthetic)
+	u := analytics.Compare(source, measured)
 	recordStage(j, KindEvaluate, "compare", time.Since(start))
 	if ctx.Err() != nil {
 		return nil
 	}
-	sample.Nodes = synthetic.NumNodes()
-	sample.Edges = synthetic.NumEdges()
-	sample.Triangles = synthetic.Triangles()
+	sample.Nodes = measured.Summary.Nodes
+	sample.Edges = measured.Summary.Edges
+	sample.Triangles = measured.Summary.Triangles
 	sample.Metrics = &u
 	return sample
 }

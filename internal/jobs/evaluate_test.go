@@ -1,10 +1,13 @@
 package jobs
 
 import (
+	"context"
 	"math"
 	"testing"
 
+	"agmdp/internal/analytics"
 	"agmdp/internal/engine"
+	"agmdp/internal/experiments"
 	"agmdp/internal/graphstore"
 )
 
@@ -192,4 +195,35 @@ func newEvalManager(t *testing.T, dir string) (*Manager, *graphstore.Store) {
 	}
 	t.Cleanup(m.Close)
 	return m, store
+}
+
+// TestEvaluateModelModeMatchesCompare: a job measures its source once, and
+// scores every sample bit for bit as measuring both graphs afresh does, with
+// each sample redrawn at its seed.
+func TestEvaluateModelModeMatchesCompare(t *testing.T) {
+	m, _ := newTestManager(t)
+	orig, model := fixtureGraph(t), fixtureModel(t)
+	info := wait(t, m, submitEval(t, m, EvalSpec{
+		Source: orig, Model: model, ModelID: "m1",
+		Count: 3, Seed: 20, Iterations: 1,
+	}))
+	if info.Status != StatusDone || len(info.Eval.Samples) != 3 {
+		t.Fatalf("info = %+v", info)
+	}
+	for i, s := range info.Eval.Samples {
+		g, _, err := m.opts.Engine.SampleSeeded(context.Background(), engine.Request{
+			Model: model, Seed: s.Seed, Iterations: 1, CacheKey: "m1",
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := analytics.Compare(experiments.Measure(orig), experiments.Measure(g))
+		if s.Metrics == nil || *s.Metrics != want {
+			t.Errorf("sample %d metrics %+v, want %+v", i, s.Metrics, want)
+		}
+		if s.Nodes != g.NumNodes() || s.Edges != g.NumEdges() || s.Triangles != g.Triangles() {
+			t.Errorf("sample %d = %+v, want %d nodes, %d edges, %d triangles",
+				i, s, g.NumNodes(), g.NumEdges(), g.Triangles())
+		}
+	}
 }

@@ -17,7 +17,6 @@ import (
 	"agmdp/internal/core"
 	"agmdp/internal/dp"
 	"agmdp/internal/graph"
-	"agmdp/internal/obs"
 	"agmdp/internal/structural"
 )
 
@@ -74,38 +73,7 @@ func (m *Manager) SubmitFit(spec FitSpec) (string, error) {
 		return "", err
 	}
 
-	ctx, cancel := context.WithCancel(context.Background())
-	j := &job{
-		fit:    spec,
-		stages: obs.NewStageTimer(),
-		cancel: cancel,
-		done:   make(chan struct{}),
-	}
-
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		cancel()
-		return "", ErrClosed
-	}
-	m.seq++
-	m.persistSeqLocked()
-	id := fmt.Sprintf("job-%06d", m.seq)
-	j.info = Info{
-		ID:        id,
-		Kind:      KindFit,
-		GraphID:   spec.GraphID,
-		Status:    StatusQueued,
-		Count:     1,
-		CreatedAt: m.opts.Clock(),
-	}
-	m.jobs[id] = j
-	m.order = append(m.order, id)
-	m.wg.Add(1)
-	m.mu.Unlock()
-
-	go m.runFit(ctx, j)
-	return id, nil
+	return m.register(&job{fit: spec}, Info{Kind: KindFit, GraphID: spec.GraphID, Count: 1}, m.runFit)
 }
 
 // runFit executes one fit job end to end. The job stays in StatusQueued

@@ -431,3 +431,43 @@ func assertStages(t *testing.T, kind string, stages []obs.Stage, want []string) 
 		}
 	}
 }
+
+// TestSubmitRefusedWhenIDMarkFails: a job ID is issued only once its
+// high-water mark is durable. With <Dir>/seq a directory the mark's rename
+// fails, and every submit path refuses its job and registers nothing.
+func TestSubmitRefusedWhenIDMarkFails(t *testing.T) {
+	dir := t.TempDir()
+	m, _ := newFitManager(t, dir)
+	seq := filepath.Join(dir, seqFile)
+	if err := os.Mkdir(seq, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	g, model := fixtureGraph(t), fixtureModel(t)
+	for _, submit := range []func() (string, error){
+		func() (string, error) { return m.Submit(Spec{Model: model, ModelID: "m1", Count: 1, Seed: 1}) },
+		func() (string, error) { return m.SubmitFit(FitSpec{Graph: g, Seed: 1}) },
+		func() (string, error) { return m.SubmitEvaluate(EvalSpec{Source: g, Synthetic: g}) },
+	} {
+		if id, err := submit(); err == nil {
+			t.Errorf("submit without a durable ID mark issued %s", id)
+		}
+	}
+	if listed := m.List(); len(listed) != 0 {
+		t.Fatalf("refused submits registered %v", listed)
+	}
+	if names, _ := filepath.Glob(filepath.Join(dir, "*")); len(names) != 1 || names[0] != seq {
+		t.Fatalf("refused submits left %v", names)
+	}
+
+	// Once the mark can be written again, submissions resume.
+	if err := os.Remove(seq); err != nil {
+		t.Fatal(err)
+	}
+	id, err := m.SubmitFit(FitSpec{Graph: g, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info := wait(t, m, id); info.Status != StatusDone {
+		t.Fatalf("fit after the mark recovered ended %+v", info)
+	}
+}

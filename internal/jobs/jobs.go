@@ -36,14 +36,17 @@ package jobs
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
-	"os"
+	"path/filepath"
 	"runtime"
 	"sync"
 	"time"
 
+	"agmdp/internal/atomicfile"
 	"agmdp/internal/core"
 	"agmdp/internal/engine"
 	"agmdp/internal/graph"
@@ -343,39 +346,41 @@ func (m *Manager) Submit(spec Spec) (string, error) {
 		return "", errors.New("jobs: store requested but the manager has no graph store")
 	}
 
-	ctx, cancel := context.WithCancel(context.Background())
-	j := &job{
-		spec:   spec,
-		stages: obs.NewStageTimer(),
-		cancel: cancel,
-		done:   make(chan struct{}),
-	}
+	j := &job{spec: spec, results: make([]SampleResult, spec.Count)}
+	return m.register(j, Info{Kind: KindSample, ModelID: spec.ModelID, Count: spec.Count}, m.run)
+}
 
+// register issues the next job ID to j, durably recording the ID high-water
+// mark first, stamps info (kind and resource fields filled by the caller)
+// as j's queued Info, indexes the job and starts run in the background. A
+// closed manager, or a mark that cannot be made durable, refuses the job
+// and registers nothing.
+func (m *Manager) register(j *job, info Info, run func(context.Context, *job)) (string, error) {
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
-		cancel()
 		return "", ErrClosed
 	}
 	m.seq++
-	m.persistSeqLocked()
-	id := fmt.Sprintf("job-%06d", m.seq)
-	j.info = Info{
-		ID:        id,
-		Kind:      KindSample,
-		ModelID:   spec.ModelID,
-		Status:    StatusQueued,
-		Count:     spec.Count,
-		CreatedAt: m.opts.Clock(),
+	if err := m.persistSeqLocked(); err != nil {
+		m.mu.Unlock()
+		return "", err
 	}
-	j.results = make([]SampleResult, spec.Count)
-	m.jobs[id] = j
-	m.order = append(m.order, id)
+	ctx, cancel := context.WithCancel(context.Background())
+	info.ID = fmt.Sprintf("job-%06d", m.seq)
+	info.Status = StatusQueued
+	info.CreatedAt = m.opts.Clock()
+	j.info = info
+	j.stages = obs.NewStageTimer()
+	j.cancel = cancel
+	j.done = make(chan struct{})
+	m.jobs[info.ID] = j
+	m.order = append(m.order, info.ID)
 	m.wg.Add(1)
 	m.mu.Unlock()
 
-	go m.run(ctx, j)
-	return id, nil
+	go run(ctx, j)
+	return info.ID, nil
 }
 
 // run executes one job: FanOut workers pull sample indices and drive the
@@ -443,25 +448,27 @@ func (m *Manager) finish(j *job, decide func(info *Info)) {
 	// job's record on disk.
 	defer close(j.done)
 
-	// Stage the record to a temp file before taking the manager lock: the
-	// expensive disk I/O must not stall every jobs API call behind m.mu on
-	// slow storage. Only the final rename happens under the lock.
-	var tmpPath string
+	// Stage the record (written and fsync'd) before taking the manager lock:
+	// the disk I/O must not stall every jobs API call behind m.mu on slow
+	// storage. Only the commit, a rename and a directory fsync, happens
+	// under the lock.
+	var staged *atomicfile.Staged
 	var perr error
 	if m.opts.Dir != "" {
-		tmpPath, perr = m.stageRecord(rec)
+		staged, perr = atomicfile.Stage(m.opts.Dir, func(w io.Writer) error {
+			return json.NewEncoder(w).Encode(rec)
+		})
 	}
 
 	m.mu.Lock()
 	// The job may already have been removed by a cancel-and-delete; in that
-	// case nothing is committed either (the staged temp file is discarded
-	// below), so a deleted job cannot resurrect from disk after a restart.
+	// case nothing is committed either (the staged file is discarded below),
+	// so a deleted job cannot resurrect from disk after a restart.
 	// Committing under the manager lock keeps the rename ordered against
 	// concurrent removals.
 	if _, ok := m.jobs[id]; ok {
-		if tmpPath != "" {
-			perr = m.commitRecord(tmpPath, id)
-			tmpPath = ""
+		if staged != nil {
+			perr = staged.Commit(filepath.Join(m.opts.Dir, id+".json"))
 		}
 		if perr != nil {
 			// Completion is asynchronous — no caller can receive this
@@ -477,9 +484,7 @@ func (m *Manager) finish(j *job, decide func(info *Info)) {
 		}
 	}
 	m.mu.Unlock()
-	if tmpPath != "" {
-		os.Remove(tmpPath) // job deleted while staging; drop the orphan
-	}
+	staged.Discard() // job deleted while staging; a no-op after Commit
 }
 
 // maxWarnings bounds the retained warning strings: a persistently failing

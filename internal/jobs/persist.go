@@ -2,9 +2,10 @@ package jobs
 
 // Finished-job persistence. Job results used to be in-memory only and died
 // with the process; with Options.Dir configured, every job that reaches a
-// terminal status is written as Dir/<id>.json (atomically: temp file, then
-// rename) and reloaded on New, so a client that submitted a long batch or an
-// overnight fit can still resolve GET /v1/jobs/{id} after a service restart.
+// terminal status is written as Dir/<id>.json (through atomicfile: staged,
+// fsync'd, renamed into place) and reloaded on New, so a client that
+// submitted a long batch or an overnight fit can still resolve
+// GET /v1/jobs/{id} after a service restart.
 // Only finished jobs persist — a running job's record would go stale the
 // moment it was written; shutdown cancels running jobs, and the resulting
 // cancelled records persist like any other terminal state.
@@ -17,6 +18,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"agmdp/internal/atomicfile"
 )
 
 // persistedJob is the on-disk form of one finished job.
@@ -30,53 +33,19 @@ type persistedJob struct {
 // graceful shutdown) are still never reissued after a restart.
 const seqFile = "seq"
 
-// stageRecord writes a finished-job record to a temporary file in the job
-// directory and returns its path. The expensive I/O (MkdirAll, create,
-// write) happens here, without any manager lock held; committing the record
-// is then a single rename (commitRecord).
-func (m *Manager) stageRecord(rec persistedJob) (string, error) {
-	if err := os.MkdirAll(m.opts.Dir, 0o755); err != nil {
-		return "", fmt.Errorf("jobs: creating job directory: %w", err)
+// persistSeqLocked durably records the current sequence high-water mark.
+// Called with m.mu held on every ID allocation, which keeps the marks in
+// order; the write is a few bytes. An ID is issued only once its mark is on
+// disk, so a failure refuses the submission: after a crash, a lost mark
+// would let a restarted manager reissue the ID to another client.
+func (m *Manager) persistSeqLocked() error {
+	if m.opts.Dir == "" {
+		return nil
 	}
-	data, err := json.Marshal(rec)
-	if err != nil {
-		return "", fmt.Errorf("jobs: encoding job record: %w", err)
-	}
-	tmp, err := os.CreateTemp(m.opts.Dir, rec.Info.ID+".tmp*")
-	if err != nil {
-		return "", fmt.Errorf("jobs: %w", err)
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return "", fmt.Errorf("jobs: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return "", fmt.Errorf("jobs: %w", err)
-	}
-	return tmp.Name(), nil
-}
-
-// commitRecord atomically publishes a staged record under its final name.
-func (m *Manager) commitRecord(tmpPath, id string) error {
-	if err := os.Rename(tmpPath, filepath.Join(m.opts.Dir, id+".json")); err != nil {
-		os.Remove(tmpPath)
-		return fmt.Errorf("jobs: %w", err)
+	if err := atomicfile.Write(filepath.Join(m.opts.Dir, seqFile), []byte(strconv.Itoa(m.seq))); err != nil {
+		return fmt.Errorf("jobs: recording the job ID mark: %w", err)
 	}
 	return nil
-}
-
-// persistSeqLocked best-effort records the current sequence high-water mark.
-// Called with m.mu held on every ID allocation; the write is a tiny
-// single-file overwrite, and a failure only costs crash protection for ID
-// reuse (graceful shutdowns still persist terminal records), so it is not
-// worth failing a submission over.
-func (m *Manager) persistSeqLocked() {
-	if m.opts.Dir == "" {
-		return
-	}
-	os.WriteFile(filepath.Join(m.opts.Dir, seqFile), []byte(strconv.Itoa(m.seq)), 0o644)
 }
 
 // removePersisted deletes a job's on-disk record, if any.
@@ -86,7 +55,8 @@ func (m *Manager) removePersisted(id string) {
 	}
 }
 
-// loadDir restores persisted finished jobs, ordered by creation time so
+// loadDir removes the temp files a crash left mid-write, then restores
+// persisted finished jobs, ordered by creation time so
 // listings and the retention bound match the original submission order.
 // Files that cannot be read or decoded, records whose ID does not match
 // their file name, and records in a non-terminal state are skipped (and
@@ -97,6 +67,7 @@ func (m *Manager) loadDir() error {
 	if err := os.MkdirAll(m.opts.Dir, 0o755); err != nil {
 		return fmt.Errorf("jobs: creating job directory: %w", err)
 	}
+	atomicfile.Sweep(m.opts.Dir)
 	glob, err := filepath.Glob(filepath.Join(m.opts.Dir, "*.json"))
 	if err != nil {
 		return fmt.Errorf("jobs: scanning job directory: %w", err)

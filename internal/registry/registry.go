@@ -24,6 +24,7 @@ package registry
 
 import (
 	"fmt"
+	"io"
 	"log/slog"
 	"os"
 	"path/filepath"
@@ -32,6 +33,7 @@ import (
 	"sync"
 	"time"
 
+	"agmdp/internal/atomicfile"
 	"agmdp/internal/core"
 	"agmdp/internal/obs"
 )
@@ -102,7 +104,9 @@ type Registry struct {
 }
 
 // Open creates a registry. If opts.Dir is non-empty the directory is created
-// when missing and any previously persisted models in it are loaded.
+// when missing and any previously persisted models in it are loaded. Temp
+// files a crash left mid-write are removed from the model and table
+// directories first.
 func Open(opts Options) (*Registry, error) {
 	clock := opts.Clock
 	if clock == nil {
@@ -123,11 +127,13 @@ func Open(opts Options) (*Registry, error) {
 		if err := os.MkdirAll(r.tableDir, 0o755); err != nil {
 			return nil, fmt.Errorf("registry: creating table directory: %w", err)
 		}
+		atomicfile.Sweep(r.tableDir)
 	}
 	if r.dir != "" {
 		if err := os.MkdirAll(r.dir, 0o755); err != nil {
 			return nil, fmt.Errorf("registry: creating store directory: %w", err)
 		}
+		atomicfile.Sweep(r.dir)
 		if err := r.loadDir(); err != nil {
 			return nil, err
 		}
@@ -191,14 +197,18 @@ func (r *Registry) loadDir() error {
 
 // Put stores a fitted model and returns its content-addressed ID. Storing a
 // model whose parameters are already resident is a no-op that returns the
-// existing ID. When persistence is enabled the model is also written to disk
-// before Put returns.
+// existing ID. When persistence is enabled the model file is written and
+// fsync'd before the registry lock is taken and committed under it, so it is
+// on disk before Put returns.
 func (r *Registry) Put(m *core.FittedModel) (string, error) {
 	data, err := core.MarshalModel(m)
 	if err != nil {
 		return "", err
 	}
 	id := core.ModelIDFromBytes(data)
+	if _, ok := r.Stat(id); ok {
+		return id, nil
+	}
 	// Cache a private decoded copy, not the caller's pointer: the caller may
 	// mutate its model after Put, and the cached instance is handed out
 	// shared via Model.
@@ -206,15 +216,26 @@ func (r *Registry) Put(m *core.FittedModel) (string, error) {
 	if err != nil {
 		return "", err
 	}
+	var staged *atomicfile.Staged
+	if r.dir != "" {
+		staged, err = atomicfile.Stage(r.dir, func(w io.Writer) error {
+			_, err := w.Write(data)
+			return err
+		})
+		if err != nil {
+			return "", fmt.Errorf("registry: %w", err)
+		}
+	}
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if _, ok := r.entries[id]; ok {
+		staged.Discard()
 		return id, nil
 	}
-	if r.dir != "" {
-		if err := r.persist(id, data); err != nil {
-			return "", err
+	if staged != nil {
+		if err := staged.Commit(filepath.Join(r.dir, id+".json")); err != nil {
+			return "", fmt.Errorf("registry: %w", err)
 		}
 	}
 	r.insertLocked(id, data, cached, r.clock())
@@ -222,30 +243,6 @@ func (r *Registry) Put(m *core.FittedModel) (string, error) {
 		r.evictLocked(r.order[0])
 	}
 	return id, nil
-}
-
-// persist atomically writes one model file (write to a temp name, then
-// rename) so a crashed or concurrent process never observes a torn file.
-func (r *Registry) persist(id string, data []byte) error {
-	final := filepath.Join(r.dir, id+".json")
-	tmp, err := os.CreateTemp(r.dir, id+".tmp*")
-	if err != nil {
-		return fmt.Errorf("registry: %w", err)
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("registry: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("registry: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), final); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("registry: %w", err)
-	}
-	return nil
 }
 
 // LoadWarnings reports the store files Open skipped because they could not be
@@ -385,7 +382,7 @@ func (r *Registry) SetAcceptance(id string, table []float64) bool {
 	e.accept = table
 	r.mu.Unlock()
 	if r.tableDir != "" {
-		if err := r.persistTable(id, table); err != nil {
+		if err := atomicfile.Write(r.tablePath(id), encodeTable(table)); err != nil {
 			slog.Error("registry: persisting acceptance table", "id", id, "err", err)
 		}
 	}

@@ -235,35 +235,50 @@ func TestOpenSkipsTamperedStoreFiles(t *testing.T) {
 	}
 }
 
+// TestConcurrentAccess races puts of the same models (so concurrent stages
+// of one model file meet at the commit) and reads, in memory and on disk; on
+// disk each model leaves exactly its one file and no staged temp file.
 func TestConcurrentAccess(t *testing.T) {
-	r, err := Open(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	models := make([]*core.FittedModel, 4)
 	for i := range models {
 		models[i] = fixtureModel(t, int64(i))
 	}
-	var wg sync.WaitGroup
-	for i := 0; i < 16; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			id, err := r.Put(models[i%len(models)])
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			if _, ok := r.Get(id); !ok {
-				t.Error("model vanished")
-			}
-			r.List()
-			r.Len()
-		}(i)
-	}
-	wg.Wait()
-	if r.Len() != len(models) {
-		t.Fatalf("Len = %d, want %d", r.Len(), len(models))
+	for _, dir := range []string{"", t.TempDir()} {
+		r, err := Open(Options{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for i := 0; i < 16; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				id, err := r.Put(models[i%len(models)])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if _, ok := r.Get(id); !ok {
+					t.Error("model vanished")
+				}
+				r.List()
+				r.Len()
+			}(i)
+		}
+		wg.Wait()
+		if r.Len() != len(models) {
+			t.Fatalf("Len = %d, want %d", r.Len(), len(models))
+		}
+		if dir == "" {
+			continue
+		}
+		files, err := filepath.Glob(filepath.Join(dir, "*"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(files) != len(models) {
+			t.Errorf("directory holds %v, want one file per model", files)
+		}
 	}
 }
 

@@ -82,30 +82,6 @@ func (r *Registry) tablePath(id string) string {
 	return filepath.Join(r.tableDir, id+".table")
 }
 
-// persistTable atomically writes one acceptance table file (temp name, then
-// rename), mirroring model persistence.
-func (r *Registry) persistTable(id string, table []float64) error {
-	data := encodeTable(table)
-	tmp, err := os.CreateTemp(r.tableDir, id+".tbltmp*")
-	if err != nil {
-		return fmt.Errorf("registry: %w", err)
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("registry: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("registry: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), r.tablePath(id)); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("registry: %w", err)
-	}
-	return nil
-}
-
 // loadTable reads and validates one model's persisted acceptance table,
 // returning ok=false when absent or unreadable (the caller re-fits).
 func (r *Registry) loadTable(id string) ([]float64, bool) {

@@ -19,8 +19,6 @@ package tenant
 // from the file before the next append.
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -52,12 +50,11 @@ type ledgerKey struct{ tenant, graph string }
 // concurrent requests exactly the charges that fit under the budget are
 // admitted, never one more.
 type Ledger struct {
-	mu         sync.Mutex
-	f          *os.File // nil when in-memory or closed
-	persistent bool     // opened with a directory: appends must be durable
-	spent      map[ledgerKey]float64
-	warnings   []string
-	clock      func() time.Time
+	mu       sync.Mutex
+	log      *appendLog // nil when in-memory
+	spent    map[ledgerKey]float64
+	warnings []string
+	clock    func() time.Time
 }
 
 // OpenLedger opens (or creates) the ledger under dir; an empty dir keeps the
@@ -73,8 +70,7 @@ func OpenLedger(dir string) (*Ledger, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("tenant: creating ledger directory: %w", err)
 	}
-	path := filepath.Join(dir, ledgerFile)
-	f, torn, err := openLog(path, l.replay)
+	log, torn, err := openLog(filepath.Join(dir, ledgerFile), l.replay)
 	if err != nil {
 		return nil, fmt.Errorf("tenant: opening ledger: %w", err)
 	}
@@ -84,67 +80,8 @@ func OpenLedger(dir string) (*Ledger, error) {
 	if torn != "" {
 		l.warnings = append(l.warnings, torn)
 	}
-	l.f = f
-	l.persistent = true
+	l.log = log
 	return l, nil
-}
-
-// openLog replays the append-only JSONL log at path through apply, one
-// complete non-blank line at a time, then opens it for appending, creating
-// it if needed. The first line apply rejects fails the open with an error
-// naming path:line, before the file is opened or changed: privacy state that
-// cannot be read back in full must not be served or appended to. A record is
-// acknowledged only once its line and newline are synced, so a final line
-// without a newline is a torn append that was never admitted, even if it
-// parses: it is not replayed but reported in torn, and the file is cut back
-// to the last newline (and synced) so the next append starts a line of its
-// own instead of being glued onto the torn one.
-func openLog(path string, apply func(line []byte) error) (f *os.File, torn string, err error) {
-	data, err := os.ReadFile(path)
-	if err != nil && !os.IsNotExist(err) {
-		return nil, "", err
-	}
-	end := bytes.LastIndexByte(data, '\n') + 1
-	for i, line := range bytes.Split(data[:end], []byte{'\n'}) {
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
-		}
-		if err := apply(line); err != nil {
-			return nil, "", fmt.Errorf("%s:%d: %w", path, i+1, err)
-		}
-	}
-	f, err = os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, "", err
-	}
-	if end < len(data) {
-		torn = fmt.Sprintf("%s:%d: torn final line (no newline) dropped: it was never acknowledged",
-			path, bytes.Count(data[:end], []byte{'\n'})+1)
-		if err := f.Truncate(int64(end)); err != nil {
-			f.Close()
-			return nil, "", err
-		}
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return nil, "", err
-		}
-	}
-	return f, torn, nil
-}
-
-// decodeEntry parses one log line into v. Unknown fields are refused: the
-// service writes none, so one means a damaged key, and decoding around it
-// would silently drop that field (an ε, or a revoke flag).
-func decodeEntry(line []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(line))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return err
-	}
-	if dec.More() {
-		return errors.New("data after the entry")
-	}
-	return nil
 }
 
 // replay adds one persisted entry to the in-memory totals. Totals are
@@ -218,7 +155,7 @@ func (l *Ledger) Charge(tenant, graph string, eps, budget float64) (remaining fl
 			Requested: eps, Remaining: budget - spent, Budget: budget,
 		}
 	}
-	if err := l.append(entry{Tenant: tenant, Graph: graph, Epsilon: eps, At: l.clock()}); err != nil {
+	if err := l.log.append(entry{Tenant: tenant, Graph: graph, Epsilon: eps, At: l.clock()}); err != nil {
 		// The entry may or may not have hit disk; treat it as charged in
 		// memory so the in-process view stays pessimistic, but refuse the
 		// admission — a spend we cannot durably record must not run.
@@ -244,7 +181,7 @@ func (l *Ledger) Refund(tenant, graph string, eps float64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	k := ledgerKey{tenant, graph}
-	if err := l.append(entry{Tenant: tenant, Graph: graph, Epsilon: -eps, At: l.clock()}); err != nil {
+	if err := l.log.append(entry{Tenant: tenant, Graph: graph, Epsilon: -eps, At: l.clock()}); err != nil {
 		return fmt.Errorf("tenant: persisting ledger refund: %w", err)
 	}
 	l.spent[k] -= eps
@@ -255,37 +192,10 @@ func (l *Ledger) Refund(tenant, graph string, eps float64) error {
 	return nil
 }
 
-// append writes one entry line and syncs it. Callers hold l.mu. A persistent
-// ledger whose append handle is gone (Close raced a charge) refuses rather
-// than silently dropping durability.
-func (l *Ledger) append(e entry) error {
-	if !l.persistent {
-		return nil
-	}
-	if l.f == nil {
-		return errLedgerClosed
-	}
-	data, err := json.Marshal(e)
-	if err != nil {
-		return err
-	}
-	if _, err := l.f.Write(append(data, '\n')); err != nil {
-		return err
-	}
-	return l.f.Sync()
-}
-
-var errLedgerClosed = fmt.Errorf("ledger closed")
-
 // Close releases the append handle. Charges against a persistent ledger fail
 // after Close; in-memory ledgers keep working.
 func (l *Ledger) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.f == nil {
-		return nil
-	}
-	err := l.f.Close()
-	l.f = nil
-	return err
+	return l.log.close()
 }

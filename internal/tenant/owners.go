@@ -17,7 +17,6 @@ package tenant
 // the next append, so a later revoke is never glued onto it and lost.
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -52,12 +51,11 @@ type resourceKey struct{ kind, id string }
 // Owners tracks which tenants hold a handle on which resources, optionally
 // persisted as append-only JSONL. Safe for concurrent use.
 type Owners struct {
-	mu         sync.Mutex
-	f          *os.File // nil when in-memory or closed
-	persistent bool
-	owners     map[resourceKey]map[string]bool
-	warnings   []string
-	clock      func() time.Time
+	mu       sync.Mutex
+	log      *appendLog // nil when in-memory
+	owners   map[resourceKey]map[string]bool
+	warnings []string
+	clock    func() time.Time
 }
 
 // OpenOwners opens (or creates) the ownership log under dir; an empty dir
@@ -73,16 +71,14 @@ func OpenOwners(dir string) (*Owners, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("tenant: creating owners directory: %w", err)
 	}
-	path := filepath.Join(dir, ownersFile)
-	f, torn, err := openLog(path, o.replay)
+	log, torn, err := openLog(filepath.Join(dir, ownersFile), o.replay)
 	if err != nil {
 		return nil, fmt.Errorf("tenant: opening owners log: %w", err)
 	}
 	if torn != "" {
 		o.warnings = append(o.warnings, torn)
 	}
-	o.f = f
-	o.persistent = true
+	o.log = log
 	return o, nil
 }
 
@@ -140,7 +136,7 @@ func (o *Owners) Grant(kind, id, tenantID string) error {
 		return nil
 	}
 	e := ownerEntry{Kind: kind, ID: id, Tenant: tenantID, At: o.clock()}
-	if err := o.append(e); err != nil {
+	if err := o.log.append(e); err != nil {
 		return fmt.Errorf("tenant: persisting ownership grant: %w", err)
 	}
 	o.applyLocked(e)
@@ -158,7 +154,7 @@ func (o *Owners) Revoke(kind, id, tenantID string) (last bool, err error) {
 		return false, nil
 	}
 	e := ownerEntry{Kind: kind, ID: id, Tenant: tenantID, Revoke: true, At: o.clock()}
-	if err := o.append(e); err != nil {
+	if err := o.log.append(e); err != nil {
 		return false, fmt.Errorf("tenant: persisting ownership revoke: %w", err)
 	}
 	o.applyLocked(e)
@@ -172,33 +168,10 @@ func (o *Owners) Owns(kind, id, tenantID string) bool {
 	return o.owners[resourceKey{kind, id}][tenantID]
 }
 
-// append writes one entry line and syncs it. Callers hold o.mu.
-func (o *Owners) append(e ownerEntry) error {
-	if !o.persistent {
-		return nil
-	}
-	if o.f == nil {
-		return errLedgerClosed
-	}
-	data, err := json.Marshal(e)
-	if err != nil {
-		return err
-	}
-	if _, err := o.f.Write(append(data, '\n')); err != nil {
-		return err
-	}
-	return o.f.Sync()
-}
-
 // Close releases the append handle. Grants and revokes against a persistent
 // store fail after Close; in-memory stores keep working.
 func (o *Owners) Close() error {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	if o.f == nil {
-		return nil
-	}
-	err := o.f.Close()
-	o.f = nil
-	return err
+	return o.log.close()
 }

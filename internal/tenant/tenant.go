@@ -236,12 +236,6 @@ func (r *Registry) Operator(token string) bool {
 	return subtle.ConstantTimeCompare(digest[:], r.opToken) == 1
 }
 
-// Lookup maps a tenant ID to its tenant (refund paths hold IDs, not keys).
-func (r *Registry) Lookup(id string) (*Tenant, bool) {
-	t, ok := r.byID[id]
-	return t, ok
-}
-
 // Budget resolves a tenant's effective per-graph ε cap.
 func (r *Registry) Budget(t *Tenant) float64 {
 	if t.Budget > 0 {

@@ -78,8 +78,8 @@ func TestBudgetDefaultsAndOverrides(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	alpha, _ := r.Lookup("alpha")
-	beta, _ := r.Lookup("beta")
+	alpha, _ := r.Resolve("alpha-key")
+	beta, _ := r.Resolve("beta-key")
 	if got := r.Budget(alpha); got != DefaultBudget {
 		t.Errorf("alpha budget %v, want default %v", got, DefaultBudget)
 	}
@@ -133,7 +133,7 @@ func TestRegistryChargePersistsAcrossRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	beta, _ := r.Lookup("beta")
+	beta, _ := r.Resolve("beta-key")
 	remaining, err := r.Charge(beta, "graph-1", 2.0)
 	if err != nil {
 		t.Fatal(err)
@@ -153,7 +153,7 @@ func TestRegistryChargePersistsAcrossRestart(t *testing.T) {
 	if got := r2.Spent("beta", "graph-1"); got != 2.0 {
 		t.Errorf("spent after restart %v, want 2.0", got)
 	}
-	beta2, _ := r2.Lookup("beta")
+	beta2, _ := r2.Resolve("beta-key")
 	if _, err := r2.Charge(beta2, "graph-1", 1.0); err == nil {
 		t.Error("charge over restarted budget admitted")
 	}
