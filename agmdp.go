@@ -146,6 +146,12 @@ type Options struct {
 	SampleIterations int
 	// Seed seeds the deterministic random source used for both fitting and
 	// sampling. Runs with equal seeds and inputs are reproducible.
+	//
+	// Anyone who knows the seed of a private fit can replay its Laplace
+	// draws and subtract them from the released parameters, which voids the
+	// privacy guarantee: keep the seed of a published model secret. Nor is a
+	// seed a secret key: math/rand has fewer than 2^31 streams, few enough
+	// to try them all.
 	Seed int64
 	// Parallelism is the number of concurrent streams used by the structural
 	// generators: ≤ 0 means "auto" (the process default, see SetParallelism),
@@ -277,17 +283,18 @@ type GraphInfo = graphstore.Info
 // so uploaded graphs survive service restarts.
 func NewGraphStore(opts GraphStoreOptions) (*GraphStore, error) { return graphstore.Open(opts) }
 
-// Engine is a concurrent sampling worker pool over fitted models; see
-// NewEngine.
+// Engine samples fitted models concurrently, running at most
+// EngineConfig.Workers draws at once; see NewEngine.
 type Engine = engine.Engine
 
 // EngineConfig configures NewEngine.
 type EngineConfig = engine.Config
 
-// SampleRequest describes one engine sampling job.
+// SampleRequest describes one engine draw.
 type SampleRequest = engine.Request
 
-// NewEngine starts a concurrent synthesis engine. Callers must Close it.
+// NewEngine builds a concurrent synthesis engine. Close it to refuse new
+// samples and wait for the ones it already admitted.
 func NewEngine(cfg EngineConfig) *Engine { return engine.New(cfg) }
 
 // MarshalModel encodes a fitted model into its canonical, versioned JSON

@@ -10,8 +10,9 @@
 //
 // Experiments: table2, table3, table4, table5, table6, fig1, fig2 (= fig3),
 // fig5, ablations, all. Scales, trial counts and seeds are configurable; the
-// defaults are chosen so that a full run finishes in laptop time (see
-// EXPERIMENTS.md for the exact settings used to produce the recorded results).
+// defaults are chosen so that a full run finishes in laptop time: each
+// dataset at its profile's default scale, the paper's ε grid, 3 trials per
+// setting and seed 1 (see the flags below and experiments.Options).
 package main
 
 import (

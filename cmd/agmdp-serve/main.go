@@ -7,7 +7,7 @@
 // Usage:
 //
 //	agmdp-serve [-addr :8080] [-store DIR] [-graph-store DIR] [-jobs-dir DIR]
-//	            [-workers N] [-queue N] [-parallelism N] [-seed 1]
+//	            [-workers N] [-parallelism N] [-seed 1]
 //	            [-max-models N] [-max-graphs N] [-jobs-retain N]
 //	            [-max-job-samples N] [-max-concurrent-fits N]
 //	            [-metrics-cache N] [-tenants FILE] [-tenant-dir DIR]
@@ -21,13 +21,13 @@
 //	DELETE /v1/graphs/{id}   evict a graph
 //	POST   /v1/fit           fit a model from a stored graph, inline graph or dataset
 //	                         (async:true detaches the fit into a job)
-//	POST   /v1/sample        sample synchronously (inline, stored, text or binary)
+//	POST   /v1/sample        sample (inline, stored, text or binary); async:true
+//	                         with count N detaches a batch of N into a job
 //	GET    /v1/graphs/{id}/metrics
 //	                         canonical metric bundle of a stored graph, served
 //	                         from the content-addressed analytics cache
 //	POST   /v1/evaluate      utility evaluation (original vs synthetic) as an
 //	                         async job of kind "evaluate"
-//	POST   /v1/jobs          submit an async job: batch sampling, or kind:"fit"
 //	GET    /v1/jobs[/{id}]   list jobs / poll progress and results
 //	DELETE /v1/jobs/{id}     cancel (or drop) a job
 //	GET    /v1/models[/{id}] list models / metadata (?full=1 for the serialized model)
@@ -58,8 +58,8 @@
 // line in the middle of either log refuses startup with its file:line.
 //
 // The server shuts down gracefully on SIGINT/SIGTERM: in-flight requests get
-// a drain window, running jobs are cancelled, then the engine stops after
-// finishing queued work.
+// a drain window, running jobs are cancelled, then the engine waits for the
+// samples it already admitted.
 package main
 
 import (
@@ -121,13 +121,12 @@ func run(args []string, stdout io.Writer, ready func(addr string, stop func())) 
 		graphStore    = fs.String("graph-store", "", "graph store directory for binary CSR snapshots (empty = in-memory only)")
 		graphCache    = fs.Int64("graph-cache-bytes", 0, "byte budget for decoded graphs kept in memory (0 = default 256 MiB, negative = unbounded)")
 		jobsDir       = fs.String("jobs-dir", "", "finished-job metadata directory (empty = <graph-store>/jobs, or in-memory when no graph store)")
-		workers       = fs.Int("workers", 0, "sampling workers (0 = GOMAXPROCS)")
-		queue         = fs.Int("queue", 0, "job queue bound (0 = 4x workers)")
+		workers       = fs.Int("workers", 0, "samples drawn at once, the rest wait (0 = GOMAXPROCS)")
 		parallelism   = fs.Int("parallelism", 0, "intra-job sampling streams and the process's fit and metric workers (0 = auto/GOMAXPROCS, 1 = sequential)")
-		seed          = fs.Int64("seed", 1, "base seed for the per-worker RNG streams")
+		seed          = fs.Int64("seed", 1, "seed of the stream unseeded samples take their seeds from")
 		maxModels     = fs.Int("max-models", 0, "max resident models, oldest evicted first (0 = unbounded)")
 		maxGraphs     = fs.Int("max-graphs", 0, "max resident graphs, oldest evicted first (0 = unbounded)")
-		jobsRetain    = fs.Int("jobs-retain", 0, "finished sampling jobs kept for result pickup (0 = default 64)")
+		jobsRetain    = fs.Int("jobs-retain", 0, "finished jobs kept for result pickup (0 = default 64)")
 		maxJobSamples = fs.Int("max-job-samples", 0, "max samples per job (0 = default 1024)")
 		maxFits       = fs.Int("max-concurrent-fits", 0, "fit jobs running at once, the rest queue (0 = GOMAXPROCS, floored at 2)")
 		metricsCache  = fs.Int("metrics-cache", 0, "max metric bundles resident in memory (0 = default 128, negative = unbounded)")
@@ -192,7 +191,6 @@ func run(args []string, stdout io.Writer, ready func(addr string, stop func())) 
 	}
 	eng := engine.New(engine.Config{
 		Workers:     *workers,
-		QueueSize:   *queue,
 		Seed:        *seed,
 		Parallelism: *parallelism,
 		// The registry doubles as the acceptance-table cache: default-shaped
@@ -216,7 +214,7 @@ func run(args []string, stdout io.Writer, ready func(addr string, stop func())) 
 		Dir:               jobsPath,
 		MaxConcurrentFits: *maxFits,
 		// Matches the server's default /v1/sample deadline, so a wedged sample
-		// inside a batch job cannot occupy an engine worker forever.
+		// inside a batch job cannot hold its caller forever.
 		SampleTimeout: time.Minute,
 	})
 	if err != nil {

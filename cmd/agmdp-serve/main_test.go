@@ -305,11 +305,11 @@ func TestServeJobsSurviveRestart(t *testing.T) {
 	if fitDone.Status != "done" || fitDone.Fit == nil || fitDone.Fit.ModelID == "" {
 		t.Fatalf("fit job ended %+v", fitDone)
 	}
-	sampleJob := submit("/v1/jobs", fmt.Sprintf(`{"model_id":%q,"count":2,"seed":11}`, fitDone.Fit.ModelID))
+	sampleJob := submit("/v1/sample", fmt.Sprintf(`{"id":%q,"async":true,"count":2,"seed":11}`, fitDone.Fit.ModelID))
 	waitDone(sampleJob.ID)
 
 	// A long-running batch that the shutdown will catch mid-run.
-	midRun := submit("/v1/jobs", fmt.Sprintf(`{"model_id":%q,"count":500,"seed":1000}`, fitDone.Fit.ModelID))
+	midRun := submit("/v1/sample", fmt.Sprintf(`{"id":%q,"async":true,"count":500,"seed":1000}`, fitDone.Fit.ModelID))
 	shutdown()
 
 	base2, shutdown2 := startService(t, "-graph-store", dir, "-store", store)

@@ -8,6 +8,13 @@
 //
 // The input must be in the library's attributed-graph text format (see
 // agmdp.SaveGraph); use agmdp-datagen to produce calibrated synthetic inputs.
+//
+// -seed (default 1) seeds the fit's noise as well as the sampling, so runs
+// are reproducible per seed. Anyone who knows the seed can replay the
+// Laplace draws and subtract them from the released parameters, which voids
+// the privacy guarantee: choose a seed nobody else knows, and keep it
+// secret. Nor is a seed a secret key: math/rand has fewer than 2^31 streams,
+// few enough to try them all.
 package main
 
 import (
@@ -50,7 +57,7 @@ func run(args []string, stdout io.Writer) error {
 		epsilon    = fs.Float64("epsilon", 1.0, "total differential-privacy budget ε (0 = non-private AGM)")
 		model      = fs.String("model", "tricycle", "structural model: tricycle or fcl")
 		truncation = fs.Int("k", 0, "edge-truncation parameter for ΘF (0 = n^(1/3) heuristic)")
-		seed       = fs.Int64("seed", 1, "random seed (runs are reproducible per seed)")
+		seed       = fs.Int64("seed", 1, "random seed (runs are reproducible per seed); whoever knows it can remove the fit's noise, so keep it secret")
 		iterations = fs.Int("iterations", 3, "acceptance-probability refinement rounds")
 	)
 	if err := fs.Parse(args); err != nil {

@@ -3,8 +3,9 @@
 // graph once as a binary CSR snapshot, fits an ε-DP model from the stored
 // graph asynchronously (POST /v1/fit with async:true returns a fit job
 // whose completion carries the registered model ID), submits an
-// asynchronous batch sampling job that stores its samples back into the
-// graph store, polls both jobs to completion, and finally downloads one
+// asynchronous batch of samples (POST /v1/sample with async:true and a
+// count) that stores its samples back into the graph store, polls both jobs
+// to completion, and finally downloads one
 // synthetic sample as a binary snapshot — the fit-once / serve-many
 // workflow the post-processing property of differential privacy enables
 // (Algorithm 3 of the paper), with no graph ever travelling inline through
@@ -42,7 +43,7 @@ func main() {
 }
 
 func run() error {
-	// 1. Assemble the service: in-memory registry + graph store, a 4-worker
+	// 1. Assemble the service: in-memory registry + graph store, a 4-slot
 	// engine, and the async job manager.
 	reg, err := registry.Open(registry.Options{})
 	if err != nil {
@@ -153,11 +154,11 @@ func run() error {
 	fmt.Printf("fit job done in %v: %s model at epsilon %.2f -> id %s (acceptance table pre-warmed)\n",
 		time.Since(fitStart).Round(time.Millisecond), fitJob.Fit.ModelName, fitJob.Fit.Epsilon, fit.ID)
 
-	// 4. Serve many, asynchronously: submit a batch job for eight samples,
-	// stored into the graph store instead of inlined, and poll its progress.
+	// 4. Serve many, asynchronously: submit a batch of eight samples, stored
+	// into the graph store instead of inlined, and poll its progress.
 	start := time.Now()
-	jobBody := fmt.Sprintf(`{"model_id":%q,"count":8,"seed":1,"iterations":1,"store":true}`, fit.ID)
-	resp, err = http.Post(base+"/v1/jobs", "application/json", bytes.NewReader([]byte(jobBody)))
+	jobBody := fmt.Sprintf(`{"id":%q,"async":true,"count":8,"seed":1,"iterations":1,"store":true}`, fit.ID)
+	resp, err = http.Post(base+"/v1/sample", "application/json", bytes.NewReader([]byte(jobBody)))
 	if err != nil {
 		return err
 	}

@@ -1,25 +1,27 @@
-// Package engine provides a concurrent synthesis engine for fitted AGM-DP
-// models: a fixed pool of workers drains a bounded job queue, each worker owns
-// a deterministic RNG stream (base seed + worker index), and individual
-// sampling jobs additionally shard their structural generation — the
-// Chung–Lu edge proposals of FCL samples and TriCycLe seeds — across
-// intra-job streams that execute on the process-wide worker pool
-// (internal/parallel), so job throughput and per-job latency scale without
-// oversubscribing the machine.
+// Package engine samples synthetic graphs from fitted AGM-DP models
+// concurrently. At most Config.Workers draws run at once: a caller takes one
+// of the Workers slots in its own goroutine, waiting under its context while
+// every slot is taken, and the draw frees its slot when it returns. Each draw
+// additionally shards its structural generation — the Chung–Lu edge
+// proposals of FCL samples and TriCycLe seeds — across intra-draw streams
+// that execute on the process-wide worker pool (internal/parallel), so
+// throughput and per-sample latency scale without oversubscribing the
+// machine.
 // An optional acceptance-table cache (the registry) lets repeat samples of a
 // model skip the per-sample refinement rounds.
 //
 // Sampling a fitted model consumes no privacy budget (post-processing), so
 // the engine can serve an unbounded number of synthesis requests from one
-// expensive fit. Determinism contract: a job that carries an explicit seed
-// produces the same graph no matter which worker runs it or how loaded the
-// engine is; jobs without a seed draw one from the executing worker's stream
-// and are reproducible only under identical scheduling.
+// expensive fit. Determinism contract: a request that carries an explicit
+// seed produces the same graph however loaded the engine is; a request
+// without one takes the next seed of a single stream seeded with
+// Config.Seed, in the order requests are admitted, and gets that seed back.
 package engine
 
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -35,9 +37,8 @@ import (
 
 // Engine metrics on the process-wide default registry. The counters and the
 // histogram are shared by every engine in the process (production runs one);
-// live queue/in-flight gauges for a specific engine are wired by the server
-// through Stats-reading gauge funcs. Instrumentation reads clocks only —
-// seeds and worker RNG streams are untouched.
+// an engine's own live load is its Stats, which /v1/healthz serves.
+// Instrumentation reads clocks only — seeds are untouched.
 var (
 	engineSamples = obs.Default().CounterVec("agmdp_engine_samples_total",
 		"Samples drawn by the synthesis engine, by result.", "result")
@@ -52,53 +53,37 @@ var ErrClosed = errors.New("engine: closed")
 
 // Config configures an Engine.
 type Config struct {
-	// Workers is the number of concurrent sampling workers; values below 1
-	// select runtime.GOMAXPROCS(0).
+	// Workers bounds how many draws run at once; values below 1 select
+	// runtime.GOMAXPROCS(0). A caller that finds every slot taken waits
+	// (respecting its context), which gives natural backpressure under load.
 	Workers int
-	// QueueSize bounds the job queue; Sample blocks (respecting its context)
-	// while the queue is full, which gives natural backpressure under load.
-	// Values below 1 select 4×Workers.
-	QueueSize int
-	// Seed is the base seed for the per-worker RNG streams: worker i draws
-	// from a stream seeded with Seed+i. Jobs with explicit seeds ignore the
-	// worker streams entirely.
+	// Seed seeds the one stream that unseeded requests take their seeds
+	// from. Requests with explicit seeds never touch it.
 	Seed int64
-	// Parallelism is the number of intra-job proposal streams handed to the
+	// Parallelism is the number of intra-draw proposal streams handed to the
 	// structural samplers: ≤ 0 means "auto" (the process default,
 	// runtime.GOMAXPROCS unless overridden with parallel.SetParallelism),
-	// 1 samples each job sequentially. It is independent of Workers: Workers
-	// scales throughput across jobs, Parallelism scales latency within one
-	// job. Both fan out on the same shared worker pool, so raising both does
+	// 1 samples each draw sequentially. It is independent of Workers: Workers
+	// scales throughput across draws, Parallelism scales latency within one
+	// draw. Both fan out on the same shared worker pool, so raising both does
 	// not oversubscribe the machine — shard tasks queue behind the pool's
-	// GOMAXPROCS residents.
+	// GOMAXPROCS residents. It is deliberately not resolved at New: ≤ 0 stays
+	// "auto" so a later parallel.SetParallelism call still affects this
+	// engine's draws (the generators resolve at use time).
 	Parallelism int
 	// Acceptance, when non-nil, caches per-model acceptance tables so
-	// sampling jobs skip the per-sample refinement rounds; see the
-	// AcceptanceCache interface. The registry satisfies it.
+	// draws skip the per-sample refinement rounds; see the AcceptanceCache
+	// interface. The registry satisfies it.
 	Acceptance AcceptanceCache
 }
 
-// withDefaults resolves zero fields to their documented defaults.
-func (c Config) withDefaults() Config {
-	if c.Workers < 1 {
-		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.QueueSize < 1 {
-		c.QueueSize = 4 * c.Workers
-	}
-	// Parallelism is deliberately NOT resolved here: ≤ 0 stays "auto" so a
-	// later parallel.SetParallelism call still affects this engine's jobs
-	// (the generators resolve at use time).
-	return c
-}
-
-// Request describes one sampling job.
+// Request describes one draw.
 type Request struct {
 	// Model is the fitted model to sample from. Required.
 	Model *core.FittedModel
-	// Seed, when non-zero, makes the job fully deterministic: equal seeds (at
-	// equal engine Parallelism) give byte-identical graphs. Zero draws a seed
-	// from the executing worker's stream.
+	// Seed, when non-zero, makes the draw fully deterministic: equal seeds
+	// (at equal engine Parallelism) give byte-identical graphs. Zero takes
+	// the next seed of the engine's stream.
 	Seed int64
 	// Iterations is the number of acceptance-probability refinement rounds;
 	// zero selects core.DefaultSampleIterations.
@@ -106,10 +91,10 @@ type Request struct {
 	// ModelKind optionally overrides the structural model ("tricycle", "fcl",
 	// "tcl"); empty uses the model the parameters were fitted for.
 	ModelKind string
-	// Parallelism overrides the engine's intra-job stream count for this job
-	// only; 0 keeps the engine default, 1 forces sequential sampling. The
-	// resolved value is part of the determinism contract: equal seeds give
-	// equal graphs only at equal parallelism.
+	// Parallelism overrides the engine's intra-draw stream count for this
+	// draw only; 0 keeps the engine default, 1 forces sequential sampling.
+	// The resolved value is part of the determinism contract: equal seeds
+	// give equal graphs only at equal parallelism.
 	Parallelism int
 	// CacheKey, when non-empty, identifies the model (its registry ID) for
 	// acceptance-table caching. It is consulted only when the engine has an
@@ -120,44 +105,37 @@ type Request struct {
 
 // Stats is a point-in-time snapshot of engine load, served by /v1/healthz.
 type Stats struct {
-	Workers     int   `json:"workers"`
+	Workers int `json:"workers"`
+	// QueueDepth counts callers waiting for a slot.
 	QueueDepth  int   `json:"queue_depth"`
-	QueueCap    int   `json:"queue_cap"`
 	Parallelism int   `json:"parallelism"`
 	InFlight    int64 `json:"in_flight"`
 	Completed   int64 `json:"completed"`
 	Failed      int64 `json:"failed"`
 }
 
-// job pairs a request with its reply channel.
-type job struct {
-	ctx    context.Context
-	req    Request
-	seed   int64 // resolved seed; 0 means "draw from worker stream"
-	stream bool  // return the generator's row source instead of a packed graph
-	result chan jobResult
-}
-
-type jobResult struct {
-	src  graph.RowSource // *graph.Graph unless the job asked to stream
-	seed int64           // the seed that actually drove the draw
-	err  error
-}
-
-// Engine is a concurrent sampling worker pool. Construct with New; the zero
+// Engine bounds and runs concurrent draws. Construct with New; the zero
 // value is not usable.
 type Engine struct {
-	cfg       Config
-	jobs      chan *job
-	wg        sync.WaitGroup
-	mu        sync.RWMutex
-	closed    bool
+	cfg Config
+	// slots holds one token per running draw; its capacity is Workers.
+	slots chan struct{}
+	// waiting counts callers blocked on a slot.
+	waiting atomic.Int64
+
+	// mu guards closed and seeds. Every draw admitted before Close is
+	// counted in draws, so Close can wait for it.
+	mu     sync.Mutex
+	closed bool
+	seeds  *rand.Rand
+	draws  sync.WaitGroup
+
 	completed atomic.Int64
 	failed    atomic.Int64
 	inFlight  atomic.Int64
 
 	// fitMu/fitting single-flight the acceptance-table fits: when several
-	// workers miss the cache for the same cold model at once, one fits and
+	// draws miss the cache for the same cold model at once, one fits and
 	// the rest wait for its result instead of burning a structural
 	// generation each on identical work (tables are pure functions of the
 	// model, so every duplicate would have produced the same bytes).
@@ -165,57 +143,17 @@ type Engine struct {
 	fitting map[string]chan struct{}
 }
 
-// New starts an engine with cfg.Workers sampling workers. Callers must Close
-// the engine to release them.
+// New builds an engine with cfg.Workers draw slots. Close it to wait for
+// the draws still running.
 func New(cfg Config) *Engine {
-	cfg = cfg.withDefaults()
-	e := &Engine{
+	if cfg.Workers < 1 {
+		cfg.Workers = runtime.GOMAXPROCS(0)
+	}
+	return &Engine{
 		cfg:     cfg,
-		jobs:    make(chan *job, cfg.QueueSize),
+		slots:   make(chan struct{}, cfg.Workers),
+		seeds:   dp.NewRand(cfg.Seed),
 		fitting: make(map[string]chan struct{}),
-	}
-	for i := 0; i < cfg.Workers; i++ {
-		e.wg.Add(1)
-		go e.worker(i)
-	}
-	return e
-}
-
-// worker drains the job queue. Each worker owns the deterministic stream
-// seeded with cfg.Seed + its index, consumed only by jobs without explicit
-// seeds.
-func (e *Engine) worker(index int) {
-	defer e.wg.Done()
-	stream := dp.NewRand(e.cfg.Seed + int64(index))
-	for j := range e.jobs {
-		if err := j.ctx.Err(); err != nil {
-			// The caller already gave up; don't burn a core on the sample.
-			j.result <- jobResult{err: err}
-			continue
-		}
-		seed := j.seed
-		for seed == 0 {
-			seed = stream.Int63()
-		}
-		e.inFlight.Add(1)
-		start := time.Now()
-		var src graph.RowSource
-		var err error
-		if j.stream {
-			src, err = e.sampleSource(j.req, seed)
-		} else {
-			src, err = e.sampleOnce(j.req, seed)
-		}
-		engineSampleDur.ObserveDuration(time.Since(start))
-		e.inFlight.Add(-1)
-		if err != nil {
-			e.failed.Add(1)
-			engineSamples.With("error").Inc()
-		} else {
-			e.completed.Add(1)
-			engineSamples.With("ok").Inc()
-		}
-		j.result <- jobResult{src: src, seed: seed, err: err}
 	}
 }
 
@@ -234,21 +172,12 @@ type AcceptanceCache interface {
 	SetAcceptance(id string, table []float64) bool
 }
 
-// sampleOnce draws one synthetic graph with a concrete seed.
-func (e *Engine) sampleOnce(req Request, seed int64) (*graph.Graph, error) {
-	src, err := e.sampleSource(req, seed)
-	if err != nil {
-		return nil, err
-	}
-	return graph.Materialize(src), nil
-}
-
 // sampleSource draws one synthetic graph with a concrete seed, returning the
 // sampler's streaming row-level view (the generator's builder with attributes
-// overlaid; see core.SampleSource). The rng trace is identical to sampleOnce's
-// — materialising the source reproduces sampleOnce byte for byte — so the
-// materialised and streamed paths share one determinism contract per (seed,
-// resolved parallelism), as well as the acceptance-table cache gating below.
+// overlaid; see core.SampleSource). Materialising the source gives the
+// packed graph, so the materialised and streamed paths share one determinism
+// contract per (seed, resolved parallelism), as well as the
+// acceptance-table cache gating below.
 func (e *Engine) sampleSource(req Request, seed int64) (graph.RowSource, error) {
 	par := req.Parallelism
 	if par <= 0 {
@@ -316,7 +245,7 @@ func (e *Engine) acceptanceTable(req Request, opts core.SampleOptions) ([]float6
 }
 
 // structuralModel resolves a model name to an implementation carrying the
-// job's intra-job parallelism.
+// draw's intra-draw parallelism.
 func (e *Engine) structuralModel(kind, fittedName string, parallelism int) (structural.Model, error) {
 	if kind == "" {
 		kind = fittedName
@@ -324,9 +253,9 @@ func (e *Engine) structuralModel(kind, fittedName string, parallelism int) (stru
 	return structural.ByName(kind, parallelism)
 }
 
-// Sample enqueues one job and blocks until it completes, the context is
-// cancelled, or the engine is closed. It is safe for concurrent use; when the
-// bounded queue is full it blocks, which is the engine's backpressure
+// Sample draws one graph, blocking until the draw completes, the context is
+// cancelled, or the engine is closed. It is safe for concurrent use; while
+// every slot is taken it waits, which is the engine's backpressure
 // mechanism.
 func (e *Engine) Sample(ctx context.Context, req Request) (*graph.Graph, error) {
 	g, _, err := e.SampleSeeded(ctx, req)
@@ -334,8 +263,8 @@ func (e *Engine) Sample(ctx context.Context, req Request) (*graph.Graph, error) 
 }
 
 // SampleSeeded is Sample, but additionally returns the seed that actually
-// drove the draw: the request's own seed, or — for unseeded jobs — the one
-// drawn from the executing worker's stream. Returning it is what keeps
+// drove the draw: the request's own seed, or — for unseeded requests — the
+// one taken from the engine's stream. Returning it is what keeps
 // auto-seeded samples reproducible after the fact.
 func (e *Engine) SampleSeeded(ctx context.Context, req Request) (*graph.Graph, int64, error) {
 	src, seed, err := e.run(ctx, req, false)
@@ -351,51 +280,106 @@ func (e *Engine) SampleSeeded(ctx context.Context, req Request) (*graph.Graph, i
 // overlaid, so an encoder can serve sorted row ranges without the final
 // offsets/neighbors arrays ever being packed. The source is byte-identical
 // under graph.Materialize to the graph SampleSeeded returns for the same
-// (seed, resolved parallelism), and goes through the same queue, worker
-// streams and acceptance-table cache. The returned source is owned by the
-// caller; it is not shared with the engine after the call returns.
+// (seed, resolved parallelism), and goes through the same slots, seed stream
+// and acceptance-table cache. The returned source is owned by the caller; it
+// is not shared with the engine after the call returns.
 func (e *Engine) SampleSourceSeeded(ctx context.Context, req Request) (graph.RowSource, int64, error) {
 	return e.run(ctx, req, true)
 }
 
-// run enqueues one job and blocks until it completes, the context is
-// cancelled, or the engine is closed.
+// run admits one draw, waits for a slot and blocks until the draw completes
+// or the context is cancelled. The draw itself runs on its own goroutine, so
+// a caller whose context ends mid-draw gets its error at once; the draw runs
+// on and frees its slot when it returns.
 func (e *Engine) run(ctx context.Context, req Request, stream bool) (graph.RowSource, int64, error) {
 	if req.Model == nil {
 		return nil, 0, errors.New("engine: nil model in request")
 	}
-	j := &job{ctx: ctx, req: req, seed: req.Seed, stream: stream, result: make(chan jobResult, 1)}
-
-	e.mu.RLock()
-	if e.closed {
-		e.mu.RUnlock()
-		return nil, 0, ErrClosed
+	seed, err := e.admit(req.Seed)
+	if err != nil {
+		return nil, 0, err
 	}
+	e.waiting.Add(1)
 	select {
-	case e.jobs <- j:
-		e.mu.RUnlock()
+	case e.slots <- struct{}{}:
+		e.waiting.Add(-1)
 	case <-ctx.Done():
-		e.mu.RUnlock()
+		e.waiting.Add(-1)
+		e.draws.Done()
 		return nil, 0, ctx.Err()
 	}
+	if err := ctx.Err(); err != nil {
+		// The caller already gave up; don't burn a core on the sample.
+		e.release()
+		return nil, 0, err
+	}
 
+	var (
+		src     graph.RowSource
+		drawErr error
+	)
+	done := make(chan struct{})
+	go func() {
+		defer e.release()
+		src, drawErr = e.draw(req, seed, stream)
+		close(done)
+	}()
 	select {
-	case res := <-j.result:
-		return res.src, res.seed, res.err
+	case <-done:
+		return src, seed, drawErr
 	case <-ctx.Done():
-		// The job may still run to completion on a worker; its result is
-		// discarded via the buffered channel.
 		return nil, 0, ctx.Err()
 	}
 }
 
+// admit counts one draw in unless the engine is closed, resolving an
+// unseeded request's seed from the engine's stream.
+func (e *Engine) admit(seed int64) (int64, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.closed {
+		return 0, ErrClosed
+	}
+	for seed == 0 {
+		seed = e.seeds.Int63()
+	}
+	e.draws.Add(1)
+	return seed, nil
+}
+
+// release frees an admitted draw's slot.
+func (e *Engine) release() {
+	<-e.slots
+	e.draws.Done()
+}
+
+// draw samples one graph with a concrete seed, materialised unless stream
+// is set, and records its duration and outcome.
+func (e *Engine) draw(req Request, seed int64, stream bool) (graph.RowSource, error) {
+	e.inFlight.Add(1)
+	start := time.Now()
+	src, err := e.sampleSource(req, seed)
+	if err == nil && !stream {
+		src = graph.Materialize(src)
+	}
+	engineSampleDur.ObserveDuration(time.Since(start))
+	e.inFlight.Add(-1)
+	if err != nil {
+		e.failed.Add(1)
+		engineSamples.With("error").Inc()
+	} else {
+		e.completed.Add(1)
+		engineSamples.With("ok").Inc()
+	}
+	return src, err
+}
+
 // Stats returns a snapshot of the engine's load counters. Parallelism is
-// reported resolved (what an auto-parallelism job would use right now).
+// reported resolved (what an auto-parallelism draw would use right now).
 func (e *Engine) Stats() Stats {
 	return Stats{
 		Workers:     e.cfg.Workers,
-		QueueDepth:  len(e.jobs),
-		QueueCap:    cap(e.jobs),
+		QueueDepth:  int(e.waiting.Load()),
 		Parallelism: parallel.Resolve(e.cfg.Parallelism),
 		InFlight:    e.inFlight.Load(),
 		Completed:   e.completed.Load(),
@@ -403,16 +387,11 @@ func (e *Engine) Stats() Stats {
 	}
 }
 
-// Close stops accepting new jobs, drains the queue, and waits for in-flight
-// jobs to finish. It is idempotent.
+// Close refuses new draws and waits for every admitted one — running or
+// still waiting for a slot — to finish. It is idempotent.
 func (e *Engine) Close() {
 	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return
-	}
 	e.closed = true
-	close(e.jobs)
 	e.mu.Unlock()
-	e.wg.Wait()
+	e.draws.Wait()
 }

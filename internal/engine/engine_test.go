@@ -65,7 +65,7 @@ func TestSampleSeededDeterministicWithParallelism(t *testing.T) {
 
 func TestConcurrentJobsAllComplete(t *testing.T) {
 	m := fixtureModel(t)
-	e := New(Config{Workers: 4, QueueSize: 2, Seed: 1})
+	e := New(Config{Workers: 4, Seed: 1})
 	defer e.Close()
 
 	const jobs = 16
@@ -94,11 +94,11 @@ func TestConcurrentJobsAllComplete(t *testing.T) {
 	}
 }
 
-func TestUnseededJobsDrawFromWorkerStreams(t *testing.T) {
+func TestUnseededSamplesDrawFromOneStream(t *testing.T) {
 	m := fixtureModel(t)
-	e := New(Config{Workers: 1, Seed: 5})
+	e := New(Config{Workers: 2, Seed: 5})
 	defer e.Close()
-	g1, err := e.Sample(context.Background(), Request{Model: m, Iterations: 1})
+	g1, seed1, err := e.SampleSeeded(context.Background(), Request{Model: m, Iterations: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,12 +106,13 @@ func TestUnseededJobsDrawFromWorkerStreams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Consecutive unseeded jobs on one worker advance its stream: the two
+	// Consecutive unseeded samples advance the engine's stream: the two
 	// graphs should differ (equality would mean the stream is stuck).
 	if g1.Equal(g2) {
-		t.Fatal("worker stream did not advance between jobs")
+		t.Fatal("seed stream did not advance between samples")
 	}
-	// A fresh engine with the same base seed replays the same stream.
+	// A fresh engine with the same Seed replays the same stream, whatever
+	// its slot count.
 	e2 := New(Config{Workers: 1, Seed: 5})
 	defer e2.Close()
 	h1, err := e2.Sample(context.Background(), Request{Model: m, Iterations: 1})
@@ -119,7 +120,15 @@ func TestUnseededJobsDrawFromWorkerStreams(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !g1.Equal(h1) {
-		t.Fatal("same base seed did not replay the worker stream")
+		t.Fatal("same Seed did not replay the seed stream")
+	}
+	// The echoed seed reproduces the draw as an explicit seed.
+	replay, err := e.Sample(context.Background(), Request{Model: m, Seed: seed1, Iterations: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !g1.Equal(replay) {
+		t.Fatalf("echoed seed %d does not replay the unseeded sample", seed1)
 	}
 }
 
@@ -154,7 +163,7 @@ func TestSampleNilModel(t *testing.T) {
 
 func TestSampleRespectsContext(t *testing.T) {
 	m := fixtureModel(t)
-	e := New(Config{Workers: 1, QueueSize: 1, Seed: 1})
+	e := New(Config{Workers: 1, Seed: 1})
 	defer e.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -168,10 +177,10 @@ func TestSampleRespectsContext(t *testing.T) {
 }
 
 func TestStatsSnapshot(t *testing.T) {
-	e := New(Config{Workers: 3, QueueSize: 7, Parallelism: 2})
+	e := New(Config{Workers: 3, Parallelism: 2})
 	defer e.Close()
 	s := e.Stats()
-	if s.Workers != 3 || s.QueueCap != 7 || s.Parallelism != 2 {
+	if s.Workers != 3 || s.QueueDepth != 0 || s.Parallelism != 2 {
 		t.Fatalf("Stats = %+v", s)
 	}
 }

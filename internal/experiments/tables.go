@@ -14,8 +14,8 @@ import (
 )
 
 // Options configures an experiment run. The zero value selects the defaults
-// described in EXPERIMENTS.md: each dataset at its profile's default scale,
-// the paper's ε grid, and a small number of trials per setting so a full run
+// documented on each field: each dataset at its profile's default scale, the
+// paper's ε grid, and a small number of trials per setting so a full run
 // completes in laptop time.
 type Options struct {
 	// Scale overrides the dataset's DefaultScale when positive.

@@ -238,35 +238,12 @@ func (b *Builder) Degree(i int) int {
 	return len(b.rows[i])
 }
 
-// Neighbors returns the neighbour set Γ(i) as a freshly allocated, sorted
-// slice. Mutating the result does not affect the builder.
-func (b *Builder) Neighbors(i int) []int {
-	b.validNode(i)
-	row := b.rows[i]
-	out := make([]int, len(row))
-	for k, v := range row {
-		out[k] = int(v)
-	}
-	return out
-}
-
 // NeighborsView returns node i's sorted neighbour row as a view into the
 // builder's storage. The view is invalidated by the next mutation of node i's
 // row and MUST NOT be modified by the caller.
 func (b *Builder) NeighborsView(i int) []int32 {
 	b.validNode(i)
 	return b.rows[i]
-}
-
-// ForEachNeighbor calls fn for every neighbour of node i in ascending order.
-// Iteration stops early if fn returns false. fn must not mutate the builder.
-func (b *Builder) ForEachNeighbor(i int, fn func(j int) bool) {
-	b.validNode(i)
-	for _, v := range b.rows[i] {
-		if !fn(int(v)) {
-			return
-		}
-	}
 }
 
 // Attr returns the attribute vector of node i.

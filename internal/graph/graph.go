@@ -167,19 +167,6 @@ func (g *Graph) Degree(i int) int {
 	return int(g.offsets[i+1] - g.offsets[i])
 }
 
-// Neighbors returns the neighbour set Γ(i) as a freshly allocated, sorted
-// slice. Mutating the result does not affect the graph. Hot paths should
-// prefer NeighborsView, which does not allocate.
-func (g *Graph) Neighbors(i int) []int {
-	g.validNode(i)
-	row := g.row(i)
-	out := make([]int, len(row))
-	for k, v := range row {
-		out[k] = int(v)
-	}
-	return out
-}
-
 // NeighborsView returns node i's sorted neighbour row as a view into the
 // graph's shared CSR storage. The slice is valid for the lifetime of the
 // graph and MUST NOT be modified by the caller.
@@ -195,17 +182,6 @@ func (g *Graph) NeighborsView(i int) []int32 {
 // per-node work by degree weight without rebuilding the prefix sum. The slice
 // is valid for the lifetime of the graph and MUST NOT be modified.
 func (g *Graph) RowOffsets() []int64 { return g.offsets }
-
-// ForEachNeighbor calls fn for every neighbour of node i in ascending order.
-// Iteration stops early if fn returns false.
-func (g *Graph) ForEachNeighbor(i int, fn func(j int) bool) {
-	g.validNode(i)
-	for _, v := range g.row(i) {
-		if !fn(int(v)) {
-			return
-		}
-	}
-}
 
 // Attr returns the attribute vector of node i.
 func (g *Graph) Attr(i int) AttrVector {

@@ -117,14 +117,14 @@ func TestLocalClustering(t *testing.T) {
 // pairClustering is the brute-force C_i: the share of node i's neighbour
 // pairs that are adjacent.
 func pairClustering(g *Graph, i int) float64 {
-	nb := g.Neighbors(i)
+	nb := g.NeighborsView(i)
 	if len(nb) < 2 {
 		return 0
 	}
 	closed := 0
 	for a := range nb {
 		for b := a + 1; b < len(nb); b++ {
-			if g.HasEdge(nb[a], nb[b]) {
+			if g.HasEdge(int(nb[a]), int(nb[b])) {
 				closed++
 			}
 		}

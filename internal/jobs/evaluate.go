@@ -15,8 +15,6 @@ import (
 	"time"
 
 	"agmdp/internal/analytics"
-	"agmdp/internal/core"
-	"agmdp/internal/engine"
 	"agmdp/internal/experiments"
 	"agmdp/internal/graph"
 )
@@ -37,23 +35,11 @@ type EvalSpec struct {
 	// SyntheticID optionally records the graph store ID of Synthetic.
 	SyntheticID string
 
-	// Model selects model mode: draw Count samples from this fitted model and
-	// measure each against Source.
-	Model *core.FittedModel
-	// ModelID is the registry ID of Model; it keys the engine's
-	// acceptance-table cache and is echoed in the job's Info.
-	ModelID string
-	// Count is the number of samples to evaluate in model mode (>= 1); pair
-	// mode always evaluates exactly one.
-	Count int
-	// Seed, when non-zero, seeds sample i with Seed+i exactly like a sample
-	// job, so an evaluation is reproducible against the batch it scores.
-	Seed int64
-	// Iterations, ModelKind and Parallelism are passed through to each engine
-	// request; Parallelism is the sample's stream count.
-	Iterations  int
-	ModelKind   string
-	Parallelism int
+	// Draws selects model mode when its Model is set: draw Count samples
+	// from that fitted model, seeded exactly like a sample job so an
+	// evaluation is reproducible against the batch it scores, and measure
+	// each against Source. Pair mode always evaluates exactly one graph.
+	Draws
 }
 
 // EvalSample is the outcome of one evaluated sample within a job.
@@ -97,14 +83,8 @@ func (m *Manager) SubmitEvaluate(spec EvalSpec) (string, error) {
 	case spec.Synthetic != nil:
 		spec.Count = 1
 	case spec.Model != nil:
-		if spec.Count < 1 {
-			return "", fmt.Errorf("jobs: evaluate sample count %d, want >= 1", spec.Count)
-		}
-		// Same rule as sample jobs: sample i runs with seed Seed+i, and seed 0
-		// means "unseeded" to the engine.
-		if spec.Seed < 0 && spec.Seed+int64(spec.Count) > 0 {
-			return "", fmt.Errorf("jobs: seed range [%d, %d] crosses 0 (sample seeds are seed+index; 0 means unseeded)",
-				spec.Seed, spec.Seed+int64(spec.Count)-1)
+		if err := spec.Check(); err != nil {
+			return "", fmt.Errorf("jobs: evaluate: %w", err)
 		}
 	default:
 		return "", errors.New("jobs: evaluate spec needs a synthetic graph or a model")
@@ -182,25 +162,10 @@ func (m *Manager) evalSample(ctx context.Context, j *job, spec EvalSpec, source 
 	sample := &EvalSample{Index: i}
 	synthetic := spec.Synthetic
 	if synthetic == nil {
-		sctx := ctx
-		if m.opts.SampleTimeout > 0 {
-			var cancel context.CancelFunc
-			sctx, cancel = context.WithTimeout(ctx, m.opts.SampleTimeout)
-			defer cancel()
-		}
-		var seed int64
-		if spec.Seed != 0 {
-			seed = spec.Seed + int64(i)
-		}
+		sctx, cancel := m.sampleContext(ctx)
+		defer cancel()
 		start := time.Now()
-		g, usedSeed, err := m.opts.Engine.SampleSeeded(sctx, engine.Request{
-			Model:       spec.Model,
-			Seed:        seed,
-			Iterations:  spec.Iterations,
-			ModelKind:   spec.ModelKind,
-			Parallelism: spec.Parallelism,
-			CacheKey:    spec.ModelID,
-		})
+		g, usedSeed, err := m.opts.Engine.SampleSeeded(sctx, spec.Request(i))
 		recordStage(j, KindEvaluate, "sample", time.Since(start))
 		if err != nil {
 			if ctx.Err() != nil {

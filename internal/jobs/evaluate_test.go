@@ -50,9 +50,9 @@ func TestEvaluateModelMode(t *testing.T) {
 	m, _ := newTestManager(t)
 	orig := fixtureGraph(t)
 	id := submitEval(t, m, EvalSpec{
-		Source: orig, SourceID: "src",
-		Model: fixtureModel(t), ModelID: "m1",
-		Count: 3, Seed: 50, Iterations: 1,
+		Source:   orig,
+		SourceID: "src",
+		Draws:    Draws{Model: fixtureModel(t), ModelID: "m1", Count: 3, Seed: 50, Iterations: 1},
 	})
 	info := wait(t, m, id)
 	if info.Status != StatusDone || info.Completed != 3 || info.Failed != 0 {
@@ -83,8 +83,8 @@ func TestEvaluateSeededIsDeterministic(t *testing.T) {
 	model := fixtureModel(t)
 	run := func() []EvalSample {
 		id := submitEval(t, m, EvalSpec{
-			Source: orig, Model: model, ModelID: "m1",
-			Count: 2, Seed: 9, Iterations: 1, Parallelism: 1,
+			Source: orig,
+			Draws:  Draws{Model: model, ModelID: "m1", Count: 2, Seed: 9, Iterations: 1, Parallelism: 1},
 		})
 		info := wait(t, m, id)
 		return info.Eval.Samples
@@ -109,9 +109,9 @@ func TestEvaluateValidation(t *testing.T) {
 	}{
 		{"nil source", EvalSpec{Synthetic: orig}},
 		{"neither mode", EvalSpec{Source: orig}},
-		{"both modes", EvalSpec{Source: orig, Synthetic: orig, Model: model}},
-		{"zero count", EvalSpec{Source: orig, Model: model, Count: 0}},
-		{"seed crosses zero", EvalSpec{Source: orig, Model: model, Count: 4, Seed: -2}},
+		{"both modes", EvalSpec{Source: orig, Synthetic: orig, Draws: Draws{Model: model}}},
+		{"zero count", EvalSpec{Source: orig, Draws: Draws{Model: model, Count: 0}}},
+		{"seed crosses zero", EvalSpec{Source: orig, Draws: Draws{Model: model, Count: 4, Seed: -2}}},
 	}
 	for _, tc := range cases {
 		if _, err := m.SubmitEvaluate(tc.spec); err == nil {
@@ -119,7 +119,7 @@ func TestEvaluateValidation(t *testing.T) {
 		}
 	}
 	// Pair mode ignores Count and always evaluates exactly one sample.
-	id := submitEval(t, m, EvalSpec{Source: orig, Synthetic: orig, Count: 7})
+	id := submitEval(t, m, EvalSpec{Source: orig, Synthetic: orig, Draws: Draws{Count: 7}})
 	if info := wait(t, m, id); info.Count != 1 || len(info.Eval.Samples) != 1 {
 		t.Fatalf("pair-mode info = %+v", info)
 	}
@@ -129,8 +129,8 @@ func TestEvaluateCancel(t *testing.T) {
 	m, _ := newTestManager(t)
 	orig := fixtureGraph(t)
 	id := submitEval(t, m, EvalSpec{
-		Source: orig, Model: fixtureModel(t), ModelID: "m1",
-		Count: 500, Iterations: 2,
+		Source: orig,
+		Draws:  Draws{Model: fixtureModel(t), ModelID: "m1", Count: 500, Iterations: 2},
 	})
 	if !m.Cancel(id) {
 		t.Fatal("Cancel returned false")
@@ -149,9 +149,9 @@ func TestEvaluatePersistsAcrossRestart(t *testing.T) {
 	m1, _ := newEvalManager(t, dir)
 	orig := fixtureGraph(t)
 	id := submitEval(t, m1, EvalSpec{
-		Source: orig, SourceID: "src",
-		Model: fixtureModel(t), ModelID: "m1",
-		Count: 2, Seed: 30, Iterations: 1,
+		Source:   orig,
+		SourceID: "src",
+		Draws:    Draws{Model: fixtureModel(t), ModelID: "m1", Count: 2, Seed: 30, Iterations: 1},
 	})
 	want := wait(t, m1, id)
 	m1.Close()
@@ -204,8 +204,8 @@ func TestEvaluateModelModeMatchesCompare(t *testing.T) {
 	m, _ := newTestManager(t)
 	orig, model := fixtureGraph(t), fixtureModel(t)
 	info := wait(t, m, submitEval(t, m, EvalSpec{
-		Source: orig, Model: model, ModelID: "m1",
-		Count: 3, Seed: 20, Iterations: 1,
+		Source: orig,
+		Draws:  Draws{Model: model, ModelID: "m1", Count: 3, Seed: 20, Iterations: 1},
 	}))
 	if info.Status != StatusDone || len(info.Eval.Samples) != 3 {
 		t.Fatalf("info = %+v", info)

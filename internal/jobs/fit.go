@@ -40,10 +40,6 @@ type FitSpec struct {
 	// Seed seeds the private fit's noise draws; fits with equal seeds and
 	// inputs are bit-identical at every worker count.
 	Seed int64
-	// WarmAcceptance additionally fits the model's acceptance table
-	// (concurrently with registering the model) and caches it in the model
-	// store, so the first default-shaped sample skips the refinement rounds.
-	WarmAcceptance bool
 	// OnDone, when non-nil, is invoked exactly once as the job reaches a
 	// terminal status, with the registered model's content-addressed ID —
 	// empty when the fit was cancelled or failed before any model landed in
@@ -192,22 +188,18 @@ func (m *Manager) fitOnce(ctx context.Context, spec FitSpec, j *job) (*FitResult
 		return nil, true
 	}
 
-	// Concurrent acceptance-table fitting: the table is a pure function of
-	// the model parameters, so it can be fitted while the model is being
-	// serialized and persisted by the store, halving the tail latency of a
-	// warmed fit. Table failures only lose the warm-up, never the fit.
+	// Warm the model's acceptance table so its first default-shaped sample
+	// skips the refinement rounds. The table is a pure function of the model
+	// parameters, so it is fitted while the store serializes and persists
+	// the model. Table failures only lose the warm-up, never the fit.
 	var table []float64
 	tablec := make(chan struct{})
-	if spec.WarmAcceptance {
-		go func() {
-			defer close(tablec)
-			start := time.Now()
-			table, _ = core.FitAcceptanceTable(fitted, core.SampleOptions{})
-			recordStage(j, KindFit, "table_warm", time.Since(start))
-		}()
-	} else {
-		close(tablec)
-	}
+	go func() {
+		defer close(tablec)
+		start := time.Now()
+		table, _ = core.FitAcceptanceTable(fitted, core.SampleOptions{})
+		recordStage(j, KindFit, "table_warm", time.Since(start))
+	}()
 	start := time.Now()
 	id, err := m.opts.Models.Put(fitted)
 	recordStage(j, KindFit, "store", time.Since(start))

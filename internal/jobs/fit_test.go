@@ -57,7 +57,7 @@ func newFitManager(t *testing.T, dir string) (*Manager, *registry.Registry) {
 func TestFitJobRegistersModel(t *testing.T) {
 	m, reg := newFitManager(t, "")
 	g := fixtureGraph(t)
-	id, err := m.SubmitFit(FitSpec{Graph: g, Epsilon: 1.0, Seed: 5, WarmAcceptance: true})
+	id, err := m.SubmitFit(FitSpec{Graph: g, Epsilon: 1.0, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestFinishedJobsPersistAcrossManagers(t *testing.T) {
 		t.Fatal(err)
 	}
 	model := fixtureModel(t)
-	sampleID, err := m1.Submit(Spec{Model: model, ModelID: "m1", Count: 3, Seed: 50, Iterations: 1})
+	sampleID, err := m1.Submit(Spec{Draws: Draws{Model: model, ModelID: "m1", Count: 3, Seed: 50, Iterations: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestFinishedJobsPersistAcrossManagers(t *testing.T) {
 
 	// New submissions continue past the restored sequence instead of
 	// colliding with reloaded IDs.
-	newID, err := m2.Submit(Spec{Model: model, ModelID: "m1", Count: 1, Seed: 9, Iterations: 1})
+	newID, err := m2.Submit(Spec{Draws: Draws{Model: model, ModelID: "m1", Count: 1, Seed: 9, Iterations: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +362,7 @@ func TestShutdownCancelsAndPersistsRunningJob(t *testing.T) {
 	m1, _ := newFitManager(t, dir)
 	model := fixtureModel(t)
 	// A long batch that cannot finish before Close cancels it.
-	id, err := m1.Submit(Spec{Model: model, ModelID: "m1", Count: 500, Seed: 100})
+	id, err := m1.Submit(Spec{Draws: Draws{Model: model, ModelID: "m1", Count: 500, Seed: 100}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,7 +390,7 @@ func TestJobStageTimings(t *testing.T) {
 	m, _ := newFitManager(t, "")
 	g := fixtureGraph(t)
 
-	fitID, err := m.SubmitFit(FitSpec{Graph: g, Epsilon: 1.0, Seed: 5, WarmAcceptance: true})
+	fitID, err := m.SubmitFit(FitSpec{Graph: g, Epsilon: 1.0, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,7 +399,7 @@ func TestJobStageTimings(t *testing.T) {
 	assertStages(t, "fit", fitInfo.Stages, wantFit)
 
 	model := fixtureModel(t)
-	sampleID, err := m.Submit(Spec{Model: model, ModelID: "m1", Count: 2, Seed: 40, Iterations: 1, Store: true})
+	sampleID, err := m.Submit(Spec{Draws: Draws{Model: model, ModelID: "m1", Count: 2, Seed: 40, Iterations: 1}, Store: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -444,7 +444,9 @@ func TestSubmitRefusedWhenIDMarkFails(t *testing.T) {
 	}
 	g, model := fixtureGraph(t), fixtureModel(t)
 	for _, submit := range []func() (string, error){
-		func() (string, error) { return m.Submit(Spec{Model: model, ModelID: "m1", Count: 1, Seed: 1}) },
+		func() (string, error) {
+			return m.Submit(Spec{Draws: Draws{Model: model, ModelID: "m1", Count: 1, Seed: 1}})
+		},
 		func() (string, error) { return m.SubmitFit(FitSpec{Graph: g, Seed: 1}) },
 		func() (string, error) { return m.SubmitEvaluate(EvalSpec{Source: g, Synthetic: g}) },
 	} {

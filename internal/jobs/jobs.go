@@ -22,8 +22,8 @@
 //
 // Determinism: a sample job with an explicit base seed s draws sample i with
 // seed s+i, so a batch is exactly as reproducible as the equivalent sequence
-// of synchronous requests; unseeded jobs draw per-sample seeds from the
-// engine's worker streams and report them in the results. A fit job with
+// of synchronous requests; unseeded jobs take per-sample seeds from the
+// engine's seed stream and report them in the results. A fit job with
 // seed s produces the same model as the synchronous fit at seed s — the fit
 // pipeline is bit-identical for every worker count.
 //
@@ -52,6 +52,7 @@ import (
 	"agmdp/internal/graph"
 	"agmdp/internal/graphstore"
 	"agmdp/internal/obs"
+	"agmdp/internal/structural"
 )
 
 // jobStageDur aggregates per-stage wall times across all jobs on the
@@ -100,9 +101,14 @@ func (s Status) Finished() bool {
 	return s == StatusDone || s == StatusFailed || s == StatusCancelled
 }
 
-// Spec describes one batch sampling job.
-type Spec struct {
-	// Model is the fitted model to sample from. Required.
+// sampleFanOut is how many samples of one job are in flight at once; they
+// still wait for the engine's own slots.
+const sampleFanOut = 4
+
+// Draws describes a batch of draws from a fitted model, the part sample and
+// evaluate jobs share.
+type Draws struct {
+	// Model is the fitted model to sample from.
 	Model *core.FittedModel
 	// ModelID is the registry ID of Model; it keys the engine's
 	// acceptance-table cache and is echoed in job listings.
@@ -110,14 +116,56 @@ type Spec struct {
 	// Count is the number of samples to draw (>= 1).
 	Count int
 	// Seed, when non-zero, seeds sample i with Seed+i, making the whole
-	// batch deterministic. Zero lets each sample draw from the engine's
-	// worker streams.
+	// batch deterministic. Zero lets each sample take the engine's next
+	// seed.
 	Seed int64
 	// Iterations, ModelKind and Parallelism are passed through to each
 	// engine request; see engine.Request.
 	Iterations  int
 	ModelKind   string
 	Parallelism int
+}
+
+// Check reports whether the batch can run as described: at least one
+// sample, a known model kind, and a seed range that does not cross zero.
+// Sample i runs with seed Seed+i, and seed 0 means "unseeded" to the engine,
+// so a negative base whose range crosses zero would silently turn one sample
+// of a deterministic batch into a random draw. Check does not look at Model.
+func (d Draws) Check() error {
+	if d.Count < 1 {
+		return fmt.Errorf("sample count %d, want >= 1", d.Count)
+	}
+	if d.Seed < 0 && d.Seed+int64(d.Count) > 0 {
+		return fmt.Errorf("seed range [%d, %d] crosses 0 (sample i runs with seed seed+i; 0 means unseeded)",
+			d.Seed, d.Seed+int64(d.Count)-1)
+	}
+	if d.ModelKind != "" {
+		if _, err := structural.ByName(d.ModelKind, 0); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Request builds the engine request of sample i.
+func (d Draws) Request(i int) engine.Request {
+	var seed int64
+	if d.Seed != 0 {
+		seed = d.Seed + int64(i)
+	}
+	return engine.Request{
+		Model:       d.Model,
+		Seed:        seed,
+		Iterations:  d.Iterations,
+		ModelKind:   d.ModelKind,
+		Parallelism: d.Parallelism,
+		CacheKey:    d.ModelID,
+	}
+}
+
+// Spec describes one batch sampling job.
+type Spec struct {
+	Draws
 	// Store, when true, stores every sampled graph into the manager's graph
 	// store and records its content-addressed ID in the sample result.
 	Store bool
@@ -209,10 +257,6 @@ type Options struct {
 	// Retain bounds how many finished jobs are kept for result pickup;
 	// beyond it the oldest finished job is dropped. Values below 1 select 64.
 	Retain int
-	// FanOut is how many samples of one job may be in flight at once (they
-	// still queue behind the engine's own bounded worker pool). Values below
-	// 1 select 4.
-	FanOut int
 	// MaxConcurrentFits bounds how many fit jobs run their pipelines at
 	// once; fits beyond the bound wait in StatusQueued (visible in listings)
 	// until a slot frees. Fit pipelines fan out internally onto the shared
@@ -293,9 +337,6 @@ func New(opts Options) (*Manager, error) {
 	if opts.Retain < 1 {
 		opts.Retain = 64
 	}
-	if opts.FanOut < 1 {
-		opts.FanOut = 4
-	}
 	if opts.MaxConcurrentFits < 1 {
 		opts.MaxConcurrentFits = max(2, runtime.GOMAXPROCS(0))
 	}
@@ -332,15 +373,8 @@ func (m *Manager) Submit(spec Spec) (string, error) {
 	if spec.Model == nil {
 		return "", errors.New("jobs: nil model in spec")
 	}
-	if spec.Count < 1 {
-		return "", fmt.Errorf("jobs: sample count %d, want >= 1", spec.Count)
-	}
-	// Sample i runs with seed Seed+i, and seed 0 means "unseeded" to the
-	// engine — a negative base whose range crosses zero would silently turn
-	// one sample of a deterministic batch into a random draw.
-	if spec.Seed < 0 && spec.Seed+int64(spec.Count) > 0 {
-		return "", fmt.Errorf("jobs: seed range [%d, %d] crosses 0 (sample seeds are seed+index; 0 means unseeded)",
-			spec.Seed, spec.Seed+int64(spec.Count)-1)
+	if err := spec.Check(); err != nil {
+		return "", fmt.Errorf("jobs: %w", err)
 	}
 	if spec.Store && m.opts.Store == nil {
 		return "", errors.New("jobs: store requested but the manager has no graph store")
@@ -383,8 +417,8 @@ func (m *Manager) register(j *job, info Info, run func(context.Context, *job)) (
 	return info.ID, nil
 }
 
-// run executes one job: FanOut workers pull sample indices and drive the
-// engine, then the terminal status is decided and retention trimmed.
+// run executes one job: sampleFanOut workers pull sample indices and drive
+// the engine, then the terminal status is decided and retention trimmed.
 func (m *Manager) run(ctx context.Context, j *job) {
 	defer m.wg.Done()
 	defer j.cancel()
@@ -397,7 +431,7 @@ func (m *Manager) run(ctx context.Context, j *job) {
 
 	indices := make(chan int)
 	var workers sync.WaitGroup
-	for w := 0; w < min(m.opts.FanOut, count); w++ {
+	for w := 0; w < min(sampleFanOut, count); w++ {
 		workers.Add(1)
 		go func() {
 			defer workers.Done()
@@ -504,27 +538,20 @@ func (m *Manager) addWarningLocked(s string) {
 	}
 }
 
+// sampleContext bounds one sample by Options.SampleTimeout, when set.
+func (m *Manager) sampleContext(ctx context.Context) (context.Context, context.CancelFunc) {
+	if m.opts.SampleTimeout > 0 {
+		return context.WithTimeout(ctx, m.opts.SampleTimeout)
+	}
+	return context.WithCancel(ctx)
+}
+
 // runSample draws sample i of a job and records its result.
 func (m *Manager) runSample(ctx context.Context, j *job, i int) {
-	sctx := ctx
-	if m.opts.SampleTimeout > 0 {
-		var cancel context.CancelFunc
-		sctx, cancel = context.WithTimeout(ctx, m.opts.SampleTimeout)
-		defer cancel()
-	}
-	var seed int64
-	if j.spec.Seed != 0 {
-		seed = j.spec.Seed + int64(i)
-	}
+	sctx, cancel := m.sampleContext(ctx)
+	defer cancel()
 	start := time.Now()
-	src, usedSeed, err := m.opts.Engine.SampleSourceSeeded(sctx, engine.Request{
-		Model:       j.spec.Model,
-		Seed:        seed,
-		Iterations:  j.spec.Iterations,
-		ModelKind:   j.spec.ModelKind,
-		Parallelism: j.spec.Parallelism,
-		CacheKey:    j.spec.ModelID,
-	})
+	src, usedSeed, err := m.opts.Engine.SampleSourceSeeded(sctx, j.spec.Request(i))
 	recordStage(j, KindSample, "generate", time.Since(start))
 	res := SampleResult{Index: i, Seed: usedSeed}
 	var stored bool

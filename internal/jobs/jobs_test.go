@@ -62,7 +62,7 @@ func wait(t *testing.T, m *Manager, id string) Info {
 func TestJobRunsToCompletion(t *testing.T) {
 	m, _ := newTestManager(t)
 	model := fixtureModel(t)
-	id, err := m.Submit(Spec{Model: model, ModelID: "m1", Count: 5, Seed: 100, Iterations: 1})
+	id, err := m.Submit(Spec{Draws: Draws{Model: model, ModelID: "m1", Count: 5, Seed: 100, Iterations: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestJobSeededBatchIsDeterministic(t *testing.T) {
 	m, _ := newTestManager(t)
 	model := fixtureModel(t)
 	run := func() []SampleResult {
-		id, err := m.Submit(Spec{Model: model, Count: 4, Seed: 7, Iterations: 1, Parallelism: 1})
+		id, err := m.Submit(Spec{Draws: Draws{Model: model, Count: 4, Seed: 7, Iterations: 1, Parallelism: 1}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,7 +110,7 @@ func TestJobSeededBatchIsDeterministic(t *testing.T) {
 
 func TestUnseededJobReportsDrawnSeeds(t *testing.T) {
 	m, _ := newTestManager(t)
-	id, err := m.Submit(Spec{Model: fixtureModel(t), Count: 3, Iterations: 1})
+	id, err := m.Submit(Spec{Draws: Draws{Model: fixtureModel(t), Count: 3, Iterations: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestUnseededJobReportsDrawnSeeds(t *testing.T) {
 
 func TestJobStoresGraphs(t *testing.T) {
 	m, store := newTestManager(t)
-	id, err := m.Submit(Spec{Model: fixtureModel(t), Count: 3, Seed: 5, Iterations: 1, Store: true})
+	id, err := m.Submit(Spec{Draws: Draws{Model: fixtureModel(t), Count: 3, Seed: 5, Iterations: 1}, Store: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,26 +156,29 @@ func TestStoreWithoutStoreRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(m.Close)
-	if _, err := m.Submit(Spec{Model: fixtureModel(t), Count: 1, Store: true}); err == nil {
+	if _, err := m.Submit(Spec{Draws: Draws{Model: fixtureModel(t), Count: 1}, Store: true}); err == nil {
 		t.Fatal("Submit accepted Store without a graph store")
 	}
 }
 
 func TestSubmitValidation(t *testing.T) {
 	m, _ := newTestManager(t)
-	if _, err := m.Submit(Spec{Count: 1}); err == nil {
+	if _, err := m.Submit(Spec{Draws: Draws{Count: 1}}); err == nil {
 		t.Fatal("Submit accepted a nil model")
 	}
-	if _, err := m.Submit(Spec{Model: fixtureModel(t), Count: 0}); err == nil {
+	if _, err := m.Submit(Spec{Draws: Draws{Model: fixtureModel(t), Count: 0}}); err == nil {
 		t.Fatal("Submit accepted count 0")
 	}
 	// A negative base seed whose per-sample range [seed, seed+count) would
 	// cross 0 silently degrades one sample to an unseeded draw — rejected.
-	if _, err := m.Submit(Spec{Model: fixtureModel(t), Count: 8, Seed: -3}); err == nil {
+	if _, err := m.Submit(Spec{Draws: Draws{Model: fixtureModel(t), Count: 8, Seed: -3}}); err == nil {
 		t.Fatal("Submit accepted a seed range crossing 0")
 	}
+	if _, err := m.Submit(Spec{Draws: Draws{Model: fixtureModel(t), Count: 1, ModelKind: "gnp"}}); err == nil {
+		t.Fatal("Submit accepted an unknown model kind")
+	}
 	// A fully negative range is fine.
-	if _, err := m.Submit(Spec{Model: fixtureModel(t), Count: 3, Seed: -3, Iterations: 1}); err != nil {
+	if _, err := m.Submit(Spec{Draws: Draws{Model: fixtureModel(t), Count: 3, Seed: -3, Iterations: 1}}); err != nil {
 		t.Fatalf("Submit rejected a valid negative seed: %v", err)
 	}
 }
@@ -183,7 +186,7 @@ func TestSubmitValidation(t *testing.T) {
 func TestCancelRunningJob(t *testing.T) {
 	m, _ := newTestManager(t)
 	// A large seeded batch so cancellation lands mid-flight.
-	id, err := m.Submit(Spec{Model: fixtureModel(t), Count: 500, Seed: 1})
+	id, err := m.Submit(Spec{Draws: Draws{Model: fixtureModel(t), Count: 500, Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +211,7 @@ func TestCancelUnknownJob(t *testing.T) {
 
 func TestCancelFinishedJobRemovesIt(t *testing.T) {
 	m, _ := newTestManager(t)
-	id, err := m.Submit(Spec{Model: fixtureModel(t), Count: 1, Seed: 3, Iterations: 1})
+	id, err := m.Submit(Spec{Draws: Draws{Model: fixtureModel(t), Count: 1, Seed: 3, Iterations: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +235,7 @@ func TestFinishedJobRetentionBound(t *testing.T) {
 	model := fixtureModel(t)
 	var ids []string
 	for i := 0; i < 4; i++ {
-		id, err := m.Submit(Spec{Model: model, Count: 1, Seed: int64(i + 1), Iterations: 1})
+		id, err := m.Submit(Spec{Draws: Draws{Model: model, Count: 1, Seed: int64(i + 1), Iterations: 1}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -253,8 +256,8 @@ func TestFinishedJobRetentionBound(t *testing.T) {
 func TestListOrder(t *testing.T) {
 	m, _ := newTestManager(t)
 	model := fixtureModel(t)
-	id1, _ := m.Submit(Spec{Model: model, Count: 1, Seed: 1, Iterations: 1})
-	id2, _ := m.Submit(Spec{Model: model, Count: 1, Seed: 2, Iterations: 1})
+	id1, _ := m.Submit(Spec{Draws: Draws{Model: model, Count: 1, Seed: 1, Iterations: 1}})
+	id2, _ := m.Submit(Spec{Draws: Draws{Model: model, Count: 1, Seed: 2, Iterations: 1}})
 	wait(t, m, id1)
 	wait(t, m, id2)
 	list := m.List()
@@ -271,7 +274,7 @@ func TestCloseRejectsSubmissions(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.Close()
-	if _, err := m.Submit(Spec{Model: fixtureModel(t), Count: 1}); err != ErrClosed {
+	if _, err := m.Submit(Spec{Draws: Draws{Model: fixtureModel(t), Count: 1}}); err != ErrClosed {
 		t.Fatalf("Submit after Close = %v, want ErrClosed", err)
 	}
 }

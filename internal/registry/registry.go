@@ -372,21 +372,34 @@ func (r *Registry) Acceptance(id string) ([]float64, bool) {
 // keep it valid for every build that fits the same table); persistence
 // failures are logged and the in-memory table still serves, since a missing
 // file merely costs a re-fit after restart.
+//
+// The file is staged (written and fsync'd) outside the lock and committed
+// under it only while the model is resident, so an Evict that lands during
+// the write cannot be undone by it: a table committed after the eviction
+// would be a file for a model the registry no longer holds.
 func (r *Registry) SetAcceptance(id string, table []float64) bool {
+	var staged *atomicfile.Staged
+	var err error
+	if r.tableDir != "" {
+		staged, err = atomicfile.Stage(r.tableDir, func(w io.Writer) error {
+			_, err := w.Write(encodeTable(table))
+			return err
+		})
+	}
 	r.mu.Lock()
 	e, ok := r.entries[id]
-	if !ok {
-		r.mu.Unlock()
-		return false
-	}
-	e.accept = table
-	r.mu.Unlock()
-	if r.tableDir != "" {
-		if err := atomicfile.Write(r.tablePath(id), encodeTable(table)); err != nil {
-			slog.Error("registry: persisting acceptance table", "id", id, "err", err)
+	if ok {
+		e.accept = table
+		if staged != nil {
+			err = staged.Commit(r.tablePath(id))
 		}
 	}
-	return true
+	r.mu.Unlock()
+	staged.Discard() // model evicted while staging; a no-op after Commit
+	if ok && err != nil {
+		slog.Error("registry: persisting acceptance table", "id", id, "err", err)
+	}
+	return ok
 }
 
 // Stat returns the listing metadata of one stored model.

@@ -362,3 +362,40 @@ func TestAcceptanceTableDroppedByBoundedEviction(t *testing.T) {
 		t.Fatal("bounded eviction left the old model's acceptance table behind")
 	}
 }
+
+// TestSetAcceptanceRacingEvict runs SetAcceptance and Evict of one model at
+// once, many times, on a persistent registry: whichever lands first, the
+// model ends evicted, and the table directory must then hold no .table file
+// (nor a staged temp file) for it.
+func TestSetAcceptanceRacingEvict(t *testing.T) {
+	dir := t.TempDir()
+	r, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := fixtureModel(t, 5)
+	table := []float64{0.5, 0.25, 1}
+	for round := 0; round < 50; round++ {
+		id, err := r.Put(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			r.SetAcceptance(id, table)
+		}()
+		go func() {
+			defer wg.Done()
+			r.Evict(id)
+		}()
+		wg.Wait()
+		if _, ok := r.Model(id); ok {
+			t.Fatalf("round %d: model survived Evict", round)
+		}
+		if files, _ := filepath.Glob(filepath.Join(dir, "*")); len(files) != 0 {
+			t.Fatalf("round %d: directory of an empty registry holds %v", round, files)
+		}
+	}
+}

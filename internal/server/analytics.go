@@ -14,7 +14,6 @@ import (
 
 	"agmdp/internal/analytics"
 	"agmdp/internal/jobs"
-	"agmdp/internal/structural"
 	"agmdp/internal/tenant"
 )
 
@@ -48,19 +47,14 @@ func (s *Server) handleGraphMetrics(w http.ResponseWriter, r *http.Request) {
 // evaluateRequest is the POST /v1/evaluate body. SourceGraphID names the
 // original graph; exactly one of SyntheticGraphID (measure that stored graph)
 // or ModelID (draw Count fresh samples from that model and measure each) must
-// be set. Seed, Iterations, Model and Count apply to model mode only and
-// follow the sample-job conventions (sample i runs with seed Seed+i; 0 means
-// unseeded). Parallelism, also model mode only, is each sample's stream
-// count; the metric passes run on the process-default worker count.
+// be set. The draw parameters apply to model mode only and follow the
+// batch conventions of POST /v1/sample; the metric passes run on the
+// process-default worker count.
 type evaluateRequest struct {
 	SourceGraphID    string `json:"source_graph_id"`
 	SyntheticGraphID string `json:"synthetic_graph_id,omitempty"`
 	ModelID          string `json:"model_id,omitempty"`
-	Count            int    `json:"count,omitempty"`
-	Seed             int64  `json:"seed,omitempty"`
-	Iterations       int    `json:"iterations,omitempty"`
-	Model            string `json:"model,omitempty"`
-	Parallelism      int    `json:"parallelism,omitempty"`
+	drawParams
 }
 
 // handleEvaluate submits an evaluate job and answers 202 with its snapshot.
@@ -81,88 +75,31 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "exactly one of synthetic_graph_id or model_id must be set")
 		return
 	}
-	if req.Parallelism < 0 {
-		writeError(w, http.StatusBadRequest, "negative parallelism %d", req.Parallelism)
+	spec := jobs.EvalSpec{SourceID: req.SourceGraphID}
+	if req.ModelID != "" {
+		d, ok := s.checkDraws(w, r, req.ModelID, req.drawParams)
+		if !ok {
+			return
+		}
+		spec.Draws = d
+	} else if req.drawParams != (drawParams{}) {
+		// Pair mode takes no sampling parameters; reject them instead of
+		// silently ignoring them.
+		writeError(w, http.StatusBadRequest, "count, seed, iterations, model and parallelism apply to model_id evaluation only")
 		return
 	}
 
-	if !s.canAccess(r, tenant.ResourceGraph, req.SourceGraphID) {
-		writeError(w, http.StatusNotFound, "no graph %q", req.SourceGraphID)
+	var ok bool
+	if spec.Source, ok = s.storedGraph(w, r, req.SourceGraphID); !ok {
 		return
-	}
-	source, ok := s.cfg.Graphs.Get(req.SourceGraphID)
-	if !ok {
-		writeError(w, http.StatusNotFound, "no graph %q", req.SourceGraphID)
-		return
-	}
-
-	spec := jobs.EvalSpec{
-		Source:   source,
-		SourceID: req.SourceGraphID,
 	}
 	if req.SyntheticGraphID != "" {
-		// Pair mode takes no sampling parameters; reject them instead of
-		// silently ignoring, like the job-kind validation does.
-		if req.Count != 0 || req.Seed != 0 || req.Iterations != 0 || req.Model != "" || req.Parallelism != 0 {
-			writeError(w, http.StatusBadRequest, "count, seed, iterations, model and parallelism apply to model_id evaluation only")
+		if spec.Synthetic, ok = s.storedGraph(w, r, req.SyntheticGraphID); !ok {
 			return
 		}
-		if !s.canAccess(r, tenant.ResourceGraph, req.SyntheticGraphID) {
-			writeError(w, http.StatusNotFound, "no graph %q", req.SyntheticGraphID)
-			return
-		}
-		synthetic, ok := s.cfg.Graphs.Get(req.SyntheticGraphID)
-		if !ok {
-			writeError(w, http.StatusNotFound, "no graph %q", req.SyntheticGraphID)
-			return
-		}
-		spec.Synthetic = synthetic
 		spec.SyntheticID = req.SyntheticGraphID
-	} else {
-		count := req.Count
-		if count == 0 {
-			count = 1
-		}
-		if count < 1 || count > s.cfg.MaxJobSamples {
-			writeError(w, http.StatusBadRequest, "count %d outside [1, %d]", count, s.cfg.MaxJobSamples)
-			return
-		}
-		if req.Seed < 0 && req.Seed+int64(count) > 0 {
-			writeError(w, http.StatusBadRequest,
-				"seed range [%d, %d] crosses 0 (sample i runs with seed seed+i; 0 means unseeded)",
-				req.Seed, req.Seed+int64(count)-1)
-			return
-		}
-		if req.Model != "" {
-			if _, err := structural.ByName(req.Model, 0); err != nil {
-				writeError(w, http.StatusBadRequest, "%v", err)
-				return
-			}
-		}
-		if !s.canAccess(r, tenant.ResourceModel, req.ModelID) {
-			writeError(w, http.StatusNotFound, "no model %q", req.ModelID)
-			return
-		}
-		m, ok := s.cfg.Registry.Model(req.ModelID)
-		if !ok {
-			writeError(w, http.StatusNotFound, "no model %q", req.ModelID)
-			return
-		}
-		spec.Model = m
-		spec.ModelID = req.ModelID
-		spec.Count = count
-		spec.Seed = req.Seed
-		spec.Iterations = req.Iterations
-		spec.ModelKind = req.Model
-		spec.Parallelism = req.Parallelism
 	}
 
 	id, err := s.cfg.Jobs.SubmitEvaluate(spec)
-	if err != nil {
-		writeError(w, http.StatusServiceUnavailable, "submitting evaluate job: %v", err)
-		return
-	}
-	s.grantFor(r, tenant.ResourceJob, id)
-	info, _, _ := s.cfg.Jobs.Get(id)
-	writeJSON(w, http.StatusAccepted, jobResponse{Info: info})
+	s.acceptJob(w, r, id, err)
 }

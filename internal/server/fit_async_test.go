@@ -1,9 +1,8 @@
 package server
 
-// Tests for the asynchronous fit flow: POST /v1/fit with async:true, the
-// equivalent kind:"fit" job submission, and the acceptance criterion that an
-// async fit registers the same content-addressed model as the synchronous
-// fit.
+// Tests for the asynchronous fit flow: POST /v1/fit with async:true, and the
+// acceptance criterion that an async fit registers the same
+// content-addressed model as the synchronous fit.
 
 import (
 	"encoding/json"
@@ -88,8 +87,8 @@ func TestFitJobViaJobsEndpoint(t *testing.T) {
 	ts, _ := newV1TestServer(t)
 	graphID := uploadBinary(t, ts, testUploadGraph(4))
 
-	resp := postBody(t, ts.URL+"/v1/jobs", "application/json",
-		[]byte(fmt.Sprintf(`{"kind":"fit","fit":{"graph_id":%q,"epsilon":0.5,"seed":2}}`, graphID)))
+	resp := postBody(t, ts.URL+"/v1/fit", "application/json",
+		[]byte(fmt.Sprintf(`{"graph_id":%q,"epsilon":0.5,"seed":2,"async":true}`, graphID)))
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("fit job submit: %d", resp.StatusCode)
 	}
@@ -103,10 +102,10 @@ func TestFitJobViaJobsEndpoint(t *testing.T) {
 		t.Fatalf("listing model ID %q differs from fit result %q", final.ModelID, final.Fit.ModelID)
 	}
 
-	// A sampling job against the freshly fitted model works end to end, and
-	// the listing shows both kinds.
-	resp = postBody(t, ts.URL+"/v1/jobs", "application/json",
-		[]byte(fmt.Sprintf(`{"model_id":%q,"count":2,"seed":7}`, final.Fit.ModelID)))
+	// An async sample batch against the freshly fitted model works end to
+	// end, and the listing shows both kinds.
+	resp = postBody(t, ts.URL+"/v1/sample", "application/json",
+		[]byte(fmt.Sprintf(`{"id":%q,"async":true,"count":2,"seed":7}`, final.Fit.ModelID)))
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("sample job submit: %d", resp.StatusCode)
 	}
@@ -140,18 +139,13 @@ func TestFitJobValidation(t *testing.T) {
 		body string
 		want int
 	}{
-		{"unknown kind", `{"kind":"resample"}`, http.StatusBadRequest},
-		{"fit kind without body", `{"kind":"fit"}`, http.StatusBadRequest},
-		{"fit body without kind", fmt.Sprintf(`{"fit":{"graph_id":%q}}`, graphID), http.StatusBadRequest},
-		{"fit kind with sampling fields", fmt.Sprintf(`{"kind":"fit","count":3,"fit":{"graph_id":%q}}`, graphID), http.StatusBadRequest},
-		{"fit kind with async", fmt.Sprintf(`{"kind":"fit","fit":{"graph_id":%q,"async":true}}`, graphID), http.StatusBadRequest},
-		{"fit kind with two inputs", fmt.Sprintf(`{"kind":"fit","fit":{"graph_id":%q,"dataset":{"name":"lastfm"}}}`, graphID), http.StatusBadRequest},
-		{"fit kind with unknown graph", `{"kind":"fit","fit":{"graph_id":"feedfacefeedfacefeedfacefeedface"}}`, http.StatusNotFound},
-		{"fit kind with negative epsilon", fmt.Sprintf(`{"kind":"fit","fit":{"graph_id":%q,"epsilon":-1}}`, graphID), http.StatusBadRequest},
-		{"async fit with unknown model", fmt.Sprintf(`{"kind":"fit","fit":{"graph_id":%q,"model":"nope"}}`, graphID), http.StatusBadRequest},
+		{"async fit with two inputs", fmt.Sprintf(`{"graph_id":%q,"dataset":{"name":"lastfm"},"async":true}`, graphID), http.StatusBadRequest},
+		{"async fit with unknown graph", `{"graph_id":"feedfacefeedfacefeedfacefeedface","async":true}`, http.StatusNotFound},
+		{"async fit with negative epsilon", fmt.Sprintf(`{"graph_id":%q,"epsilon":-1,"async":true}`, graphID), http.StatusBadRequest},
+		{"async fit with unknown model", fmt.Sprintf(`{"graph_id":%q,"model":"nope","async":true}`, graphID), http.StatusBadRequest},
 	}
 	for _, tc := range cases {
-		resp := postBody(t, ts.URL+"/v1/jobs", "application/json", []byte(tc.body))
+		resp := postBody(t, ts.URL+"/v1/fit", "application/json", []byte(tc.body))
 		if resp.StatusCode != tc.want {
 			t.Errorf("%s: status %d, want %d", tc.name, resp.StatusCode, tc.want)
 		}

@@ -2,13 +2,15 @@
 // versioned, resource-oriented API. The /v1 surface manages three resource
 // collections — graphs (uploaded or synthesized CSR graphs in the content-
 // addressed graph store), models (fitted AGM-DP parameters in the registry)
-// and jobs (asynchronous batch sampling runs) — plus the /v1/fit and
-// /v1/sample actions that connect them: fit a differentially private model
-// once from an uploaded graph, then sample synthetic graphs from it any
-// number of times at no additional privacy cost. Graphs travel in three
-// interchangeable wire formats (inline JSON, agmdp text, and the binary CSR
-// snapshot), negotiated per request. See docs/api.md for the full endpoint
-// reference.
+// and jobs (asynchronous fits, sample batches and evaluations) — plus the
+// /v1/fit, /v1/sample and /v1/evaluate actions that connect them: fit a
+// differentially private model once from an uploaded graph, then sample
+// synthetic graphs from it any number of times at no additional privacy
+// cost. Each action has one route; async:true detaches a fit or a sample
+// batch into a job, and /v1/jobs only lists, polls and cancels jobs. Graphs
+// travel in three interchangeable wire formats (inline JSON, agmdp text, and
+// the binary CSR snapshot), negotiated per request. See docs/api.md for the
+// full endpoint reference.
 package server
 
 import (
@@ -42,9 +44,9 @@ type Config struct {
 	// Graphs is the content-addressed graph store behind /v1/graphs; when
 	// nil an in-memory store is created.
 	Graphs *graphstore.Store
-	// Jobs runs the asynchronous sampling jobs behind /v1/jobs; when nil a
-	// manager over Engine and Graphs is created (and owned by the server:
-	// Close shuts it down).
+	// Jobs runs the asynchronous fits, sample batches and evaluations behind
+	// /v1/jobs; when nil a manager over Engine and Graphs is created (and
+	// owned by the server: Close shuts it down).
 	Jobs *jobs.Manager
 	// Analytics is the content-addressed metric-bundle cache behind
 	// GET /v1/graphs/{id}/metrics; when nil a memory-only cache over Graphs
@@ -55,11 +57,13 @@ type Config struct {
 	// Fitting runs in the request goroutine under a context carrying this
 	// deadline: it bounds the wait for one of the jobs manager's fit slots
 	// and aborts an in-progress fit at its next stage boundary. Asynchronous
-	// fits (async:true, or jobs of kind "fit") are not bounded by it.
+	// fits (async:true) are not bounded by it.
 	FitTimeout time.Duration
-	// SampleTimeout bounds POST /v1/sample requests and each individual sample
-	// of a job (default 1 minute); jobs whose context expires while queued
-	// are abandoned by the engine.
+	// SampleTimeout bounds synchronous POST /v1/sample requests and each
+	// sample of a default-built jobs manager's batches and evaluations
+	// (default 1 minute). A sample whose deadline passes while it waits for
+	// an engine slot is abandoned; one that passes mid-draw returns its
+	// error at once while the draw runs out.
 	SampleTimeout time.Duration
 	// MaxBodyBytes caps request bodies (default 64 MiB — inline and binary
 	// graph uploads carry full edge lists).
@@ -208,7 +212,6 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("GET /v1/graphs/{id}/metrics", s.handleGraphMetrics)
 	s.mux.HandleFunc("DELETE /v1/graphs/{id}", s.handleDeleteGraph)
 	s.mux.HandleFunc("POST /v1/evaluate", s.handleEvaluate)
-	s.mux.HandleFunc("POST /v1/jobs", s.handleCreateJob)
 	s.mux.HandleFunc("GET /v1/jobs", s.handleListJobs)
 	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleGetJob)
 	s.mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleDeleteJob)
@@ -440,13 +443,18 @@ type datasetSpec struct {
 	Seed  int64   `json:"seed,omitempty"`
 }
 
-// fitRequest is the POST /v1/fit body (and, nested, the "fit" member of a
-// kind:"fit" job submission). Exactly one of Graph, GraphID or Dataset must
-// be set. Epsilon 0 requests a non-private (baseline) fit. A fit's
-// measurement passes run on the process-default worker count, and the fitted
-// model is bit-identical for every count. Async detaches the fit into
+// fitRequest is the POST /v1/fit body. Exactly one of Graph, GraphID or
+// Dataset must be set. Epsilon 0 requests a non-private (baseline) fit. A
+// fit's measurement passes run on the process-default worker count, and the
+// fitted model is bit-identical for every count. Async detaches the fit into
 // a job of kind "fit": the response is 202 with a job snapshot instead of
 // the fitted model, and the model ID arrives in the finished job's result.
+//
+// Seed seeds the private fit's noise draws; an omitted seed means 0. Anyone
+// who knows a private fit's seed can replay its Laplace draws and subtract
+// them from the released model, which voids the fit's privacy. Nor is a
+// seed a secret key: math/rand has fewer than 2^31 streams, few enough to
+// try them all.
 type fitRequest struct {
 	Graph       *graphPayload `json:"graph,omitempty"`
 	GraphID     string        `json:"graph_id,omitempty"`
@@ -464,9 +472,9 @@ type fitResponse struct {
 	Info registry.Info `json:"info"`
 }
 
-// validateFitRequest checks the request fields shared by the synchronous,
-// asynchronous and job-submission fit paths, writing the error response
-// itself and reporting whether the request may proceed.
+// validateFitRequest checks the request fields shared by the synchronous and
+// asynchronous fit paths, writing the error response itself and reporting
+// whether the request may proceed.
 func (s *Server) validateFitRequest(w http.ResponseWriter, req *fitRequest) bool {
 	inputs := 0
 	for _, set := range []bool{req.Graph != nil, req.GraphID != "", req.Dataset != nil} {
@@ -511,16 +519,8 @@ func (s *Server) resolveFitInput(w http.ResponseWriter, r *http.Request, req *fi
 		}
 		return g
 	case req.GraphID != "":
-		// The access check comes first: fitting by reference reads the stored
-		// sensitive graph, so another tenant's graph must look exactly like a
-		// missing one.
-		if !s.canAccess(r, tenant.ResourceGraph, req.GraphID) {
-			writeError(w, http.StatusNotFound, "no graph %q", req.GraphID)
-			return nil
-		}
-		g, ok := s.cfg.Graphs.Get(req.GraphID)
+		g, ok := s.storedGraph(w, r, req.GraphID)
 		if !ok {
-			writeError(w, http.StatusNotFound, "no graph %q", req.GraphID)
 			return nil
 		}
 		if err := s.checkGraphLimits(g); err != nil {
@@ -567,20 +567,13 @@ func (s *Server) submitFitJob(w http.ResponseWriter, r *http.Request, req *fitRe
 		TruncationK: req.TruncationK,
 		ModelKind:   req.Model,
 		Seed:        req.Seed,
-		// Pre-fit the acceptance table while the model is registered, so the
-		// first sample of the finished fit pays no refinement cost.
-		WarmAcceptance: true,
-		OnDone:         s.onFitDone(r, refund),
+		OnDone:      s.onFitDone(r, refund),
 	})
 	if err != nil {
 		// Never ran, so nothing was released: the charge comes straight back.
 		refund()
-		writeError(w, http.StatusServiceUnavailable, "submitting fit job: %v", err)
-		return
 	}
-	s.grantFor(r, tenant.ResourceJob, id)
-	info, _, _ := s.cfg.Jobs.Get(id)
-	writeJSON(w, http.StatusAccepted, jobResponse{Info: info})
+	s.acceptJob(w, r, id, err)
 }
 
 func (s *Server) handleFit(w http.ResponseWriter, r *http.Request) {
@@ -671,17 +664,72 @@ func (s *Server) handleFit(w http.ResponseWriter, r *http.Request) {
 // be passed as a ?format= query parameter (the body field wins when both are
 // set). Store stores the sampled graph into the graph store and returns its
 // ID with the summary instead of inlining the graph (JSON formats only).
-// Parallelism overrides the engine's intra-job stream count for this sample
-// (0 = engine default, 1 = sequential); seeded samples reproduce only at
-// equal parallelism.
+//
+// Async detaches the request into a job of kind "sample" that draws Count
+// samples (default 1): the response is 202 with a job snapshot, and each
+// sample arrives as a summary in the job's results — with its graph ID when
+// Store is set. A job returns summaries only, so a format is refused with
+// Async, and Count without it.
 type sampleRequest struct {
-	ID          string `json:"id"`
+	ID string `json:"id"`
+	drawParams
+	Format string `json:"format,omitempty"`
+	Store  bool   `json:"store,omitempty"`
+	Async  bool   `json:"async,omitempty"`
+}
+
+// drawParams are the body fields that shape a batch of draws, shared by
+// POST /v1/sample and the model mode of POST /v1/evaluate. Count samples are
+// drawn (default 1, at most Config.MaxJobSamples); with a non-zero Seed,
+// sample i runs with seed Seed+i, so a batch is as reproducible as the
+// equivalent synchronous samples, and 0 means unseeded. Parallelism
+// overrides the engine's intra-draw stream count (0 = engine default,
+// 1 = sequential); seeded samples reproduce only at equal parallelism.
+type drawParams struct {
+	Count       int    `json:"count,omitempty"`
 	Seed        int64  `json:"seed,omitempty"`
 	Iterations  int    `json:"iterations,omitempty"`
 	Model       string `json:"model,omitempty"`
-	Format      string `json:"format,omitempty"`
 	Parallelism int    `json:"parallelism,omitempty"`
-	Store       bool   `json:"store,omitempty"`
+}
+
+// checkDraws validates a batch of draws from the model named id and resolves
+// that model for the caller, writing the error response itself: 400 for a
+// count out of range, a negative parallelism, a seed range that crosses 0 or
+// an unknown model kind, then 404 for a model the caller cannot reach.
+func (s *Server) checkDraws(w http.ResponseWriter, r *http.Request, id string, p drawParams) (jobs.Draws, bool) {
+	d := jobs.Draws{
+		ModelID:     id,
+		Count:       max(p.Count, 1),
+		Seed:        p.Seed,
+		Iterations:  p.Iterations,
+		ModelKind:   p.Model,
+		Parallelism: p.Parallelism,
+	}
+	if p.Count < 0 || p.Count > s.cfg.MaxJobSamples {
+		writeError(w, http.StatusBadRequest, "count %d outside [1, %d]", p.Count, s.cfg.MaxJobSamples)
+		return d, false
+	}
+	if p.Parallelism < 0 {
+		writeError(w, http.StatusBadRequest, "negative parallelism %d", p.Parallelism)
+		return d, false
+	}
+	if err := d.Check(); err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return d, false
+	}
+	// Sampling is free of ε charges (the paper's post-processing property),
+	// but not free of scoping: a tenant samples only the models it fitted.
+	// The shared decoded instance skips a per-request model decode; sampling
+	// never mutates it.
+	if s.canAccess(r, tenant.ResourceModel, id) {
+		d.Model, _ = s.cfg.Registry.Model(id)
+	}
+	if d.Model == nil {
+		writeError(w, http.StatusNotFound, "no model %q", id)
+		return d, false
+	}
+	return d, true
 }
 
 // sampleResponse is the POST /v1/sample body for the json and summary formats.
@@ -713,38 +761,38 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "unknown format %q (want json, text, binary or summary)", req.Format)
 		return
 	}
-	if req.Store && (req.Format == "text" || req.Format == "binary") {
+	switch {
+	case req.Async && req.Format != "":
+		writeError(w, http.StatusBadRequest, "an async sample returns a job of summaries; it cannot be combined with format %q", req.Format)
+		return
+	case !req.Async && req.Count != 0:
+		writeError(w, http.StatusBadRequest, "count applies to async samples only")
+		return
+	case req.Store && (req.Format == "text" || req.Format == "binary"):
 		writeError(w, http.StatusBadRequest, "store returns a JSON summary; it cannot be combined with format %q", req.Format)
 		return
 	}
-	// Sampling is free of ε charges (the paper's post-processing property),
-	// but not free of scoping: a tenant samples only the models it fitted.
-	if !s.canAccess(r, tenant.ResourceModel, req.ID) {
-		writeError(w, http.StatusNotFound, "no model %q", req.ID)
-		return
-	}
-	// The shared decoded instance skips a per-request model decode; sampling
-	// never mutates it.
-	m, ok := s.cfg.Registry.Model(req.ID)
+	d, ok := s.checkDraws(w, r, req.ID, req.drawParams)
 	if !ok {
-		writeError(w, http.StatusNotFound, "no model %q", req.ID)
 		return
 	}
 
-	if req.Parallelism < 0 {
-		writeError(w, http.StatusBadRequest, "negative parallelism %d", req.Parallelism)
+	if req.Async {
+		spec := jobs.Spec{Draws: d, Store: req.Store}
+		// Graphs the job stores back belong to the submitting tenant, like
+		// the synchronous store path. The hook fires on job goroutines; the
+		// ownership store is concurrency-safe.
+		if t := tenantFrom(r.Context()); t != nil && req.Store {
+			tenantID := t.ID
+			spec.OnStored = func(graphID string) {
+				s.grantResource(tenantID, tenant.ResourceGraph, graphID)
+			}
+		}
+		id, err := s.cfg.Jobs.Submit(spec)
+		s.acceptJob(w, r, id, err)
 		return
 	}
-
-	ereq := engine.Request{
-		Model:       m,
-		Seed:        req.Seed,
-		Iterations:  req.Iterations,
-		ModelKind:   req.Model,
-		Parallelism: req.Parallelism,
-		// The registry ID keys the engine's acceptance-table cache.
-		CacheKey: req.ID,
-	}
+	ereq := d.Request(0)
 
 	// The binary format encodes straight from the sampler's row source (the
 	// generator's builder): the packed offsets/neighbors arrays are never

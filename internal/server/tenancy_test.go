@@ -520,8 +520,8 @@ func TestTenancyResourceScoping(t *testing.T) {
 	var jr struct {
 		ID string `json:"id"`
 	}
-	resp = doAuthed(t, "POST", ts.URL+"/v1/jobs", "alpha-key", map[string]any{
-		"model_id": fr.ID, "count": 1, "seed": 7,
+	resp = doAuthed(t, "POST", ts.URL+"/v1/sample", "alpha-key", map[string]any{
+		"id": fr.ID, "async": true, "count": 1, "seed": 7,
 	})
 	if resp.StatusCode != http.StatusAccepted {
 		b, _ := io.ReadAll(resp.Body)

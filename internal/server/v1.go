@@ -1,7 +1,8 @@
 package server
 
 // The graph store collection (/v1/graphs) and the asynchronous jobs
-// (/v1/jobs). The fit and sample actions and the model collection live in
+// (/v1/jobs), which POST /v1/fit, POST /v1/sample and POST /v1/evaluate
+// submit. The fit and sample actions and the model collection live in
 // server.go.
 
 import (
@@ -12,7 +13,6 @@ import (
 	"agmdp/internal/graph"
 	"agmdp/internal/graphstore"
 	"agmdp/internal/jobs"
-	"agmdp/internal/structural"
 	"agmdp/internal/tenant"
 )
 
@@ -170,6 +170,20 @@ func (s *Server) handleGetGraph(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// storedGraph resolves a stored graph for the caller, answering 404 when it
+// is missing. The access check comes first: the stored graphs are the
+// sensitive inputs the DP fit protects, so another tenant's graph must look
+// exactly like a missing one.
+func (s *Server) storedGraph(w http.ResponseWriter, r *http.Request, id string) (*graph.Graph, bool) {
+	if s.canAccess(r, tenant.ResourceGraph, id) {
+		if g, ok := s.cfg.Graphs.Get(id); ok {
+			return g, true
+		}
+	}
+	writeError(w, http.StatusNotFound, "no graph %q", id)
+	return nil, false
+}
+
 func (s *Server) handleDeleteGraph(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if !s.canAccess(r, tenant.ResourceGraph, id) {
@@ -191,28 +205,6 @@ func (s *Server) handleDeleteGraph(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// jobRequest is the POST /v1/jobs body. Kind selects the job type:
-//
-//   - "sample" (or empty, the default): draw Count samples from the stored
-//     model named by ModelID, optionally storing each sampled graph back
-//     into the graph store. With a non-zero Seed, sample i runs with seed
-//     Seed+i, so the batch is as reproducible as the equivalent synchronous
-//     requests.
-//   - "fit": run the fit described by the nested Fit request (the same body
-//     POST /v1/fit takes, minus async) in the background and register the
-//     resulting model; the sampling fields above are rejected.
-type jobRequest struct {
-	Kind        string      `json:"kind,omitempty"`
-	ModelID     string      `json:"model_id,omitempty"`
-	Count       int         `json:"count,omitempty"`
-	Seed        int64       `json:"seed,omitempty"`
-	Iterations  int         `json:"iterations,omitempty"`
-	Model       string      `json:"model,omitempty"`
-	Parallelism int         `json:"parallelism,omitempty"`
-	Store       bool        `json:"store,omitempty"`
-	Fit         *fitRequest `json:"fit,omitempty"`
-}
-
 // jobResponse is the body of the job endpoints: the job snapshot, plus the
 // per-sample results on single-job GETs.
 type jobResponse struct {
@@ -225,99 +217,10 @@ type listJobsResponse struct {
 	Jobs []jobs.Info `json:"jobs"`
 }
 
-func (s *Server) handleCreateJob(w http.ResponseWriter, r *http.Request) {
-	var req jobRequest
-	if err := s.decodeBody(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding job request: %v", err)
-		return
-	}
-	switch req.Kind {
-	case "", string(jobs.KindSample):
-		if req.Fit != nil {
-			writeError(w, http.StatusBadRequest, "a fit body requires kind %q", jobs.KindFit)
-			return
-		}
-	case string(jobs.KindFit):
-		if req.ModelID != "" || req.Count != 0 || req.Seed != 0 || req.Iterations != 0 ||
-			req.Model != "" || req.Parallelism != 0 || req.Store {
-			writeError(w, http.StatusBadRequest, "kind %q takes its parameters in the fit body", jobs.KindFit)
-			return
-		}
-		if req.Fit == nil {
-			writeError(w, http.StatusBadRequest, "kind %q requires a fit body", jobs.KindFit)
-			return
-		}
-		if req.Fit.Async {
-			writeError(w, http.StatusBadRequest, "a job submission is already asynchronous; drop the async field")
-			return
-		}
-		if !s.validateFitRequest(w, req.Fit) {
-			return
-		}
-		g := s.resolveFitInput(w, r, req.Fit)
-		if g == nil {
-			return
-		}
-		s.submitFitJob(w, r, req.Fit, g)
-		return
-	default:
-		writeError(w, http.StatusBadRequest, "unknown job kind %q (want %q or %q; evaluations submit via POST /v1/evaluate)", req.Kind, jobs.KindSample, jobs.KindFit)
-		return
-	}
-	count := req.Count
-	if count == 0 {
-		count = 1
-	}
-	if count < 1 || count > s.cfg.MaxJobSamples {
-		writeError(w, http.StatusBadRequest, "count %d outside [1, %d]", count, s.cfg.MaxJobSamples)
-		return
-	}
-	if req.Parallelism < 0 {
-		writeError(w, http.StatusBadRequest, "negative parallelism %d", req.Parallelism)
-		return
-	}
-	if req.Seed < 0 && req.Seed+int64(count) > 0 {
-		writeError(w, http.StatusBadRequest,
-			"seed range [%d, %d] crosses 0 (sample i runs with seed seed+i; 0 means unseeded)",
-			req.Seed, req.Seed+int64(count)-1)
-		return
-	}
-	if req.Model != "" {
-		if _, err := structural.ByName(req.Model, 0); err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-	}
-	if !s.canAccess(r, tenant.ResourceModel, req.ModelID) {
-		writeError(w, http.StatusNotFound, "no model %q", req.ModelID)
-		return
-	}
-	m, ok := s.cfg.Registry.Model(req.ModelID)
-	if !ok {
-		writeError(w, http.StatusNotFound, "no model %q", req.ModelID)
-		return
-	}
-
-	spec := jobs.Spec{
-		Model:       m,
-		ModelID:     req.ModelID,
-		Count:       count,
-		Seed:        req.Seed,
-		Iterations:  req.Iterations,
-		ModelKind:   req.Model,
-		Parallelism: req.Parallelism,
-		Store:       req.Store,
-	}
-	// Graphs the job stores back belong to the submitting tenant, like the
-	// synchronous store path. The hook fires on job goroutines; the
-	// ownership store is concurrency-safe.
-	if t := tenantFrom(r.Context()); t != nil && req.Store {
-		tenantID := t.ID
-		spec.OnStored = func(graphID string) {
-			s.grantResource(tenantID, tenant.ResourceGraph, graphID)
-		}
-	}
-	id, err := s.cfg.Jobs.Submit(spec)
+// acceptJob answers a job submission: 503 when the manager refused it,
+// otherwise the job is granted to the caller and its snapshot returned with
+// 202.
+func (s *Server) acceptJob(w http.ResponseWriter, r *http.Request, id string, err error) {
 	if err != nil {
 		writeError(w, http.StatusServiceUnavailable, "submitting job: %v", err)
 		return

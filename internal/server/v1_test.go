@@ -360,7 +360,6 @@ func TestFitRejectsParallelismField(t *testing.T) {
 	}{
 		{"sync", "/v1/fit", fit},
 		{"async", "/v1/fit", async},
-		{"fit job", "/v1/jobs", map[string]any{"kind": "fit", "fit": fit}},
 	} {
 		resp := postJSON(t, ts.URL+tc.path, tc.body)
 		var e struct{ Error string }
@@ -413,8 +412,8 @@ func TestJobLifecycle(t *testing.T) {
 	ts, store := newV1TestServer(t)
 	id := fitDataset(t, ts, 1.0)
 
-	resp := postJSON(t, ts.URL+"/v1/jobs", map[string]any{
-		"model_id": id, "count": 3, "seed": 11, "iterations": 1, "store": true,
+	resp := postJSON(t, ts.URL+"/v1/sample", map[string]any{
+		"id": id, "async": true, "count": 3, "seed": 11, "iterations": 1, "store": true,
 	})
 	if resp.StatusCode != http.StatusAccepted {
 		b, _ := io.ReadAll(resp.Body)
@@ -476,6 +475,44 @@ func TestJobLifecycle(t *testing.T) {
 	gresp.Body.Close()
 	if gresp.StatusCode != http.StatusNotFound {
 		t.Fatalf("get deleted job: status %d", gresp.StatusCode)
+	}
+}
+
+// TestAsyncSampleMatchesSyncSamples: an async batch stores, for each i, the
+// graph a synchronous stored sample at seed seed+i stores, and a format in
+// the query is refused with async like one in the body.
+func TestAsyncSampleMatchesSyncSamples(t *testing.T) {
+	ts, _ := newV1TestServer(t)
+	id := fitDataset(t, ts, 1.0)
+
+	resp := postJSON(t, ts.URL+"/v1/sample", map[string]any{"id": id, "async": true, "count": 3, "seed": 11, "store": true})
+	if resp.StatusCode != http.StatusAccepted {
+		b, _ := io.ReadAll(resp.Body)
+		t.Fatalf("async sample: status %d: %s", resp.StatusCode, b)
+	}
+	var jr jobResponse
+	decode(t, resp, &jr)
+	if jr.Kind != jobs.KindSample || jr.Count != 3 || jr.ModelID != id {
+		t.Fatalf("async sample job = %+v", jr.Info)
+	}
+	final := pollJob(t, ts, jr.ID)
+	if final.Status != jobs.StatusDone || final.Stored != 3 || len(final.Results) != 3 {
+		t.Fatalf("async sample job ended %+v (%d results)", final.Info, len(final.Results))
+	}
+	for _, res := range final.Results {
+		resp := postJSON(t, ts.URL+"/v1/sample", map[string]any{"id": id, "seed": 11 + res.Index, "store": true})
+		var sr sampleResponse
+		decode(t, resp, &sr)
+		if res.Seed != int64(11+res.Index) || res.GraphID == "" || res.GraphID != sr.GraphID {
+			t.Errorf("async sample %d: seed %d graph %s; sync sample at seed %d stored %s",
+				res.Index, res.Seed, res.GraphID, 11+res.Index, sr.GraphID)
+		}
+	}
+
+	resp = postJSON(t, ts.URL+"/v1/sample?format=text", map[string]any{"id": id, "async": true})
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("async sample with a query format: status %d, want 400", resp.StatusCode)
 	}
 }
 
@@ -546,19 +583,25 @@ func TestV1HandlerErrors(t *testing.T) {
 			[]byte(`{"id":"` + modelID + `","store":true,"format":"binary"}`), http.StatusBadRequest},
 		{"sample chunked format", "POST", "/v1/sample", "application/json",
 			[]byte(`{"id":"` + modelID + `","format":"chunked"}`), http.StatusBadRequest},
-		{"job malformed body", "POST", "/v1/jobs", "application/json", []byte("{not json"), http.StatusBadRequest},
-		{"job unknown model", "POST", "/v1/jobs", "application/json",
-			[]byte(`{"model_id":"deadbeef","count":1}`), http.StatusNotFound},
-		{"job count over cap", "POST", "/v1/jobs", "application/json",
-			[]byte(`{"model_id":"` + modelID + `","count":1000}`), http.StatusBadRequest},
-		{"job negative count", "POST", "/v1/jobs", "application/json",
-			[]byte(`{"model_id":"` + modelID + `","count":-1}`), http.StatusBadRequest},
-		{"job negative parallelism", "POST", "/v1/jobs", "application/json",
-			[]byte(`{"model_id":"` + modelID + `","count":1,"parallelism":-1}`), http.StatusBadRequest},
-		{"job seed range crossing zero", "POST", "/v1/jobs", "application/json",
-			[]byte(`{"model_id":"` + modelID + `","count":8,"seed":-3}`), http.StatusBadRequest},
-		{"job bad model kind", "POST", "/v1/jobs", "application/json",
-			[]byte(`{"model_id":"` + modelID + `","count":1,"model":"gnp"}`), http.StatusBadRequest},
+		{"sample count without async", "POST", "/v1/sample", "application/json",
+			[]byte(`{"id":"` + modelID + `","count":2}`), http.StatusBadRequest},
+		{"sample async with binary format", "POST", "/v1/sample", "application/json",
+			[]byte(`{"id":"` + modelID + `","async":true,"format":"binary"}`), http.StatusBadRequest},
+		{"job malformed body", "POST", "/v1/sample", "application/json", []byte("{not json"), http.StatusBadRequest},
+		{"job unknown model", "POST", "/v1/sample", "application/json",
+			[]byte(`{"id":"deadbeef","async":true,"count":1}`), http.StatusNotFound},
+		{"job count over cap", "POST", "/v1/sample", "application/json",
+			[]byte(`{"id":"` + modelID + `","async":true,"count":1000}`), http.StatusBadRequest},
+		{"job negative count", "POST", "/v1/sample", "application/json",
+			[]byte(`{"id":"` + modelID + `","async":true,"count":-1}`), http.StatusBadRequest},
+		{"job negative parallelism", "POST", "/v1/sample", "application/json",
+			[]byte(`{"id":"` + modelID + `","async":true,"count":1,"parallelism":-1}`), http.StatusBadRequest},
+		{"job seed range crossing zero", "POST", "/v1/sample", "application/json",
+			[]byte(`{"id":"` + modelID + `","async":true,"count":8,"seed":-3}`), http.StatusBadRequest},
+		{"job bad model kind", "POST", "/v1/sample", "application/json",
+			[]byte(`{"id":"` + modelID + `","async":true,"count":1,"model":"gnp"}`), http.StatusBadRequest},
+		{"jobs submit route gone", "POST", "/v1/jobs", "application/json",
+			[]byte(`{"model_id":"` + modelID + `","count":1}`), http.StatusMethodNotAllowed},
 		{"get unknown job", "GET", "/v1/jobs/job-999999", "", nil, http.StatusNotFound},
 		{"delete unknown job", "DELETE", "/v1/jobs/job-999999", "", nil, http.StatusNotFound},
 	}
@@ -582,8 +625,9 @@ func TestV1HandlerErrors(t *testing.T) {
 				b, _ := io.ReadAll(resp.Body)
 				t.Fatalf("status %d, want %d: %s", resp.StatusCode, tc.want, b)
 			}
-			// Error bodies are uniform JSON.
-			if resp.StatusCode >= 400 {
+			// Handler error bodies are uniform JSON; the mux answers a
+			// method the route does not serve in plain text.
+			if resp.StatusCode >= 400 && resp.StatusCode != http.StatusMethodNotAllowed {
 				var e apiError
 				if err := json.NewDecoder(resp.Body).Decode(&e); err != nil || e.Error == "" {
 					t.Fatalf("error body is not apiError JSON: %v", err)

@@ -29,8 +29,8 @@ func referencePostProcessGraph(rng *rand.Rand, g *graph.Builder, sampler *NodeSa
 		vi := orphans[rng.Intn(len(orphans))]
 		// Remove any edges the orphan currently has (they can only reach other
 		// orphans).
-		for _, u := range g.Neighbors(vi) {
-			g.RemoveEdge(vi, u)
+		for _, u := range slices.Clone(g.NeighborsView(vi)) {
+			g.RemoveEdge(vi, int(u))
 		}
 		want := desired[vi]
 		if want < 1 {
@@ -84,11 +84,11 @@ func referenceDeleteRandomEdgeAvoiding(rng *rand.Rand, g *graph.Builder, protect
 		if u == protected {
 			continue
 		}
-		nb := g.Neighbors(u)
+		nb := g.NeighborsView(u)
 		if len(nb) == 0 {
 			continue
 		}
-		v := nb[rng.Intn(len(nb))]
+		v := int(nb[rng.Intn(len(nb))])
 		if v == protected {
 			continue
 		}
