@@ -259,7 +259,7 @@ func BenchmarkTriCycLeGeneration(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		structural.TriCycLe{}.Generate(dp.NewRand(int64(i)), g.NumNodes(), params, nil)
+		structural.TriCycLe{}.Generate(dp.NewRand(int64(i)), g.NumNodes(), params, nil).Finalize()
 	}
 }
 
@@ -270,7 +270,7 @@ func BenchmarkFCLGeneration(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		structural.FCL{}.Generate(dp.NewRand(int64(i)), g.NumNodes(), params, nil)
+		structural.FCL{}.Generate(dp.NewRand(int64(i)), g.NumNodes(), params, nil).Finalize()
 	}
 }
 
@@ -380,7 +380,7 @@ func BenchmarkParallelEdgeSampling(b *testing.B) {
 			model := structural.FCL{Parallelism: streams}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				g := model.Generate(rand.New(rand.NewSource(int64(i)+1)), m.N, m.Structural, nil)
+				g := model.Generate(rand.New(rand.NewSource(int64(i)+1)), m.N, m.Structural, nil).Finalize()
 				if g.NumEdges() == 0 {
 					b.Fatal("empty graph")
 				}

@@ -122,7 +122,7 @@ func run(args []string, stdout io.Writer, ready func(addr string, stop func())) 
 		graphCache    = fs.Int64("graph-cache-bytes", 0, "byte budget for decoded graphs kept in memory (0 = default 256 MiB, negative = unbounded)")
 		jobsDir       = fs.String("jobs-dir", "", "finished-job metadata directory (empty = <graph-store>/jobs, or in-memory when no graph store)")
 		workers       = fs.Int("workers", 0, "samples drawn at once, the rest wait (0 = GOMAXPROCS)")
-		parallelism   = fs.Int("parallelism", 0, "intra-job sampling streams and the process's fit and metric workers (0 = auto/GOMAXPROCS, 1 = sequential)")
+		parallelism   = fs.Int("parallelism", 0, "intra-job sampling streams and the process's fit and metric workers (0 = auto/GOMAXPROCS, 1 = sequential, at most 256)")
 		seed          = fs.Int64("seed", 1, "seed of the stream unseeded samples take their seeds from")
 		maxModels     = fs.Int("max-models", 0, "max resident models, oldest evicted first (0 = unbounded)")
 		maxGraphs     = fs.Int("max-graphs", 0, "max resident graphs, oldest evicted first (0 = unbounded)")
@@ -141,6 +141,10 @@ func run(args []string, stdout io.Writer, ready func(addr string, stop func())) 
 		}
 		// The FlagSet already printed the parse error and usage.
 		return usageError("")
+	}
+
+	if *parallelism > parallel.MaxWorkers {
+		return usageError(fmt.Sprintf("-parallelism %d above %d", *parallelism, parallel.MaxWorkers))
 	}
 
 	var logHandler slog.Handler

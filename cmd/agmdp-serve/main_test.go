@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -351,9 +352,17 @@ func TestServeJobsSurviveRestart(t *testing.T) {
 }
 
 func TestServeBadFlags(t *testing.T) {
-	var buf strings.Builder
-	if err := run([]string{"-definitely-not-a-flag"}, &buf, nil); err == nil {
-		t.Fatal("bad flag accepted")
+	for _, args := range [][]string{
+		{"-definitely-not-a-flag"},
+		{"-parallelism", "257"},
+	} {
+		var buf strings.Builder
+		var uerr usageError
+		// Flags wrongly accepted start a server; stop it at once.
+		args = append([]string{"-addr", "127.0.0.1:0"}, args...)
+		if err := run(args, &buf, func(_ string, stop func()) { stop() }); !errors.As(err, &uerr) {
+			t.Errorf("%v: err = %v, want a usage error (exit 2)", args, err)
+		}
 	}
 }
 

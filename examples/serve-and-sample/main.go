@@ -114,7 +114,7 @@ func run() error {
 	// fit result. This is the only step that spends privacy budget; the
 	// same graph ID could be fitted again at other settings without
 	// re-uploading. The fit pipeline shards its measurement passes over the
-	// server's worker pool (agmdp-serve -parallelism); the fitted model is
+	// server's worker count (agmdp-serve -parallelism); the fitted model is
 	// bit-identical at every worker count, so the body names none.
 	fitStart := time.Now()
 	fitBody := fmt.Sprintf(`{"graph_id":%q,"epsilon":1.0,"model":"tricycle","seed":7,"async":true}`, uploaded.ID)

@@ -5,19 +5,12 @@
 // from memory, persisted next to the snapshot and reloaded verbatim after a
 // restart — the query-plan-cache shape from the ROADMAP, applied to graph
 // analytics.
-//
-// The package also carries the serving-side utility evaluation of the paper:
-// UtilityMetrics is the JSON projection of the Table 2–5 error columns
-// (experiments.GraphMetrics), computed for an original/synthetic graph pair by
-// Compare. Evaluation is pure post-processing of sampled graphs, so it spends
-// no privacy budget.
 package analytics
 
 import (
 	"sort"
 	"time"
 
-	"agmdp/internal/experiments"
 	"agmdp/internal/graph"
 )
 
@@ -105,71 +98,5 @@ func Compute(id string, g *graph.Graph, observe func(stage string, d time.Durati
 		Components:         len(comps),
 		LargestComponent:   largest,
 		DegreeHistogram:    buckets,
-	}
-}
-
-// UtilityMetrics is the JSON projection of the paper's Table 2–5 error
-// columns (experiments.GraphMetrics): errors of a synthetic graph relative to
-// its original.
-type UtilityMetrics struct {
-	MREThetaF           float64 `json:"mre_theta_f"`
-	HellingerThetaF     float64 `json:"hellinger_theta_f"`
-	KSDegree            float64 `json:"ks_degree"`
-	HellingerDegree     float64 `json:"hellinger_degree"`
-	MRETriangles        float64 `json:"mre_triangles"`
-	MREAvgClustering    float64 `json:"mre_avg_clustering"`
-	MREGlobalClustering float64 `json:"mre_global_clustering"`
-	MREEdges            float64 `json:"mre_edges"`
-}
-
-// Compare computes the utility metrics of a synthetic graph against its
-// original, each measured by experiments.Measure: a job that scores many
-// samples against one original measures the original once.
-func Compare(original, synthetic experiments.Measurement) UtilityMetrics {
-	return fromGraphMetrics(original.Compare(synthetic))
-}
-
-// fromGraphMetrics converts the experiments struct (no JSON tags, column-name
-// docs) into the wire form.
-func fromGraphMetrics(m experiments.GraphMetrics) UtilityMetrics {
-	return UtilityMetrics{
-		MREThetaF:           m.MREThetaF,
-		HellingerThetaF:     m.HellingerThetaF,
-		KSDegree:            m.KSDegree,
-		HellingerDegree:     m.HellingerDegree,
-		MRETriangles:        m.MRETriangles,
-		MREAvgClustering:    m.MREAvgClustering,
-		MREGlobalClustering: m.MREGlobalClustering,
-		MREEdges:            m.MREEdges,
-	}
-}
-
-// AverageUtility returns the element-wise mean of a set of utility rows; it
-// returns the zero value for an empty input.
-func AverageUtility(ms []UtilityMetrics) UtilityMetrics {
-	if len(ms) == 0 {
-		return UtilityMetrics{}
-	}
-	var sum UtilityMetrics
-	for _, m := range ms {
-		sum.MREThetaF += m.MREThetaF
-		sum.HellingerThetaF += m.HellingerThetaF
-		sum.KSDegree += m.KSDegree
-		sum.HellingerDegree += m.HellingerDegree
-		sum.MRETriangles += m.MRETriangles
-		sum.MREAvgClustering += m.MREAvgClustering
-		sum.MREGlobalClustering += m.MREGlobalClustering
-		sum.MREEdges += m.MREEdges
-	}
-	n := float64(len(ms))
-	return UtilityMetrics{
-		MREThetaF:           sum.MREThetaF / n,
-		HellingerThetaF:     sum.HellingerThetaF / n,
-		KSDegree:            sum.KSDegree / n,
-		HellingerDegree:     sum.HellingerDegree / n,
-		MRETriangles:        sum.MRETriangles / n,
-		MREAvgClustering:    sum.MREAvgClustering / n,
-		MREGlobalClustering: sum.MREGlobalClustering / n,
-		MREEdges:            sum.MREEdges / n,
 	}
 }

@@ -115,8 +115,8 @@ func TestComputeObservesStages(t *testing.T) {
 
 func TestCompareSelfIsZero(t *testing.T) {
 	g := testGraph(4)
-	u := Compare(experiments.Measure(g), experiments.Measure(g))
-	if u != (UtilityMetrics{}) {
+	u := experiments.Measure(g).Compare(experiments.Measure(g))
+	if u != (experiments.GraphMetrics{}) {
 		t.Fatalf("self-comparison is non-zero: %+v", u)
 	}
 }
@@ -124,22 +124,12 @@ func TestCompareSelfIsZero(t *testing.T) {
 func TestCompareDeterministicAcrossWorkers(t *testing.T) {
 	defer parallel.SetParallelism(parallel.SetParallelism(1))
 	a, b := testGraph(5), testGraph(6)
-	base := Compare(experiments.Measure(a), experiments.Measure(b))
+	base := experiments.Measure(a).Compare(experiments.Measure(b))
 	for _, workers := range []int{0, 2, 5} {
 		parallel.SetParallelism(workers)
-		if got := Compare(experiments.Measure(a), experiments.Measure(b)); got != base {
+		if got := experiments.Measure(a).Compare(experiments.Measure(b)); got != base {
 			t.Fatalf("metrics at %d workers = %+v, want %+v", workers, got, base)
 		}
-	}
-}
-
-func TestAverageUtility(t *testing.T) {
-	if got := AverageUtility(nil); got != (UtilityMetrics{}) {
-		t.Fatalf("empty average = %+v", got)
-	}
-	avg := AverageUtility([]UtilityMetrics{{MREEdges: 1, KSDegree: 0.5}, {MREEdges: 3, KSDegree: 0.5}})
-	if avg.MREEdges != 2 || avg.KSDegree != 0.5 {
-		t.Fatalf("average = %+v", avg)
 	}
 }
 

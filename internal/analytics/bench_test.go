@@ -133,7 +133,7 @@ func BenchmarkEvaluateSequential(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Compare(source, experiments.Measure(g))
+		source.Compare(experiments.Measure(g))
 	}
 }
 
@@ -145,6 +145,6 @@ func BenchmarkEvaluateParallel(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Compare(source, experiments.Measure(g))
+		source.Compare(experiments.Measure(g))
 	}
 }

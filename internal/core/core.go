@@ -28,6 +28,11 @@ import (
 // iterations").
 const DefaultSampleIterations = 3
 
+// MaxSampleIterations is the most refinement rounds a sample request may ask
+// for. Each round is a full structural generation, so a draw's time grows
+// linearly with the count.
+const MaxSampleIterations = 32
+
 // ErrUnsupportedModel is returned when FitDP is asked to privately fit a
 // structural model it has no private estimator for (for example TCL, whose EM
 // parameter cannot currently be released under differential privacy).
@@ -245,8 +250,8 @@ func FitDP(ctx context.Context, rng *rand.Rand, g *graph.Graph, cfg Config) (*Fi
 
 	// The learning procedures below interleave two kinds of work: exact
 	// measurements of the input graph (histograms, degrees, triangle and
-	// common-neighbour counts), which shard onto the worker pool at the
-	// process default and are bit-identical for every worker count, and the
+	// common-neighbour counts), which shard across the process-default
+	// worker count and are bit-identical for every worker count, and the
 	// privacy-critical noise draws, which stay sequential on rng in a fixed
 	// order. A private fit is therefore reproducible per (graph, cfg, rng
 	// seed) no matter how many workers measure the graph.

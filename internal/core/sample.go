@@ -54,11 +54,10 @@ func Sample(rng *rand.Rand, m *FittedModel, opts SampleOptions) (*graph.Graph, e
 }
 
 // SampleSource is Sample returning a streaming row-level view instead of a
-// packed CSR graph. When the structural model streams (every shipped model
-// does), the returned source is the generator's still-mutable builder with
-// the sampled attribute vectors overlaid — the final offsets/neighbors
-// arrays are never packed, so an encoder can pull sorted row ranges straight
-// from the builder's per-node adjacency lists with O(row) extra memory.
+// packed CSR graph: the generator's still-mutable builder with the sampled
+// attribute vectors overlaid. The final offsets/neighbors arrays are never
+// packed, so an encoder can pull sorted row ranges straight from the
+// builder's per-node adjacency lists with O(row) extra memory.
 // graph.Materialize on the result is byte-identical to Sample at the same
 // rng state, and the rng trace itself is identical to Sample's, so the two
 // entry points are interchangeable per (seed, workers).
@@ -70,37 +69,24 @@ func SampleSource(rng *rand.Rand, m *FittedModel, opts SampleOptions) (graph.Row
 	return src, nil
 }
 
-// freezeStructure packs a refinement round's structure for the counting pass.
-// Builders freeze non-destructively (and consume no randomness), so freezing
-// an intermediate round leaves the rng trace and the builder itself intact.
-func freezeStructure(src graph.RowSource) *graph.Graph {
-	if b, ok := src.(*graph.Builder); ok {
-		return b.Finalize()
-	}
-	return graph.Materialize(src)
-}
-
 // sampleRefined runs lines 6–18 of Algorithm 3 and additionally returns the
 // converged acceptance table A(y) of the final round (nil when no refinement
 // round produced one). The table is what the acceptance cache stores so later
 // samples can skip the refinement entirely (SampleSourceWithTable).
 //
-// The returned source is the final round's structure with the attribute
-// vectors overlaid: the builder itself for a StreamModel — the final round is
-// the one round whose packed form is never needed, which is what makes the
-// end-to-end pipeline O(shard) — or the frozen graph otherwise. Intermediate
-// rounds are frozen either way because the correlation counting pass reads
-// CSR rows; only the last generation stays unpacked.
+// The returned source is the final round's builder with the attribute
+// vectors overlaid: the final round is the one round whose packed form is
+// never needed, which is what makes the end-to-end pipeline O(shard).
+// Intermediate rounds are frozen because the correlation counting pass reads
+// CSR rows; builders freeze non-destructively and draw no randomness, so
+// freezing leaves the rng trace and the builder itself intact.
 func sampleRefined(rng *rand.Rand, m *FittedModel, opts SampleOptions) (graph.RowSource, []float64) {
 	iterations := opts.Iterations
 	if iterations <= 0 {
 		iterations = DefaultSampleIterations
 	}
 	model := opts.modelFor(m)
-	generate := func(filter *structural.EdgeFilter) graph.RowSource {
-		if sm, ok := model.(structural.StreamModel); ok {
-			return sm.GenerateBuilder(rng, m.N, m.Structural, filter)
-		}
+	generate := func(filter *structural.EdgeFilter) *graph.Builder {
 		return model.Generate(rng, m.N, m.Structural, filter)
 	}
 
@@ -116,7 +102,7 @@ func sampleRefined(rng *rand.Rand, m *FittedModel, opts SampleOptions) (graph.Ro
 	y := attrs.NumEdgeConfigs(m.W)
 	var aOld []float64
 	for iter := 0; iter < iterations; iter++ {
-		observed := attrs.TrueThetaF(attachAttributes(freezeStructure(cur), attrVecs, m.W))
+		observed := attrs.TrueThetaF(attachAttributes(cur.Finalize(), attrVecs, m.W))
 		ratios := make([]float64, y)
 		sup := 0.0
 		for i := 0; i < y; i++ {
@@ -138,7 +124,7 @@ func sampleRefined(rng *rand.Rand, m *FittedModel, opts SampleOptions) (graph.Ro
 		cur = generate(acceptanceFilter(classes, m.W, accept))
 		aOld = accept
 	}
-	return overlayAttributes(cur, attrVecs, m.W), aOld
+	return graph.SourceWithAttributes(cur, m.W, attrVecs), aOld
 }
 
 // FitAcceptanceTable computes a reusable acceptance table A(y) for the model:
@@ -188,8 +174,8 @@ func FitAcceptanceTable(m *FittedModel, opts SampleOptions) ([]float64, error) {
 // parallelism). opts.Iterations is ignored — the refinement already happened
 // when the table was fitted. It returns a streaming row-level view; see
 // SampleSource for the contract. With a pre-fitted table the single
-// structural generation is the final one, so for a StreamModel nothing in the
-// whole call packs a CSR array.
+// structural generation is the final one, so nothing in the whole call packs
+// a CSR array.
 func SampleSourceWithTable(rng *rand.Rand, m *FittedModel, table []float64, opts SampleOptions) (graph.RowSource, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
@@ -203,10 +189,7 @@ func SampleSourceWithTable(rng *rand.Rand, m *FittedModel, table []float64, opts
 	model := opts.modelFor(m)
 	attrVecs := attrs.SampleAttributes(rng, m.ThetaX, m.N, m.W)
 	filter := acceptanceFilter(nodeClasses(attrVecs, m.W), m.W, table)
-	if sm, ok := model.(structural.StreamModel); ok {
-		return overlayAttributes(sm.GenerateBuilder(rng, m.N, m.Structural, filter), attrVecs, m.W), nil
-	}
-	return attachAttributes(model.Generate(rng, m.N, m.Structural, filter), attrVecs, m.W), nil
+	return graph.SourceWithAttributes(model.Generate(rng, m.N, m.Structural, filter), m.W, attrVecs), nil
 }
 
 // CheckAcceptanceTable reports an error unless every entry of table is an
@@ -278,16 +261,6 @@ func attachAttributes(structure *graph.Graph, vecs []graph.AttrVector, w int) *g
 		panic(fmt.Sprintf("core: %d attribute vectors for %d nodes", len(vecs), structure.NumNodes()))
 	}
 	return structure.WithAttributes(w, vecs)
-}
-
-// overlayAttributes is attachAttributes for an unpacked structure: a frozen
-// graph keeps the zero-copy WithAttributes view, anything else (a generator's
-// builder) gets the lazy attribute overlay, preserving streaming row access.
-func overlayAttributes(src graph.RowSource, vecs []graph.AttrVector, w int) graph.RowSource {
-	if g, ok := src.(*graph.Graph); ok {
-		return attachAttributes(g, vecs, w)
-	}
-	return graph.SourceWithAttributes(src, w, vecs)
 }
 
 // Synthesize is the complete AGM-DP pipeline (Algorithm 3): it privately fits

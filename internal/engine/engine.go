@@ -3,10 +3,10 @@
 // of the Workers slots in its own goroutine, waiting under its context while
 // every slot is taken, and the draw frees its slot when it returns. Each draw
 // additionally shards its structural generation — the Chung–Lu edge
-// proposals of FCL samples and TriCycLe seeds — across intra-draw streams
-// that execute on the process-wide worker pool (internal/parallel), so
-// throughput and per-sample latency scale without oversubscribing the
-// machine.
+// proposals of FCL samples and TriCycLe seeds — across intra-draw streams,
+// goroutines started by parallel.Do that Go's scheduler runs at most
+// GOMAXPROCS at a time, so throughput and per-sample latency scale without
+// oversubscribing the machine.
 // An optional acceptance-table cache (the registry) lets repeat samples of a
 // model skip the per-sample refinement rounds.
 //
@@ -65,9 +65,9 @@ type Config struct {
 	// runtime.GOMAXPROCS unless overridden with parallel.SetParallelism),
 	// 1 samples each draw sequentially. It is independent of Workers: Workers
 	// scales throughput across draws, Parallelism scales latency within one
-	// draw. Both fan out on the same shared worker pool, so raising both does
-	// not oversubscribe the machine — shard tasks queue behind the pool's
-	// GOMAXPROCS residents. It is deliberately not resolved at New: ≤ 0 stays
+	// draw. Raising both does not oversubscribe the machine: every stream is
+	// a goroutine, and Go's scheduler runs at most GOMAXPROCS of them at
+	// once. It is deliberately not resolved at New: ≤ 0 stays
 	// "auto" so a later parallel.SetParallelism call still affects this
 	// engine's draws (the generators resolve at use time).
 	Parallelism int

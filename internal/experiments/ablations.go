@@ -56,7 +56,7 @@ func RunAblationBudgetSplit(datasetName string, epsilon float64, opts Options) (
 			}
 			all = append(all, measured.Compare(Measure(synth)))
 		}
-		result.Splits[label] = average(all)
+		result.Splits[label] = Average(all)
 	}
 	return result, nil
 }
@@ -167,8 +167,8 @@ func RunAblationPostProcess(datasetName string, opts Options) (*PostProcessResul
 	for trial := 0; trial < opts.Trials; trial++ {
 		rngA := dp.NewRand(opts.Seed + int64(trial)*17)
 		rngB := dp.NewRand(opts.Seed + int64(trial)*17)
-		with := structural.TriCycLe{}.Generate(rngA, input.NumNodes(), params, nil)
-		without := structural.TriCycLe{DisablePostProcess: true}.Generate(rngB, input.NumNodes(), params, nil)
+		with := structural.TriCycLe{}.Generate(rngA, input.NumNodes(), params, nil).Finalize()
+		without := structural.TriCycLe{DisablePostProcess: true}.Generate(rngB, input.NumNodes(), params, nil).Finalize()
 		res.OrphansWith += float64(len(with.OrphanedNodes()))
 		res.OrphansWithout += float64(len(without.OrphanedNodes()))
 		res.EdgesWith += float64(with.NumEdges())

@@ -45,14 +45,14 @@ func TestCompareGraphsDetectsStructureLoss(t *testing.T) {
 }
 
 func TestAverageMetrics(t *testing.T) {
-	avg := average([]GraphMetrics{
+	avg := Average([]GraphMetrics{
 		{MREThetaF: 0.2, KSDegree: 0.4},
 		{MREThetaF: 0.4, KSDegree: 0.0},
 	})
 	if math.Abs(avg.MREThetaF-0.3) > 1e-12 || math.Abs(avg.KSDegree-0.2) > 1e-12 {
 		t.Fatalf("average = %+v", avg)
 	}
-	if zero := average(nil); zero.MREThetaF != 0 {
+	if zero := Average(nil); zero.MREThetaF != 0 {
 		t.Fatal("average of nothing should be zero value")
 	}
 }

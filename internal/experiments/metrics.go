@@ -13,30 +13,31 @@ import (
 )
 
 // GraphMetrics holds the eight error columns of Tables 2–5: errors of the
-// synthetic graph relative to the input graph.
+// synthetic graph relative to the input graph. Its JSON form is the row an
+// evaluate job reports per sample and on average.
 type GraphMetrics struct {
 	// MREThetaF is the mean relative error of the attribute–edge correlation
 	// probabilities (column ΘF).
-	MREThetaF float64
+	MREThetaF float64 `json:"mre_theta_f"`
 	// HellingerThetaF is the Hellinger distance between correlation
 	// distributions (column HΘF).
-	HellingerThetaF float64
+	HellingerThetaF float64 `json:"hellinger_theta_f"`
 	// KSDegree is the Kolmogorov–Smirnov statistic between degree
 	// distributions (column KS_S).
-	KSDegree float64
+	KSDegree float64 `json:"ks_degree"`
 	// HellingerDegree is the Hellinger distance between degree distributions
 	// (column H_S).
-	HellingerDegree float64
+	HellingerDegree float64 `json:"hellinger_degree"`
 	// MRETriangles is the relative error of the triangle count (column n∆).
-	MRETriangles float64
+	MRETriangles float64 `json:"mre_triangles"`
 	// MREAvgClustering is the relative error of the average local clustering
 	// coefficient (column C̄).
-	MREAvgClustering float64
+	MREAvgClustering float64 `json:"mre_avg_clustering"`
 	// MREGlobalClustering is the relative error of the global clustering
 	// coefficient / transitivity (column C).
-	MREGlobalClustering float64
+	MREGlobalClustering float64 `json:"mre_global_clustering"`
 	// MREEdges is the relative error of the edge count (column m).
-	MREEdges float64
+	MREEdges float64 `json:"mre_edges"`
 }
 
 // Measurement holds what CompareGraphs measures of one graph. Measuring an
@@ -78,8 +79,9 @@ func CompareGraphs(original, synthetic *graph.Graph) GraphMetrics {
 	return Measure(original).Compare(Measure(synthetic))
 }
 
-// average returns the element-wise mean of a set of metric rows.
-func average(ms []GraphMetrics) GraphMetrics {
+// Average returns the element-wise mean of a set of metric rows; it returns
+// the zero value for an empty input.
+func Average(ms []GraphMetrics) GraphMetrics {
 	if len(ms) == 0 {
 		return GraphMetrics{}
 	}

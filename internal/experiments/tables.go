@@ -160,7 +160,7 @@ func averageNonPrivate(rng *rand.Rand, input *graph.Graph, measured Measurement,
 		}
 		all = append(all, measured.Compare(Measure(synth)))
 	}
-	return average(all), nil
+	return Average(all), nil
 }
 
 // averagePrivate synthesizes opts.Trials graphs under ε-DP and averages
@@ -175,7 +175,7 @@ func averagePrivate(rng *rand.Rand, input *graph.Graph, measured Measurement, mo
 		}
 		all = append(all, measured.Compare(Measure(synth)))
 	}
-	return average(all), nil
+	return Average(all), nil
 }
 
 // Format renders the table in the layout of the paper's Tables 2–5.

@@ -33,7 +33,7 @@ func streamBenchFixture(tb testing.TB) (graph.RowSource, int64) {
 		for i := range degs {
 			degs[i] += 6
 		}
-		b := structural.FCL{}.GenerateBuilder(rng, ioBenchNodes, structural.Params{Degrees: degs}, nil)
+		b := structural.FCL{}.Generate(rng, ioBenchNodes, structural.Params{Degrees: degs}, nil)
 		vecs := make([]graph.AttrVector, ioBenchNodes)
 		for i := range vecs {
 			vecs[i] = graph.AttrVector(rng.Uint64() & 3)

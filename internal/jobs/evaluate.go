@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"time"
 
-	"agmdp/internal/analytics"
 	"agmdp/internal/experiments"
 	"agmdp/internal/graph"
 )
@@ -52,7 +51,7 @@ type EvalSample struct {
 	Error     string `json:"error,omitempty"`
 	// Metrics holds the utility error columns of this sample against the
 	// source graph; nil when the sample failed.
-	Metrics *analytics.UtilityMetrics `json:"metrics,omitempty"`
+	Metrics *experiments.GraphMetrics `json:"metrics,omitempty"`
 }
 
 // EvalResult is the outcome of an evaluate job.
@@ -68,7 +67,7 @@ type EvalResult struct {
 	Samples []EvalSample `json:"samples"`
 	// Average is the element-wise mean over the successful samples; nil until
 	// at least one sample succeeds.
-	Average *analytics.UtilityMetrics `json:"average,omitempty"`
+	Average *experiments.GraphMetrics `json:"average,omitempty"`
 }
 
 // SubmitEvaluate accepts an evaluate job and starts it in the background,
@@ -124,7 +123,7 @@ func (m *Manager) runEvaluate(ctx context.Context, j *job) {
 	source := experiments.Measure(spec.Source)
 	recordStage(j, KindEvaluate, "compare", time.Since(start))
 
-	var metrics []analytics.UtilityMetrics
+	var metrics []experiments.GraphMetrics
 	for i := 0; i < count && ctx.Err() == nil; i++ {
 		sample := m.evalSample(ctx, j, spec, source, i)
 		if sample == nil { // cancelled mid-sample
@@ -137,7 +136,7 @@ func (m *Manager) runEvaluate(ctx context.Context, j *job) {
 		} else {
 			j.info.Completed++
 			metrics = append(metrics, *sample.Metrics)
-			avg := analytics.AverageUtility(metrics)
+			avg := experiments.Average(metrics)
 			j.info.Eval.Average = &avg
 		}
 		j.mu.Unlock()
@@ -180,7 +179,7 @@ func (m *Manager) evalSample(ctx context.Context, j *job, spec EvalSpec, source 
 
 	start := time.Now()
 	measured := experiments.Measure(synthetic)
-	u := analytics.Compare(source, measured)
+	u := source.Compare(measured)
 	recordStage(j, KindEvaluate, "compare", time.Since(start))
 	if ctx.Err() != nil {
 		return nil

@@ -5,7 +5,6 @@ import (
 	"math"
 	"testing"
 
-	"agmdp/internal/analytics"
 	"agmdp/internal/engine"
 	"agmdp/internal/experiments"
 	"agmdp/internal/graphstore"
@@ -217,7 +216,7 @@ func TestEvaluateModelModeMatchesCompare(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := analytics.Compare(experiments.Measure(orig), experiments.Measure(g))
+		want := experiments.Measure(orig).Compare(experiments.Measure(g))
 		if s.Metrics == nil || *s.Metrics != want {
 			t.Errorf("sample %d metrics %+v, want %+v", i, s.Metrics, want)
 		}

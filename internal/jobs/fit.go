@@ -2,11 +2,11 @@ package jobs
 
 // Fit jobs: the asynchronous counterpart of the service's synchronous fit.
 // A fit job runs the full (optionally differentially private) fitting
-// pipeline in the background — sharded onto the shared worker pool at the
-// process default — registers the fitted model in the model store, and
-// concurrently pre-fits the model's acceptance table so the first sample of
-// the new model pays no refinement cost. The job's terminal Info carries the
-// fitted model's content-addressed ID.
+// pipeline in the background — its measurement passes sharded across the
+// process-default worker count — registers the fitted model in the model
+// store, and concurrently pre-fits the model's acceptance table so the first
+// sample of the new model pays no refinement cost. The job's terminal Info
+// carries the fitted model's content-addressed ID.
 
 import (
 	"context"

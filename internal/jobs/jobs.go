@@ -52,6 +52,7 @@ import (
 	"agmdp/internal/graph"
 	"agmdp/internal/graphstore"
 	"agmdp/internal/obs"
+	"agmdp/internal/parallel"
 	"agmdp/internal/structural"
 )
 
@@ -127,13 +128,22 @@ type Draws struct {
 }
 
 // Check reports whether the batch can run as described: at least one
-// sample, a known model kind, and a seed range that does not cross zero.
-// Sample i runs with seed Seed+i, and seed 0 means "unseeded" to the engine,
-// so a negative base whose range crosses zero would silently turn one sample
-// of a deterministic batch into a random draw. Check does not look at Model.
+// sample, a parallelism in [0, parallel.MaxWorkers], iterations in
+// [0, core.MaxSampleIterations], a known model kind, and a seed range that
+// does not cross zero. The two bounds cap what one draw may allocate and how
+// long it holds its engine slot. Sample i runs with seed Seed+i, and seed 0
+// means "unseeded" to the engine, so a negative base whose range crosses
+// zero would silently turn one sample of a deterministic batch into a random
+// draw. Check does not look at Model.
 func (d Draws) Check() error {
 	if d.Count < 1 {
 		return fmt.Errorf("sample count %d, want >= 1", d.Count)
+	}
+	if d.Parallelism < 0 || d.Parallelism > parallel.MaxWorkers {
+		return fmt.Errorf("parallelism %d outside [0, %d]", d.Parallelism, parallel.MaxWorkers)
+	}
+	if d.Iterations < 0 || d.Iterations > core.MaxSampleIterations {
+		return fmt.Errorf("iterations %d outside [0, %d]", d.Iterations, core.MaxSampleIterations)
 	}
 	if d.Seed < 0 && d.Seed+int64(d.Count) > 0 {
 		return fmt.Errorf("seed range [%d, %d] crosses 0 (sample i runs with seed seed+i; 0 means unseeded)",
@@ -259,9 +269,9 @@ type Options struct {
 	Retain int
 	// MaxConcurrentFits bounds how many fit jobs run their pipelines at
 	// once; fits beyond the bound wait in StatusQueued (visible in listings)
-	// until a slot frees. Fit pipelines fan out internally onto the shared
-	// worker pool, so a handful of concurrent fits already saturates the
-	// machine — unbounded admission only added memory pressure and tail
+	// until a slot frees. Fit pipelines fan out internally across the
+	// process-default worker count, so a handful of concurrent fits already
+	// saturates the machine — unbounded admission only added memory pressure and tail
 	// latency. Values below 1 select GOMAXPROCS, floored at 2 so a queued
 	// fit can always overlap another's sequential stages.
 	MaxConcurrentFits int

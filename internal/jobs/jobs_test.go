@@ -10,6 +10,7 @@ import (
 	"agmdp/internal/engine"
 	"agmdp/internal/graph"
 	"agmdp/internal/graphstore"
+	"agmdp/internal/parallel"
 )
 
 // fixtureModel fits a small non-private model for job tests.
@@ -163,22 +164,28 @@ func TestStoreWithoutStoreRejected(t *testing.T) {
 
 func TestSubmitValidation(t *testing.T) {
 	m, _ := newTestManager(t)
-	if _, err := m.Submit(Spec{Draws: Draws{Count: 1}}); err == nil {
-		t.Fatal("Submit accepted a nil model")
-	}
-	if _, err := m.Submit(Spec{Draws: Draws{Model: fixtureModel(t), Count: 0}}); err == nil {
-		t.Fatal("Submit accepted count 0")
-	}
-	// A negative base seed whose per-sample range [seed, seed+count) would
-	// cross 0 silently degrades one sample to an unseeded draw — rejected.
-	if _, err := m.Submit(Spec{Draws: Draws{Model: fixtureModel(t), Count: 8, Seed: -3}}); err == nil {
-		t.Fatal("Submit accepted a seed range crossing 0")
-	}
-	if _, err := m.Submit(Spec{Draws: Draws{Model: fixtureModel(t), Count: 1, ModelKind: "gnp"}}); err == nil {
-		t.Fatal("Submit accepted an unknown model kind")
+	model := fixtureModel(t)
+	for _, c := range []struct {
+		name string
+		d    Draws
+	}{
+		{"nil model", Draws{Count: 1}},
+		{"count 0", Draws{Model: model, Count: 0}},
+		// A negative base seed whose per-sample range [seed, seed+count)
+		// would cross 0 silently degrades one sample to an unseeded draw.
+		{"seed range crossing 0", Draws{Model: model, Count: 8, Seed: -3}},
+		{"unknown model kind", Draws{Model: model, Count: 1, ModelKind: "gnp"}},
+		{"negative parallelism", Draws{Model: model, Count: 1, Parallelism: -1}},
+		{"parallelism over bound", Draws{Model: model, Count: 1, Parallelism: parallel.MaxWorkers + 1}},
+		{"negative iterations", Draws{Model: model, Count: 1, Iterations: -1}},
+		{"iterations over bound", Draws{Model: model, Count: 1, Iterations: core.MaxSampleIterations + 1}},
+	} {
+		if _, err := m.Submit(Spec{Draws: c.d}); err == nil {
+			t.Errorf("Submit accepted %s", c.name)
+		}
 	}
 	// A fully negative range is fine.
-	if _, err := m.Submit(Spec{Draws: Draws{Model: fixtureModel(t), Count: 3, Seed: -3, Iterations: 1}}); err != nil {
+	if _, err := m.Submit(Spec{Draws: Draws{Model: model, Count: 3, Seed: -3, Iterations: 1}}); err != nil {
 		t.Fatalf("Submit rejected a valid negative seed: %v", err)
 	}
 }

@@ -21,8 +21,8 @@
 // # Registries
 //
 // A Registry owns a namespace of metric families. Default() is the
-// process-wide registry every subsystem (engine, worker pool, stores, jobs,
-// HTTP middleware) registers into; the server exposes it as GET /metrics
+// process-wide registry every subsystem (engine, parallel fan-out, stores,
+// jobs, HTTP middleware) registers into; the server exposes it as GET /metrics
 // (Prometheus text format) and GET /v1/stats (JSON snapshot with computed
 // p50/p95/p99). Registration is idempotent — asking for an existing family
 // with the same kind returns the resident instance — so layers can declare

@@ -66,57 +66,25 @@ type Stage struct {
 // stage names accumulate into one span, so per-sample stage times sum into
 // per-job totals.
 type StageTimer struct {
-	clock func() time.Time
-
 	mu     sync.Mutex
-	last   time.Time
 	stages []Stage
 	index  map[string]int
 }
 
-// NewStageTimer returns a timer whose Mark baseline starts now.
-func NewStageTimer() *StageTimer { return newStageTimer(time.Now) }
+// NewStageTimer returns an empty timer.
+func NewStageTimer() *StageTimer { return &StageTimer{index: make(map[string]int)} }
 
-// newStageTimer lets tests inject a clock.
-func newStageTimer(clock func() time.Time) *StageTimer {
-	return &StageTimer{clock: clock, last: clock(), index: make(map[string]int)}
-}
-
-// Mark records everything since the previous Mark (or the timer's creation)
-// as one stage and resets the baseline, returning the recorded duration.
-// Use Mark for strictly sequential pipelines.
-func (t *StageTimer) Mark(name string) time.Duration {
-	now := t.clock()
-	t.mu.Lock()
-	d := now.Sub(t.last)
-	t.last = now
-	t.addLocked(name, d)
-	t.mu.Unlock()
-	return d
-}
-
-// Add accumulates an explicitly measured duration into a stage without
-// touching the Mark baseline. Use Add for concurrent or repeated work
-// (per-sample stages, the acceptance-table warm-up goroutine).
+// Add accumulates a measured duration into a stage, recording the stage
+// after the ones already seen the first time its name appears.
 func (t *StageTimer) Add(name string, d time.Duration) {
 	t.mu.Lock()
-	t.addLocked(name, d)
-	t.mu.Unlock()
-}
-
-func (t *StageTimer) addLocked(name string, d time.Duration) {
+	defer t.mu.Unlock()
 	if i, ok := t.index[name]; ok {
 		t.stages[i].Seconds += d.Seconds()
 		return
 	}
 	t.index[name] = len(t.stages)
 	t.stages = append(t.stages, Stage{Name: name, Seconds: d.Seconds()})
-}
-
-// Observer returns a callback in the shape core.Config.Observe expects,
-// accumulating every reported stage into the timer.
-func (t *StageTimer) Observer() func(stage string, d time.Duration) {
-	return func(stage string, d time.Duration) { t.Add(stage, d) }
 }
 
 // Stages returns a copy of the recorded stages in first-seen order; nil when

@@ -47,16 +47,10 @@ func TestRequestIDContext(t *testing.T) {
 }
 
 func TestStageTimerMark(t *testing.T) {
-	now := time.Unix(0, 0)
-	clock := func() time.Time { return now }
-	st := newStageTimer(clock)
-
-	now = now.Add(100 * time.Millisecond)
-	st.Mark("degrees")
-	now = now.Add(200 * time.Millisecond)
-	st.Mark("attrs")
-	now = now.Add(50 * time.Millisecond)
-	st.Mark("degrees") // repeated stage accumulates
+	st := NewStageTimer()
+	st.Add("degrees", 100*time.Millisecond)
+	st.Add("attrs", 200*time.Millisecond)
+	st.Add("degrees", 50*time.Millisecond) // repeated stage accumulates
 
 	stages := st.Stages()
 	if len(stages) != 2 {
@@ -93,16 +87,6 @@ func TestStageTimerAddConcurrent(t *testing.T) {
 	want := 0.8 // 8 workers × 100 × 1ms
 	if got := stages[0].Seconds; got < want-1e-9 || got > want+1e-9 {
 		t.Fatalf("accumulated = %v, want %v", got, want)
-	}
-}
-
-func TestStageTimerObserver(t *testing.T) {
-	st := NewStageTimer()
-	obs := st.Observer()
-	obs("noise", 30*time.Millisecond)
-	stages := st.Stages()
-	if len(stages) != 1 || stages[0].Name != "noise" {
-		t.Fatalf("stages = %+v", stages)
 	}
 }
 

@@ -2,6 +2,7 @@ package parallel
 
 import (
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -49,8 +50,8 @@ func TestDoRunsEveryIndexExactlyOnce(t *testing.T) {
 }
 
 func TestDoNestedDoesNotDeadlock(t *testing.T) {
-	// Oversubscribe the pool with nested fan-out several levels deep; the
-	// helping Wait must keep making progress on a single-core pool.
+	// Fan out several levels deep, far past GOMAXPROCS; every level must
+	// finish even on a single core.
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -71,13 +72,17 @@ func TestDoNestedDoesNotDeadlock(t *testing.T) {
 	}
 }
 
-func TestGroupWaitHelpsWhilePoolSaturated(t *testing.T) {
-	// Saturate the pool with slow tasks from one group, then fan out a second
-	// group; its Wait should steal and finish its own work promptly.
-	var slow Group
+func TestDoFinishesWhileOtherCallsBlock(t *testing.T) {
+	// Park GOMAXPROCS+2 goroutines inside Do calls that block until
+	// released; a further Do must still run all of its calls and return.
 	release := make(chan struct{})
+	var blocked sync.WaitGroup
 	for i := 0; i < runtime.GOMAXPROCS(0)+2; i++ {
-		slow.Go(func() { <-release })
+		blocked.Add(1)
+		go func() {
+			defer blocked.Done()
+			Do(2, func(int) { <-release })
+		}()
 	}
 	var ran atomic.Int64
 	start := time.Now()
@@ -86,16 +91,16 @@ func TestGroupWaitHelpsWhilePoolSaturated(t *testing.T) {
 		t.Fatalf("ran %d of 16 tasks", ran.Load())
 	}
 	if time.Since(start) > 20*time.Second {
-		t.Fatal("Do blocked behind the saturated pool")
+		t.Fatal("Do blocked behind the blocked calls")
 	}
 	close(release)
-	slow.Wait()
+	blocked.Wait()
 }
 
 func TestDoPropagatesPanicFromPoolTask(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("panic in a pool task was swallowed")
+			t.Fatal("panic in a goroutine call was swallowed")
 		}
 	}()
 	Do(4, func(i int) {
@@ -116,9 +121,4 @@ func TestDoPropagatesPanicFromInlineShard(t *testing.T) {
 			panic("boom")
 		}
 	})
-}
-
-func TestEmptyGroupWaitReturns(t *testing.T) {
-	var g Group
-	g.Wait() // must not block or panic
 }

@@ -5,11 +5,13 @@ package server
 // modes, sample-request memoisation, and tenant scoping of both new routes.
 
 import (
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -17,6 +19,7 @@ import (
 
 	"agmdp/internal/analytics"
 	"agmdp/internal/engine"
+	"agmdp/internal/experiments"
 	"agmdp/internal/graphstore"
 	"agmdp/internal/jobs"
 	"agmdp/internal/registry"
@@ -206,7 +209,7 @@ func TestEvaluatePairModeEndpoint(t *testing.T) {
 		t.Fatalf("eval = %+v", ev)
 	}
 	// Self-evaluation: every error column is exactly zero.
-	if m := ev.Samples[0].Metrics; m == nil || *m != (analytics.UtilityMetrics{}) {
+	if m := ev.Samples[0].Metrics; m == nil || *m != (experiments.GraphMetrics{}) {
 		t.Fatalf("self-evaluation metrics = %+v", m)
 	}
 }
@@ -245,6 +248,30 @@ func TestEvaluateModelModeEndpoint(t *testing.T) {
 			t.Fatalf("sample %d = %+v", i, s)
 		}
 	}
+	// The wire names of the eight error columns, per sample and on average.
+	var raw struct {
+		Eval struct {
+			Samples []struct {
+				Metrics map[string]float64 `json:"metrics"`
+			} `json:"samples"`
+			Average map[string]float64 `json:"average"`
+		} `json:"eval"`
+	}
+	if err := json.Unmarshal(getBody(t, ts.URL+"/v1/jobs/"+jr.ID, http.StatusOK), &raw); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"hellinger_degree", "hellinger_theta_f", "ks_degree", "mre_avg_clustering",
+		"mre_edges", "mre_global_clustering", "mre_theta_f", "mre_triangles"}
+	for _, row := range []map[string]float64{raw.Eval.Samples[0].Metrics, raw.Eval.Samples[1].Metrics, raw.Eval.Average} {
+		keys := make([]string, 0, len(row))
+		for k := range row {
+			keys = append(keys, k)
+		}
+		slices.Sort(keys)
+		if !slices.Equal(keys, want) {
+			t.Fatalf("metric keys = %v, want %v", keys, want)
+		}
+	}
 }
 
 func TestEvaluateValidationEndpoint(t *testing.T) {
@@ -264,6 +291,8 @@ func TestEvaluateValidationEndpoint(t *testing.T) {
 		{"unknown synthetic", map[string]any{"source_graph_id": id, "synthetic_graph_id": "deadbeefdeadbeef"}, http.StatusNotFound},
 		{"unknown model", map[string]any{"source_graph_id": id, "model_id": "nope"}, http.StatusNotFound},
 		{"count over cap", map[string]any{"source_graph_id": id, "model_id": "nope", "count": 999}, http.StatusBadRequest},
+		{"parallelism over bound", map[string]any{"source_graph_id": id, "model_id": "nope", "parallelism": 257}, http.StatusBadRequest},
+		{"iterations over bound", map[string]any{"source_graph_id": id, "model_id": "nope", "iterations": 33}, http.StatusBadRequest},
 		{"negative parallelism", map[string]any{"source_graph_id": id, "synthetic_graph_id": id, "parallelism": -1}, http.StatusBadRequest},
 	}
 	for _, tc := range cases {

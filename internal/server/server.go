@@ -31,7 +31,6 @@ import (
 	"agmdp/internal/graphstore"
 	"agmdp/internal/jobs"
 	"agmdp/internal/obs"
-	"agmdp/internal/parallel"
 	"agmdp/internal/registry"
 	"agmdp/internal/structural"
 	"agmdp/internal/tenant"
@@ -82,7 +81,7 @@ type Config struct {
 	MaxJobSamples int
 	// Metrics backs GET /metrics and GET /v1/stats and receives the server's
 	// per-route request metrics; nil selects the process-wide default
-	// registry, which the engine, pool, jobs and store layers also register
+	// registry, which the engine, parallel, jobs and store layers also register
 	// into, so one scrape covers the whole service.
 	Metrics *obs.Registry
 	// Logger receives one structured line per request; nil selects
@@ -278,19 +277,18 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) error
 }
 
 // healthzResponse is the GET /v1/healthz body: status and resource counts,
-// uptime, build identity, store byte sizes and the shared worker pool's load.
+// uptime, build identity and store byte sizes.
 type healthzResponse struct {
-	Status        string         `json:"status"`
-	Models        int            `json:"models"`
-	Graphs        int            `json:"graphs"`
-	Jobs          int            `json:"jobs"`
-	Engine        engine.Stats   `json:"engine"`
-	UptimeSeconds float64        `json:"uptime_seconds"`
-	GoVersion     string         `json:"go_version"`
-	Build         string         `json:"build"`
-	ModelBytes    int64          `json:"model_bytes"`
-	GraphBytes    int64          `json:"graph_bytes"`
-	Pool          parallel.Stats `json:"pool"`
+	Status        string       `json:"status"`
+	Models        int          `json:"models"`
+	Graphs        int          `json:"graphs"`
+	Jobs          int          `json:"jobs"`
+	Engine        engine.Stats `json:"engine"`
+	UptimeSeconds float64      `json:"uptime_seconds"`
+	GoVersion     string       `json:"go_version"`
+	Build         string       `json:"build"`
+	ModelBytes    int64        `json:"model_bytes"`
+	GraphBytes    int64        `json:"graph_bytes"`
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -305,7 +303,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Build:         buildVersion(),
 		ModelBytes:    s.cfg.Registry.SizeBytes(),
 		GraphBytes:    s.cfg.Graphs.SizeBytes(),
-		Pool:          parallel.PoolStats(),
 	})
 }
 
@@ -682,9 +679,11 @@ type sampleRequest struct {
 // POST /v1/sample and the model mode of POST /v1/evaluate. Count samples are
 // drawn (default 1, at most Config.MaxJobSamples); with a non-zero Seed,
 // sample i runs with seed Seed+i, so a batch is as reproducible as the
-// equivalent synchronous samples, and 0 means unseeded. Parallelism
-// overrides the engine's intra-draw stream count (0 = engine default,
-// 1 = sequential); seeded samples reproduce only at equal parallelism.
+// equivalent synchronous samples, and 0 means unseeded. Iterations sets the
+// refinement rounds (0 = default, at most core.MaxSampleIterations).
+// Parallelism overrides the engine's intra-draw stream count (0 = engine
+// default, 1 = sequential, at most parallel.MaxWorkers); seeded samples
+// reproduce only at equal parallelism.
 type drawParams struct {
 	Count       int    `json:"count,omitempty"`
 	Seed        int64  `json:"seed,omitempty"`
@@ -695,8 +694,8 @@ type drawParams struct {
 
 // checkDraws validates a batch of draws from the model named id and resolves
 // that model for the caller, writing the error response itself: 400 for a
-// count out of range, a negative parallelism, a seed range that crosses 0 or
-// an unknown model kind, then 404 for a model the caller cannot reach.
+// count, parallelism or iterations out of range, a seed range that crosses 0
+// or an unknown model kind, then 404 for a model the caller cannot reach.
 func (s *Server) checkDraws(w http.ResponseWriter, r *http.Request, id string, p drawParams) (jobs.Draws, bool) {
 	d := jobs.Draws{
 		ModelID:     id,
@@ -708,10 +707,6 @@ func (s *Server) checkDraws(w http.ResponseWriter, r *http.Request, id string, p
 	}
 	if p.Count < 0 || p.Count > s.cfg.MaxJobSamples {
 		writeError(w, http.StatusBadRequest, "count %d outside [1, %d]", p.Count, s.cfg.MaxJobSamples)
-		return d, false
-	}
-	if p.Parallelism < 0 {
-		writeError(w, http.StatusBadRequest, "negative parallelism %d", p.Parallelism)
 		return d, false
 	}
 	if err := d.Check(); err != nil {

@@ -587,6 +587,12 @@ func TestV1HandlerErrors(t *testing.T) {
 			[]byte(`{"id":"` + modelID + `","count":2}`), http.StatusBadRequest},
 		{"sample async with binary format", "POST", "/v1/sample", "application/json",
 			[]byte(`{"id":"` + modelID + `","async":true,"format":"binary"}`), http.StatusBadRequest},
+		{"sample parallelism over bound", "POST", "/v1/sample", "application/json",
+			[]byte(`{"id":"` + modelID + `","parallelism":257}`), http.StatusBadRequest},
+		{"sample iterations over bound", "POST", "/v1/sample", "application/json",
+			[]byte(`{"id":"` + modelID + `","iterations":33}`), http.StatusBadRequest},
+		{"sample negative iterations", "POST", "/v1/sample", "application/json",
+			[]byte(`{"id":"` + modelID + `","iterations":-1}`), http.StatusBadRequest},
 		{"job malformed body", "POST", "/v1/sample", "application/json", []byte("{not json"), http.StatusBadRequest},
 		{"job unknown model", "POST", "/v1/sample", "application/json",
 			[]byte(`{"id":"deadbeef","async":true,"count":1}`), http.StatusNotFound},
@@ -596,6 +602,10 @@ func TestV1HandlerErrors(t *testing.T) {
 			[]byte(`{"id":"` + modelID + `","async":true,"count":-1}`), http.StatusBadRequest},
 		{"job negative parallelism", "POST", "/v1/sample", "application/json",
 			[]byte(`{"id":"` + modelID + `","async":true,"count":1,"parallelism":-1}`), http.StatusBadRequest},
+		{"job parallelism over bound", "POST", "/v1/sample", "application/json",
+			[]byte(`{"id":"` + modelID + `","async":true,"count":1,"parallelism":257}`), http.StatusBadRequest},
+		{"job iterations over bound", "POST", "/v1/sample", "application/json",
+			[]byte(`{"id":"` + modelID + `","async":true,"count":1,"iterations":33}`), http.StatusBadRequest},
 		{"job seed range crossing zero", "POST", "/v1/sample", "application/json",
 			[]byte(`{"id":"` + modelID + `","async":true,"count":8,"seed":-3}`), http.StatusBadRequest},
 		{"job bad model kind", "POST", "/v1/sample", "application/json",

@@ -32,6 +32,6 @@ func BenchmarkTriCycLeRewire(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		bl := seed.Clone()
-		rewireSequential(rand.New(rand.NewSource(9)), bl, sampler, nil, target, maxProposalFactor)
+		rewireSequential(rand.New(rand.NewSource(9)), bl, sampler, nil, target)
 	}
 }

@@ -38,15 +38,9 @@ type FCL struct {
 // Name implements Model.
 func (FCL) Name() string { return "FCL" }
 
-// Generate implements Model by delegating to GenerateCL with the full target
-// edge count.
-func (f FCL) Generate(rng *rand.Rand, n int, params Params, filter *EdgeFilter) *graph.Graph {
-	return f.GenerateBuilder(rng, n, params, filter).Finalize()
-}
-
-// GenerateBuilder implements StreamModel: the Chung–Lu proposal loop with the
-// final freeze left to the caller.
-func (f FCL) GenerateBuilder(rng *rand.Rand, n int, params Params, filter *EdgeFilter) *graph.Builder {
+// Generate implements Model: the Chung–Lu proposal loop of GenerateCL with
+// the full target edge count.
+func (f FCL) Generate(rng *rand.Rand, n int, params Params, filter *EdgeFilter) *graph.Builder {
 	if err := params.Validate(n); err != nil {
 		panic(err)
 	}
@@ -70,10 +64,10 @@ func (f FCL) GenerateBuilder(rng *rand.Rand, n int, params Params, filter *EdgeF
 // accept/reject loop gives it, ∝ π_u·π_v·A(u, v) over the valid pairs, from
 // fewer draws. A filter under which every pair weighs zero yields no edges.
 //
-// Edges are proposed from `workers` concurrent streams on the shared pool
-// (internal/parallel); workers ≤ 0 means "auto" (the process default,
-// runtime.GOMAXPROCS unless overridden with parallel.SetParallelism), and 1 —
-// like any target under minParallelEdges — runs one sequential loop on rng.
+// Edges are proposed from `workers` concurrent streams (parallel.Do);
+// workers ≤ 0 means "auto" (the process default, runtime.GOMAXPROCS unless
+// overridden with parallel.SetParallelism), and 1 — like any target under
+// minParallelEdges — runs one sequential loop on rng.
 // The output depends only on (rng state, n, sampler, targetEdges, filter,
 // resolved workers): the same seed with the same worker count always
 // reproduces the same graph, while different worker counts are different,
@@ -135,8 +129,8 @@ func addCLEdges(rng *rand.Rand, b *graph.Builder, pairs *pairSampler, targetEdge
 	}
 }
 
-// proposeEdgesParallel fans the proposal loop out over `workers` tasks on the
-// shared pool and returns their edge lists in worker order (still containing
+// proposeEdgesParallel fans the proposal loop out over `workers` calls of
+// parallel.Do and returns their edge lists in worker order (still containing
 // cross-worker duplicates) plus the pre-drawn seed for the sequential top-up
 // pass.
 func proposeEdgesParallel(rng *rand.Rand, pairs *pairSampler, targetEdges int, workers int) ([][]graph.Edge, int64) {

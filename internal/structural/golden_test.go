@@ -31,7 +31,7 @@ func TestGoldenUnfilteredBytes(t *testing.T) {
 		}, "ab540c81d103b5d7cf306e2e69bbf864286676c9ee02112d883bc642be713c89"},
 		{"TriCycLe-2", func() *graph.Graph {
 			params := Params{Degrees: degrees, Triangles: 2000}
-			return TriCycLe{Parallelism: 2}.Generate(rand.New(rand.NewSource(1)), n, params, nil)
+			return TriCycLe{Parallelism: 2}.Generate(rand.New(rand.NewSource(1)), n, params, nil).Finalize()
 		}, "ad22eb3081688b673f44b851fbefcc4f905ce42e815edce4f2f4de576a5009f8"},
 	}
 	for _, c := range cases {

@@ -131,27 +131,9 @@ type Model interface {
 	Name() string
 	// Generate produces a synthetic structure over n nodes following the
 	// model's parameters, consulting filter (if non-nil) before accepting any
-	// proposed edge.
-	Generate(rng *rand.Rand, n int, params Params, filter *EdgeFilter) *graph.Graph
+	// proposed edge. It returns the still-mutable builder: the builder serves
+	// row ranges directly (it implements graph.RowSource), so the sample
+	// pipeline can encode it without packing CSR arrays, and
+	// Builder.Finalize packs it non-destructively and draws no randomness.
+	Generate(rng *rand.Rand, n int, params Params, filter *EdgeFilter) *graph.Builder
 }
-
-// StreamModel is a Model whose generator can hand back the still-mutable
-// Builder instead of a frozen CSR graph. Builder.Finalize is non-destructive
-// and consumes no randomness, so GenerateBuilder followed by Finalize is
-// byte-identical to Generate for the same rng state — but the builder also
-// serves row ranges directly (it implements graph.RowSource), which is what
-// lets the streaming sample pipeline encode shard-by-shard without ever
-// materialising the packed offsets/neighbors arrays. All models shipped by
-// this package implement StreamModel; the interface exists so a future model
-// without a builder-shaped generator can still plug in as a plain Model.
-type StreamModel interface {
-	Model
-	// GenerateBuilder is Generate without the final freeze: it returns the
-	// mutable builder holding the generated structure. The rng trace is
-	// exactly that of Generate.
-	GenerateBuilder(rng *rand.Rand, n int, params Params, filter *EdgeFilter) *graph.Builder
-}
-
-// Every shipped model streams; the sampling pipeline relies on this to take
-// the builder path unconditionally for ByName-resolved models.
-var _ = []StreamModel{TriCycLe{}, FCL{}, TCL{}}

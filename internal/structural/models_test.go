@@ -187,7 +187,7 @@ func TestFCLGenerateProducesTargetEdges(t *testing.T) {
 	rng := dp.NewRand(3)
 	n := 250
 	degs := powerLawDegrees(rng, n, 30)
-	g := FCL{}.Generate(dp.NewRand(4), n, Params{Degrees: degs}, nil)
+	g := FCL{}.Generate(dp.NewRand(4), n, Params{Degrees: degs}, nil).Finalize()
 	if g.NumEdges() != sumDegrees(degs)/2 {
 		t.Fatalf("edges = %d, want %d", g.NumEdges(), sumDegrees(degs)/2)
 	}
@@ -267,8 +267,8 @@ func TestTCLGenerateMatchesEdgeCountAndAddsClustering(t *testing.T) {
 	n := 300
 	degs := powerLawDegrees(rng, n, 30)
 	params := Params{Degrees: degs, Rho: 0.9}
-	tcl := TCL{}.Generate(dp.NewRand(9), n, params, nil)
-	fcl := FCL{}.Generate(dp.NewRand(9), n, Params{Degrees: degs}, nil)
+	tcl := TCL{}.Generate(dp.NewRand(9), n, params, nil).Finalize()
+	fcl := FCL{}.Generate(dp.NewRand(9), n, Params{Degrees: degs}, nil).Finalize()
 	if tcl.NumEdges() != sumDegrees(degs)/2 {
 		t.Fatalf("TCL edges = %d, want %d", tcl.NumEdges(), sumDegrees(degs)/2)
 	}
@@ -285,7 +285,7 @@ func TestTCLRhoZeroBehavesLikeCL(t *testing.T) {
 	rng := dp.NewRand(10)
 	n := 150
 	degs := powerLawDegrees(rng, n, 20)
-	g := TCL{}.Generate(dp.NewRand(11), n, Params{Degrees: degs, Rho: 0}, nil)
+	g := TCL{}.Generate(dp.NewRand(11), n, Params{Degrees: degs, Rho: 0}, nil).Finalize()
 	if g.NumEdges() != sumDegrees(degs)/2 {
 		t.Fatalf("edges = %d, want %d", g.NumEdges(), sumDegrees(degs)/2)
 	}
@@ -315,7 +315,7 @@ func TestTriCycLeReachesTriangleTarget(t *testing.T) {
 	var got int64
 	const runs = 5
 	for seed := int64(13); seed < 13+runs; seed++ {
-		g := TriCycLe{}.Generate(dp.NewRand(seed), n, Params{Degrees: degs, Triangles: target}, nil)
+		g := TriCycLe{}.Generate(dp.NewRand(seed), n, Params{Degrees: degs, Triangles: target}, nil).Finalize()
 		got += g.Triangles()
 	}
 	got /= runs
@@ -331,9 +331,9 @@ func TestTriCycLeProducesMoreTrianglesThanFCL(t *testing.T) {
 	rng := dp.NewRand(14)
 	n := 300
 	degs := powerLawDegrees(rng, n, 30)
-	fcl := FCL{}.Generate(dp.NewRand(15), n, Params{Degrees: degs}, nil)
+	fcl := FCL{}.Generate(dp.NewRand(15), n, Params{Degrees: degs}, nil).Finalize()
 	target := fcl.Triangles()*4 + 200
-	tri := TriCycLe{}.Generate(dp.NewRand(15), n, Params{Degrees: degs, Triangles: target}, nil)
+	tri := TriCycLe{}.Generate(dp.NewRand(15), n, Params{Degrees: degs, Triangles: target}, nil).Finalize()
 	if tri.Triangles() <= fcl.Triangles() {
 		t.Fatalf("TriCycLe triangles %d not above FCL %d", tri.Triangles(), fcl.Triangles())
 	}
@@ -344,7 +344,7 @@ func TestTriCycLePreservesEdgeCountApproximately(t *testing.T) {
 	n := 250
 	degs := powerLawDegrees(rng, n, 25)
 	m := sumDegrees(degs) / 2
-	g := TriCycLe{}.Generate(dp.NewRand(17), n, Params{Degrees: degs, Triangles: 300}, nil)
+	g := TriCycLe{}.Generate(dp.NewRand(17), n, Params{Degrees: degs, Triangles: 300}, nil).Finalize()
 	if math.Abs(float64(g.NumEdges()-m))/float64(m) > 0.05 {
 		t.Fatalf("TriCycLe edges = %d, want ≈ %d", g.NumEdges(), m)
 	}
@@ -354,7 +354,7 @@ func TestTriCycLeDegreeDistributionRoughlyPreserved(t *testing.T) {
 	rng := dp.NewRand(18)
 	n := 300
 	degs := powerLawDegrees(rng, n, 30)
-	g := TriCycLe{}.Generate(dp.NewRand(19), n, Params{Degrees: degs, Triangles: 200}, nil)
+	g := TriCycLe{}.Generate(dp.NewRand(19), n, Params{Degrees: degs, Triangles: 200}, nil).Finalize()
 	wantSorted := append([]int(nil), degs...)
 	sort.Ints(wantSorted)
 	gotSorted := g.DegreeSequence()
@@ -388,8 +388,8 @@ func TestTriCycLePostProcessingConnectsGraph(t *testing.T) {
 		degs[0]++
 	}
 	params := Params{Degrees: degs, Triangles: 100}
-	with := TriCycLe{}.Generate(dp.NewRand(21), n, params, nil)
-	without := TriCycLe{DisablePostProcess: true}.Generate(dp.NewRand(21), n, params, nil)
+	with := TriCycLe{}.Generate(dp.NewRand(21), n, params, nil).Finalize()
+	without := TriCycLe{DisablePostProcess: true}.Generate(dp.NewRand(21), n, params, nil).Finalize()
 	orphansWith := len(with.OrphanedNodes())
 	orphansWithout := len(without.OrphanedNodes())
 	if orphansWith >= orphansWithout {
@@ -404,7 +404,7 @@ func TestTriCycLeZeroTriangleTargetStillGeneratesSeed(t *testing.T) {
 	rng := dp.NewRand(22)
 	n := 120
 	degs := powerLawDegrees(rng, n, 15)
-	g := TriCycLe{}.Generate(dp.NewRand(23), n, Params{Degrees: degs, Triangles: 0}, nil)
+	g := TriCycLe{}.Generate(dp.NewRand(23), n, Params{Degrees: degs, Triangles: 0}, nil).Finalize()
 	if g.NumEdges() == 0 {
 		t.Fatal("seed graph missing for zero triangle target")
 	}
@@ -415,7 +415,7 @@ func TestTriCycLeRespectsFilterGroups(t *testing.T) {
 	n := 200
 	degs := powerLawDegrees(rng, n, 20)
 	filter := classFilter(n, 2, func(u int) int { return u % 2 }, sameClass)
-	g := TriCycLe{}.Generate(dp.NewRand(25), n, Params{Degrees: degs, Triangles: 100}, filter)
+	g := TriCycLe{}.Generate(dp.NewRand(25), n, Params{Degrees: degs, Triangles: 100}, filter).Finalize()
 	bad := 0
 	g.ForEachEdge(func(u, v int) bool {
 		if (u%2 == 0) != (v%2 == 0) {

@@ -112,8 +112,8 @@ func TestParallelModelsDeterministic(t *testing.T) {
 		"FCL":      FCL{Parallelism: 4},
 		"TriCycLe": TriCycLe{Parallelism: 4},
 	} {
-		a := model.Generate(rand.New(rand.NewSource(21)), n, params, nil)
-		b := model.Generate(rand.New(rand.NewSource(21)), n, params, nil)
+		a := model.Generate(rand.New(rand.NewSource(21)), n, params, nil).Finalize()
+		b := model.Generate(rand.New(rand.NewSource(21)), n, params, nil).Finalize()
 		if !a.Equal(b) {
 			t.Fatalf("%s with Parallelism=4: same seed produced different graphs", name)
 		}

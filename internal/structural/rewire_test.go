@@ -21,7 +21,7 @@ func TestRewireIncreasesTriangles(t *testing.T) {
 	b, sampler := rewireFixture(t, 33)
 	before := b.Triangles()
 	target := before * 3
-	rewireSequential(rand.New(rand.NewSource(5)), b, sampler, nil, target, maxProposalFactor)
+	rewireSequential(rand.New(rand.NewSource(5)), b, sampler, nil, target)
 	after := b.Triangles()
 	if after <= before {
 		t.Fatalf("rewiring did not add triangles (%d -> %d)", before, after)
@@ -36,7 +36,7 @@ func TestRewireIncreasesTriangles(t *testing.T) {
 func TestRewirePreservesEdgeCount(t *testing.T) {
 	b, sampler := rewireFixture(t, 35)
 	edges := b.NumEdges()
-	rewireSequential(rand.New(rand.NewSource(9)), b, sampler, nil, b.Triangles()*2, maxProposalFactor)
+	rewireSequential(rand.New(rand.NewSource(9)), b, sampler, nil, b.Triangles()*2)
 	if b.NumEdges() != edges {
 		t.Fatalf("rewiring changed the edge count: %d -> %d", edges, b.NumEdges())
 	}
@@ -51,7 +51,7 @@ func TestRewireRespectsFilter(t *testing.T) {
 	for _, e := range b.Edges() {
 		beforeEdges[e] = struct{}{}
 	}
-	rewireSequential(rand.New(rand.NewSource(11)), b, sampler, filter, b.Triangles()*2, maxProposalFactor)
+	rewireSequential(rand.New(rand.NewSource(11)), b, sampler, filter, b.Triangles()*2)
 	for _, e := range b.Edges() {
 		if _, old := beforeEdges[e]; old {
 			continue
@@ -73,7 +73,7 @@ func TestRewireParallelDeterministicPerWorkerCount(t *testing.T) {
 	run := func(seed int64, workers int) *graph.Graph {
 		sampler := NewNodeSampler(degrees, nil)
 		b := generateCLBuilder(rand.New(rand.NewSource(31)), len(degrees), sampler, target, nil, workers)
-		rewireSequential(rand.New(rand.NewSource(seed)), b, sampler, nil, b.Triangles()*3, maxProposalFactor)
+		rewireSequential(rand.New(rand.NewSource(seed)), b, sampler, nil, b.Triangles()*3)
 		return b.Finalize()
 	}
 	for _, workers := range []int{1, 2, 4, 8} {
@@ -97,7 +97,7 @@ func TestTriCycLeParallelRewiringDeterministicEndToEnd(t *testing.T) {
 	degrees := parallelDegrees(3000)
 	params := Params{Degrees: degrees, Triangles: 6000}
 	gen := func(seed int64, workers int) *graph.Graph {
-		return TriCycLe{Parallelism: workers}.Generate(rand.New(rand.NewSource(seed)), len(degrees), params, nil)
+		return TriCycLe{Parallelism: workers}.Generate(rand.New(rand.NewSource(seed)), len(degrees), params, nil).Finalize()
 	}
 	for _, workers := range []int{1, 2, 4} {
 		a, b := gen(41, workers), gen(41, workers)
@@ -118,8 +118,8 @@ func TestTriCycLeParallelRewiringDeterministicEndToEnd(t *testing.T) {
 		small[i] = 4
 	}
 	smallParams := Params{Degrees: small, Triangles: 400}
-	one := TriCycLe{Parallelism: 1}.Generate(rand.New(rand.NewSource(43)), len(small), smallParams, nil)
-	four := TriCycLe{Parallelism: 4}.Generate(rand.New(rand.NewSource(43)), len(small), smallParams, nil)
+	one := TriCycLe{Parallelism: 1}.Generate(rand.New(rand.NewSource(43)), len(small), smallParams, nil).Finalize()
+	four := TriCycLe{Parallelism: 4}.Generate(rand.New(rand.NewSource(43)), len(small), smallParams, nil).Finalize()
 	if !one.Equal(four) {
 		t.Fatal("TriCycLe on a seed under minParallelEdges depends on the worker count")
 	}

@@ -19,15 +19,10 @@ type TCL struct{}
 // Name implements Model.
 func (TCL) Name() string { return "TCL" }
 
-// Generate implements Model. params.Rho is the transitive closure
-// probability; params.Degrees the target degree sequence.
-func (t TCL) Generate(rng *rand.Rand, n int, params Params, filter *EdgeFilter) *graph.Graph {
-	return t.GenerateBuilder(rng, n, params, filter).Finalize()
-}
-
-// GenerateBuilder implements StreamModel: the TCL seed-and-replace loop with
-// the final freeze left to the caller.
-func (TCL) GenerateBuilder(rng *rand.Rand, n int, params Params, filter *EdgeFilter) *graph.Builder {
+// Generate implements Model: the TCL seed-and-replace loop. params.Rho is
+// the transitive closure probability; params.Degrees the target degree
+// sequence.
+func (TCL) Generate(rng *rand.Rand, n int, params Params, filter *EdgeFilter) *graph.Builder {
 	if err := params.Validate(n); err != nil {
 		panic(err)
 	}

@@ -39,8 +39,6 @@ type TriCycLe struct {
 	// DisablePostProcess turns off the orphan-node extension; used by the
 	// ablation benchmarks.
 	DisablePostProcess bool
-	// MaxProposalFactor overrides the default proposal budget multiplier.
-	MaxProposalFactor int
 	// Parallelism is the number of concurrent streams that draw the Chung–Lu
 	// seed graph (see GenerateCL); rewiring is always the paper's one
 	// sequential loop, as in FCL only the edge proposals fan out. Values ≤ 0
@@ -55,22 +53,13 @@ type TriCycLe struct {
 // Name implements Model.
 func (t TriCycLe) Name() string { return "TriCycLe" }
 
-// Generate implements Model. params.Degrees is the target degree sequence
-// assigned positionally to nodes, params.Triangles the target triangle count.
-func (t TriCycLe) Generate(rng *rand.Rand, n int, params Params, filter *EdgeFilter) *graph.Graph {
-	return t.GenerateBuilder(rng, n, params, filter).Finalize()
-}
-
-// GenerateBuilder implements StreamModel: the full TriCycLe pipeline — seed,
-// orphan post-processing, triangle rewiring, second post-processing — with the
-// final freeze left to the caller.
-func (t TriCycLe) GenerateBuilder(rng *rand.Rand, n int, params Params, filter *EdgeFilter) *graph.Builder {
+// Generate implements Model: the full TriCycLe pipeline — seed, orphan
+// post-processing, triangle rewiring, second post-processing.
+// params.Degrees is the target degree sequence assigned positionally to
+// nodes, params.Triangles the target triangle count.
+func (t TriCycLe) Generate(rng *rand.Rand, n int, params Params, filter *EdgeFilter) *graph.Builder {
 	if err := params.Validate(n); err != nil {
 		panic(err)
-	}
-	proposalFactor := t.MaxProposalFactor
-	if proposalFactor <= 0 {
-		proposalFactor = maxProposalFactor
 	}
 	postProcess := !t.DisablePostProcess
 
@@ -106,7 +95,7 @@ func (t TriCycLe) GenerateBuilder(rng *rand.Rand, n int, params Params, filter *
 	}
 
 	rewireStart := time.Now()
-	rewireSequential(rng, b, sampler, filter, params.Triangles, proposalFactor)
+	rewireSequential(rng, b, sampler, filter, params.Triangles)
 	tricycleRewireDur.ObserveDuration(time.Since(rewireStart))
 
 	if postProcess {
@@ -118,7 +107,7 @@ func (t TriCycLe) GenerateBuilder(rng *rand.Rand, n int, params Params, filter *
 // rewireSequential is the paper's single-stream rewiring loop (Algorithm 1,
 // lines 5–13): propose a transitive edge, delete the oldest edge, keep the
 // replacement only if the triangle count does not decrease.
-func rewireSequential(rng *rand.Rand, b *graph.Builder, sampler *NodeSampler, filter *EdgeFilter, target int64, proposalFactor int) {
+func rewireSequential(rng *rand.Rand, b *graph.Builder, sampler *NodeSampler, filter *EdgeFilter, target int64) {
 	queue := newEdgeQueue(b)
 	tau := b.Triangles()
 	// Proposal budget: enough to rewire every edge several times plus extra
@@ -129,7 +118,7 @@ func rewireSequential(rng *rand.Rand, b *graph.Builder, sampler *NodeSampler, fi
 	if missing < 0 {
 		missing = 0
 	}
-	maxProposals := proposalFactor*(b.NumEdges()+1) + int(50*missing)
+	maxProposals := maxProposalFactor*(b.NumEdges()+1) + int(50*missing)
 	stallLimit := 20*(b.NumEdges()+1) + 20000
 	stalled := 0
 	for proposals := 0; tau < target && proposals < maxProposals && stalled < stallLimit; proposals++ {
