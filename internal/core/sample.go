@@ -61,85 +61,93 @@ func Sample(rng *rand.Rand, m *FittedModel, opts SampleOptions) (*graph.Graph, e
 // graph.Materialize on the result is byte-identical to Sample at the same
 // rng state, and the rng trace itself is identical to Sample's, so the two
 // entry points are interchangeable per (seed, workers).
-func SampleSource(rng *rand.Rand, m *FittedModel, opts SampleOptions) (graph.RowSource, error) {
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	src, _ := sampleRefined(rng, m, opts)
-	return src, nil
-}
-
-// sampleRefined runs lines 6–18 of Algorithm 3 and additionally returns the
-// converged acceptance table A(y) of the final round (nil when no refinement
-// round produced one). The table is what the acceptance cache stores so later
-// samples can skip the refinement entirely (SampleSourceWithTable).
 //
 // The returned source is the final round's builder with the attribute
 // vectors overlaid: the final round is the one round whose packed form is
 // never needed, which is what makes the end-to-end pipeline O(shard).
-// Intermediate rounds are frozen because the correlation counting pass reads
-// CSR rows; builders freeze non-destructively and draw no randomness, so
-// freezing leaves the rng trace and the builder itself intact.
-func sampleRefined(rng *rand.Rand, m *FittedModel, opts SampleOptions) (graph.RowSource, []float64) {
-	iterations := opts.Iterations
-	if iterations <= 0 {
-		iterations = DefaultSampleIterations
+func SampleSource(rng *rand.Rand, m *FittedModel, opts SampleOptions) (graph.RowSource, error) {
+	if err := m.Validate(); err != nil {
+		return nil, err
 	}
 	model := opts.modelFor(m)
-	generate := func(filter *structural.EdgeFilter) *graph.Builder {
-		return model.Generate(rng, m.N, m.Structural, filter)
-	}
-
 	// Line 6: sample new attribute vectors X̃ from Θ̃X.
 	attrVecs := attrs.SampleAttributes(rng, m.ThetaX, m.N, m.W)
 	classes := nodeClasses(attrVecs, m.W)
+	table, cur := refine(rng, m, model, opts.Iterations, attrVecs, classes)
+	if cur == nil {
+		// The final edge set, drawn with the converged table.
+		cur = model.Generate(rng, m.N, m.Structural, acceptanceFilter(classes, m.W, table))
+	}
+	return graph.SourceWithAttributes(cur, m.W, attrVecs), nil
+}
 
+// refine runs the refinement rounds of Algorithm 3 (lines 7–18) over the
+// sampled attribute vectors and their classes and returns the converged
+// acceptance table A(y), nil when no round produced one. Each round
+// observes the correlations of the last graph drawn and derives the next
+// table; only the rounds up to the last table draw a graph, so drawing the
+// final edge set with that table is left to the caller. A round whose
+// ratios are all zero ends the refinement early, and then the last graph
+// drawn was drawn with the returned table (unfiltered when it is nil): it
+// is returned as drawn, and it is the sample. drawn is nil otherwise.
+//
+// Intermediate rounds are frozen because the correlation counting pass reads
+// CSR rows; builders freeze non-destructively and draw no randomness, so
+// freezing leaves the rng trace and the builder itself intact.
+func refine(rng *rand.Rand, m *FittedModel, model structural.Model, iterations int, attrVecs []graph.AttrVector, classes []int) (table []float64, drawn *graph.Builder) {
+	if iterations <= 0 {
+		iterations = DefaultSampleIterations
+	}
 	// Line 7: sample a temporary edge set independently of the attributes.
-	cur := generate(nil)
+	cur := model.Generate(rng, m.N, m.Structural, nil)
 
 	// Lines 8–18: iterate acceptance probabilities until they converge (a
 	// fixed small number of rounds, as in the paper's experiments).
 	y := attrs.NumEdgeConfigs(m.W)
-	var aOld []float64
 	for iter := 0; iter < iterations; iter++ {
+		if iter > 0 {
+			cur = model.Generate(rng, m.N, m.Structural, acceptanceFilter(classes, m.W, table))
+		}
 		observed := attrs.TrueThetaF(attachAttributes(cur.Finalize(), attrVecs, m.W))
 		ratios := make([]float64, y)
 		sup := 0.0
 		for i := 0; i < y; i++ {
 			ratios[i] = acceptanceRatio(m.ThetaF[i], observed[i])
-			if aOld != nil {
-				ratios[i] *= aOld[i]
+			if table != nil {
+				ratios[i] *= table[i]
 			}
 			if ratios[i] > sup {
 				sup = ratios[i]
 			}
 		}
 		if sup <= 0 {
-			break
+			return table, cur
 		}
 		accept := make([]float64, y)
 		for i := range ratios {
 			accept[i] = ratios[i] / sup
 		}
-		cur = generate(acceptanceFilter(classes, m.W, accept))
-		aOld = accept
+		table = accept
 	}
-	return graph.SourceWithAttributes(cur, m.W, attrVecs), aOld
+	return table, nil
 }
 
 // FitAcceptanceTable computes a reusable acceptance table A(y) for the model:
-// it runs the full refinement of Algorithm 3 once — with a deterministic rng
-// derived from the model's content address AND sequential structural
+// it runs the refinement rounds of Algorithm 3 once — with a deterministic
+// rng derived from the model's content address AND sequential structural
 // generation, so the table is a pure function of the model parameters: the
 // same on every host regardless of core count or the parallelism carried by
-// opts.Model — and returns the converged table. Sampling with the table
-// (SampleSourceWithTable) then needs a single structural generation instead of
-// 1+Iterations, which is the hot-path saving the registry's acceptance cache
-// exists for. The table never touches the sensitive input graph, so caching
-// it is post-processing and consumes no privacy budget. Because the table is
-// fitted by sampling, it also depends on how the structural generators draw:
-// a build whose generators draw differently fits a different table for the
-// same model, which is why persisted tables carry a version.
+// opts.Model — and returns the converged table. The rounds draw
+// opts.Iterations graphs (DefaultSampleIterations when zero): the unfiltered
+// one and one per table but the last, which decides no table, so it is never
+// drawn. Sampling with the table (SampleSourceWithTable) then needs a single
+// structural generation instead of 1+Iterations, which is the hot-path
+// saving the registry's acceptance cache exists for. The table never touches
+// the sensitive input graph, so caching it is post-processing and consumes
+// no privacy budget. Because the table is fitted by sampling, it also
+// depends on how the structural generators draw: a build whose generators
+// draw differently fits a different table for the same model, which is why
+// persisted tables carry a version.
 func FitAcceptanceTable(m *FittedModel, opts SampleOptions) ([]float64, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
@@ -154,8 +162,10 @@ func FitAcceptanceTable(m *FittedModel, opts SampleOptions) ([]float64, error) {
 	for i := 0; i < 8; i++ {
 		seed = seed<<8 | int64(id[i])
 	}
-	opts.Model = structural.WithParallelism(opts.modelFor(m), 1)
-	_, table := sampleRefined(rand.New(rand.NewSource(seed)), m, opts)
+	rng := rand.New(rand.NewSource(seed))
+	model := structural.WithParallelism(opts.modelFor(m), 1)
+	attrVecs := attrs.SampleAttributes(rng, m.ThetaX, m.N, m.W)
+	table, _ := refine(rng, m, model, opts.Iterations, attrVecs, nodeClasses(attrVecs, m.W))
 	if table == nil {
 		// Degenerate models (no refinement round survived): accept everything,
 		// which is exactly what Sample's unfiltered fallback does.

@@ -356,18 +356,34 @@ func (s *Store) PutSource(src graph.RowSource) (string, error) {
 		data := buf.Bytes()
 		return s.add(IDFromBytes(data), stat, nil, data, nil)
 	}
-	// The ID is known only once the snapshot is encoded, so a graph that is
-	// already stored is staged too, then discarded by add. Peak heap is the
-	// encoder's bounded staging buffer, independent of graph size.
-	h := sha256.New()
+	// The ID is known only once the snapshot is encoded into its temp file.
+	// A graph that is already stored ends the stage there, so the temp file
+	// is removed without an fsync. Peak heap is the encoder's bounded
+	// staging buffer, independent of graph size.
+	var id string
 	staged, err := atomicfile.Stage(s.dir, func(w io.Writer) error {
-		return graph.WriteBinaryTo(io.MultiWriter(w, h), src)
+		h := sha256.New()
+		if err := graph.WriteBinaryTo(io.MultiWriter(w, h), src); err != nil {
+			return err
+		}
+		id = hex.EncodeToString(h.Sum(nil)[:16])
+		if _, ok := s.Stat(id); ok {
+			return errStored
+		}
+		return nil
 	})
+	if errors.Is(err, errStored) {
+		return id, nil
+	}
 	if err != nil {
 		return "", fmt.Errorf("graphstore: %w", err)
 	}
-	return s.add(hex.EncodeToString(h.Sum(nil)[:16]), stat, staged, nil, nil)
+	return s.add(id, stat, staged, nil, nil)
 }
+
+// errStored ends PutSource's stage once its hash names a stored graph:
+// Stage then removes the temp file without fsyncing it.
+var errStored = errors.New("graphstore: graph already stored")
 
 // add indexes a new entry under id. With persistence the staged snapshot is
 // committed as <id>.csr and backs the entry; otherwise data does. A

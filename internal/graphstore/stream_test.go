@@ -2,6 +2,7 @@ package graphstore
 
 import (
 	"math/rand"
+	"os"
 	"testing"
 
 	"agmdp/internal/graph"
@@ -76,5 +77,40 @@ func TestPutSourceMatchesPut(t *testing.T) {
 				t.Fatalf("duplicate PutSource: id %s, err %v, len %d", id2, err, s.Len())
 			}
 		})
+	}
+}
+
+// TestPutSourceOfStoredGraph checks that streaming a graph the persistent
+// store already holds returns its ID and leaves the directory as it was:
+// one snapshot, no temp file, and no put counted.
+func TestPutSourceOfStoredGraph(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	id, err := s.PutSource(testBuilder(5))
+	if err != nil {
+		t.Fatalf("PutSource: %v", err)
+	}
+	puts := storePuts.Value()
+	again, err := s.PutSource(testBuilder(5))
+	if err != nil || again != id {
+		t.Fatalf("second PutSource = %s, %v; want %s", again, err, id)
+	}
+	if got := storePuts.Value() - puts; got != 0 {
+		t.Fatalf("second PutSource counted %d puts, want 0", got)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	if len(names) != 1 || names[0] != id+".csr" {
+		t.Fatalf("store directory holds %v, want only %s.csr", names, id)
 	}
 }

@@ -73,15 +73,19 @@ func (f FCL) Generate(rng *rand.Rand, n int, params Params, filter *EdgeFilter) 
 // reproduces the same graph, while different worker counts are different,
 // equally valid draws from the model.
 //
+// Both paths collect their proposals with one loop (proposeEdges), which
+// deduplicates in a flat hash set, and pack them once: graph.PackEdges
+// builds the sorted builder rows from the edge lists in O(n + m). The rows
+// hold the edge set that adding the edges one at a time would give, so the
+// sequential path equals an AddEdge loop over the same draws.
+//
 // The multi-stream merge stays deterministic despite concurrent execution:
 // worker i draws from its own rand.Rand seeded by the i-th value taken from
 // the parent rng up front and collects its edges into a private list.
-// graph.PackEdges packs all the lists into sorted builder rows at once, in
-// O(n + m), dropping cross-worker duplicates; the rows hold the edge set that
-// adding the edges one at a time would give. A sequential top-up pass (with
-// its own pre-drawn seed) then fills any shortfall those duplicates caused.
-// The streams share the sampler, the filter and the pair sampler built from
-// them, none of which a generator modifies.
+// PackEdges drops the cross-worker duplicates, and a sequential top-up pass
+// (addCLEdges, with its own pre-drawn seed) then fills the shortfall they
+// caused. The streams share the sampler, the filter and the pair sampler
+// built from them, none of which a generator modifies.
 func GenerateCL(rng *rand.Rand, n int, sampler *NodeSampler, targetEdges int, filter *EdgeFilter, workers int) *graph.Graph {
 	return generateCLBuilder(rng, n, sampler, targetEdges, filter, workers).Finalize()
 }
@@ -99,9 +103,7 @@ func generateCLBuilder(rng *rand.Rand, n int, sampler *NodeSampler, targetEdges 
 	}
 	workers = parallel.Resolve(workers)
 	if workers <= 1 || targetEdges < minParallelEdges {
-		b := graph.NewBuilder(n, 0)
-		addCLEdges(rng, b, pairs, targetEdges)
-		return b
+		return graph.PackEdges(n, proposeEdges(rng, pairs, targetEdges))
 	}
 
 	lists, topUpSeed := proposeEdgesParallel(rng, pairs, targetEdges, workers)
@@ -115,9 +117,10 @@ func generateCLBuilder(rng *rand.Rand, n int, sampler *NodeSampler, targetEdges 
 	return b
 }
 
-// addCLEdges is the sequential Chung–Lu loop: it proposes edges into b until
-// b holds targetEdges edges or the proposal budget for the missing ones is
-// exhausted.
+// addCLEdges is the multi-stream seed's top-up: it proposes edges into b,
+// one AddEdge at a time, until b holds targetEdges edges or the proposal
+// budget for the missing ones is exhausted. Only the few edges that
+// cross-stream duplicates cost are drawn this way.
 func addCLEdges(rng *rand.Rand, b *graph.Builder, pairs *pairSampler, targetEdges int) {
 	maxProposals := maxProposalFactor * (targetEdges - b.NumEdges() + 1)
 	for proposals := 0; b.NumEdges() < targetEdges && proposals < maxProposals; proposals++ {
@@ -152,14 +155,15 @@ func proposeEdgesParallel(rng *rand.Rand, pairs *pairSampler, targetEdges int, w
 	return results, topUpSeed
 }
 
-// proposeEdges runs one worker's proposal loop: Chung–Lu endpoint draws with
-// self-loops and locally duplicate proposals discarded, until `target` edges
-// are collected or the proposal budget runs out. The worker deduplicates
-// only against its own edges; cross-worker duplicates are handled at merge
-// time.
+// proposeEdges runs one proposal loop, the sequential seed's or one
+// stream's: Chung–Lu endpoint draws with self-loops and duplicate proposals
+// discarded, until `target` edges are collected or the proposal budget runs
+// out. It returns the edges in canonical form, in the order drawn. A stream
+// deduplicates only against its own edges; cross-stream duplicates are
+// handled at merge time.
 func proposeEdges(rng *rand.Rand, pairs *pairSampler, target int) []graph.Edge {
 	edges := make([]graph.Edge, 0, target)
-	seen := make(map[uint64]struct{}, target) // canonical edge packed as U<<32 | V
+	seen := newEdgeSet(target)
 	maxProposals := maxProposalFactor * (target + 1)
 	for proposals := 0; len(edges) < target && proposals < maxProposals; proposals++ {
 		u, v := pairs.sample(rng)
@@ -167,14 +171,52 @@ func proposeEdges(rng *rand.Rand, pairs *pairSampler, target int) []graph.Edge {
 			continue
 		}
 		e := graph.Edge{U: u, V: v}.Canonical()
-		key := uint64(e.U)<<32 | uint64(e.V)
-		if _, dup := seen[key]; dup {
-			continue
+		if seen.add(uint64(e.U)<<32 | uint64(e.V)) {
+			edges = append(edges, e)
 		}
-		seen[key] = struct{}{}
-		edges = append(edges, e)
 	}
 	return edges
+}
+
+// edgeSet is the set of edges one proposal loop has collected, each
+// canonical edge packed as the key U<<32 | V. It is a flat open-addressed
+// table probed linearly, sized once for the loop's target with at least
+// 1.5 slots per edge. A zero slot is empty: no canonical edge packs to 0,
+// since V > U ≥ 0.
+type edgeSet struct {
+	slots []uint64 // a power of two of them
+	shift uint     // 64 − log2(len(slots)): a key's home slot is its hash's top bits
+}
+
+// newEdgeSet returns an empty set with room for n edges.
+func newEdgeSet(n int) *edgeSet {
+	s := &edgeSet{shift: 64}
+	for size := 1; ; size <<= 1 {
+		if 2*size >= 3*n {
+			s.slots = make([]uint64, size)
+			return s
+		}
+		s.shift--
+	}
+}
+
+// home returns the slot key's probe starts at: the top bits of a Fibonacci
+// hash, which mixes both endpoints into them.
+func (s *edgeSet) home(key uint64) int { return int(key * 0x9e3779b97f4a7c15 >> s.shift) }
+
+// add inserts key and reports whether it was absent. Callers add at most
+// the number of keys the set was sized for.
+func (s *edgeSet) add(key uint64) bool {
+	mask := len(s.slots) - 1
+	for i := s.home(key); ; i = (i + 1) & mask {
+		switch s.slots[i] {
+		case 0:
+			s.slots[i] = key
+			return true
+		case key:
+			return false
+		}
+	}
 }
 
 // sumDegrees returns the sum of a degree sequence.
