@@ -137,17 +137,17 @@ func refine(rng *rand.Rand, m *FittedModel, model structural.Model, iterations i
 // rng derived from the model's content address AND sequential structural
 // generation, so the table is a pure function of the model parameters: the
 // same on every host regardless of core count or the parallelism carried by
-// opts.Model — and returns the converged table. The rounds draw
-// opts.Iterations graphs (DefaultSampleIterations when zero): the unfiltered
-// one and one per table but the last, which decides no table, so it is never
-// drawn. Sampling with the table (SampleSourceWithTable) then needs a single
-// structural generation instead of 1+Iterations, which is the hot-path
-// saving the registry's acceptance cache exists for. The table never touches
-// the sensitive input graph, so caching it is post-processing and consumes
-// no privacy budget. Because the table is fitted by sampling, it also
-// depends on how the structural generators draw: a build whose generators
-// draw differently fits a different table for the same model, which is why
-// persisted tables carry a version.
+// opts.Model — and returns the converged table. Its rounds draw
+// opts.Iterations graphs (DefaultSampleIterations when zero), one fewer than
+// Sample: the graph Sample draws with the last table decides no table, so
+// the fit never draws it. Sampling with the table (SampleSourceWithTable)
+// then needs a single structural generation instead of 1+Iterations, which
+// is the hot-path saving the registry's acceptance cache exists for. The
+// table never touches the sensitive input graph, so caching it is
+// post-processing and consumes no privacy budget. Because the table is
+// fitted by sampling, it also depends on how the structural generators
+// draw: a build whose generators draw differently fits a different table
+// for the same model, which is why persisted tables carry a version.
 func FitAcceptanceTable(m *FittedModel, opts SampleOptions) ([]float64, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
